@@ -1,5 +1,7 @@
 #include "apps/dfsio.h"
 
+#include <utility>
+
 #include "mem/buffer.h"
 
 namespace vread::apps {
@@ -15,7 +17,7 @@ sim::Task TestDfsIo::read(Cluster& cluster, std::string client_vm,
   std::unique_ptr<hdfs::DfsInputStream> in;
   co_await client->open(path, in);
   std::uint64_t total = 0;
-  std::uint64_t checksum = 0xcbf29ce484222325ULL;
+  mem::Hasher hasher;
   for (;;) {
     mem::Buffer buf;
     co_await in->read(buffer_size, buf);
@@ -24,10 +26,7 @@ sim::Task TestDfsIo::read(Cluster& cluster, std::string client_vm,
     co_await client->vm().run_vcpu(cm.per_byte(buf.size(), cm.dfsio_app_cycles_per_byte),
                                    hw::CycleCategory::kClientApp);
     total += buf.size();
-    for (std::size_t i = 0; i < buf.size(); ++i) {
-      checksum ^= buf[i];
-      checksum *= 0x100000001b3ULL;
-    }
+    hasher.update(std::as_const(buf).data(), buf.size());
   }
   co_await in->close();
 
@@ -35,7 +34,7 @@ sim::Task TestDfsIo::read(Cluster& cluster, std::string client_vm,
   out.elapsed = cluster.window_elapsed(w);
   out.throughput_mbps = metrics::throughput_mbps(total, out.elapsed);
   out.cpu_time_ms = cluster.window_cpu_ms(w, client_vm);
-  out.checksum = checksum;
+  out.checksum = hasher.digest();
 }
 
 sim::Task TestDfsIo::write(Cluster& cluster, std::string client_vm,

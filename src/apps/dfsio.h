@@ -19,7 +19,7 @@ struct DfsIoResult {
   sim::SimTime elapsed = 0;
   double throughput_mbps = 0.0;
   double cpu_time_ms = 0.0;     // CPU consumed by the client VM
-  std::uint64_t checksum = 0;   // FNV over everything read (integrity checks)
+  std::uint64_t checksum = 0;   // mem::Hasher digest of everything read (integrity checks)
 };
 
 class TestDfsIo {

@@ -1,15 +1,8 @@
 #include "apps/hbase.h"
 
-namespace vread::apps {
+#include <utility>
 
-namespace {
-void fold(std::uint64_t& checksum, const mem::Buffer& buf) {
-  for (std::size_t i = 0; i < buf.size(); ++i) {
-    checksum ^= buf[i];
-    checksum *= 0x100000001b3ULL;
-  }
-}
-}  // namespace
+namespace vread::apps {
 
 sim::Task HBasePerfEval::scan(Cluster& cluster, std::string client_vm,
                               const HdfsTable& table, HBaseResult& out) {
@@ -17,7 +10,7 @@ sim::Task HBasePerfEval::scan(Cluster& cluster, std::string client_vm,
   const hw::CostModel& cm = cluster.costs();
   const sim::SimTime start = cluster.sim().now();
   std::uint64_t rows = 0;
-  std::uint64_t checksum = 0xcbf29ce484222325ULL;
+  mem::Hasher hasher;
 
   for (const std::string& path : table.files) {
     std::unique_ptr<hdfs::DfsInputStream> in;
@@ -31,19 +24,19 @@ sim::Task HBasePerfEval::scan(Cluster& cluster, std::string client_vm,
       co_await client->vm().run_vcpu(cm.hbase_scan_row_cycles * chunk_rows,
                                      hw::CycleCategory::kClientApp);
       rows += chunk_rows;
-      fold(checksum, chunk);
+      hasher.update(std::as_const(chunk).data(), chunk.size());
     }
     co_await in->close();
   }
   out.rows = rows;
   out.elapsed = cluster.sim().now() - start;
   out.mbps = metrics::throughput_mbps(rows * table.row_bytes, out.elapsed);
-  out.checksum = checksum;
+  out.checksum = hasher.digest();
 }
 
 sim::Task HBasePerfEval::get_row(Cluster& cluster, hdfs::DfsClient& client,
                                  const HdfsTable& table, std::uint64_t row,
-                                 std::uint64_t& checksum) {
+                                 mem::Hasher& hasher) {
   const hw::CostModel& cm = cluster.costs();
   const HdfsTable::RowLoc loc = table.locate(row);
   // Region-server get: RPC, MVCC, block-index seek.
@@ -53,7 +46,7 @@ sim::Task HBasePerfEval::get_row(Cluster& cluster, hdfs::DfsClient& client,
   mem::Buffer rowbuf;
   co_await in->pread(loc.offset, table.row_bytes, rowbuf);
   co_await in->close();
-  fold(checksum, rowbuf);
+  hasher.update(std::as_const(rowbuf).data(), rowbuf.size());
 }
 
 sim::Task HBasePerfEval::sequential_read(Cluster& cluster, std::string client_vm,
@@ -61,14 +54,14 @@ sim::Task HBasePerfEval::sequential_read(Cluster& cluster, std::string client_vm
                                          HBaseResult& out) {
   hdfs::DfsClient* client = cluster.client(client_vm);
   const sim::SimTime start = cluster.sim().now();
-  std::uint64_t checksum = 0xcbf29ce484222325ULL;
+  mem::Hasher hasher;
   for (std::uint64_t i = 0; i < count; ++i) {
-    co_await get_row(cluster, *client, table, i % table.rows, checksum);
+    co_await get_row(cluster, *client, table, i % table.rows, hasher);
   }
   out.rows = count;
   out.elapsed = cluster.sim().now() - start;
   out.mbps = metrics::throughput_mbps(count * table.row_bytes, out.elapsed);
-  out.checksum = checksum;
+  out.checksum = hasher.digest();
 }
 
 sim::Task HBasePerfEval::random_read(Cluster& cluster, std::string client_vm,
@@ -77,14 +70,14 @@ sim::Task HBasePerfEval::random_read(Cluster& cluster, std::string client_vm,
   hdfs::DfsClient* client = cluster.client(client_vm);
   sim::Rng rng(rng_seed);
   const sim::SimTime start = cluster.sim().now();
-  std::uint64_t checksum = 0xcbf29ce484222325ULL;
+  mem::Hasher hasher;
   for (std::uint64_t i = 0; i < count; ++i) {
-    co_await get_row(cluster, *client, table, rng.uniform(0, table.rows - 1), checksum);
+    co_await get_row(cluster, *client, table, rng.uniform(0, table.rows - 1), hasher);
   }
   out.rows = count;
   out.elapsed = cluster.sim().now() - start;
   out.mbps = metrics::throughput_mbps(count * table.row_bytes, out.elapsed);
-  out.checksum = checksum;
+  out.checksum = hasher.digest();
 }
 
 }  // namespace vread::apps

@@ -13,6 +13,7 @@
 
 #include "apps/cluster.h"
 #include "apps/table.h"
+#include "mem/hasher.h"
 #include "metrics/stats.h"
 #include "sim/random.h"
 
@@ -44,7 +45,7 @@ class HBasePerfEval {
  private:
   static sim::Task get_row(Cluster& cluster, hdfs::DfsClient& client,
                            const HdfsTable& table, std::uint64_t row,
-                           std::uint64_t& checksum);
+                           mem::Hasher& hasher);
 };
 
 }  // namespace vread::apps

@@ -1,5 +1,7 @@
 #include "core/block_cache.h"
 
+#include "fault/fault.h"
+
 namespace vread::core {
 
 BlockCache::BlockCache(std::uint64_t capacity_bytes, const std::string& host)
@@ -43,6 +45,9 @@ mem::Buffer BlockCache::lookup(const std::string& dn, const std::string& block,
     misses_.inc();
     return mem::Buffer();
   }
+  if (fault::registry().should_fire(fault::points::kCacheCorrupt)) {
+    e.data[0] ^= 0x01;  // copy-on-write: only the entry's own bytes change
+  }
   if (e.data.checksum() != e.checksum) {
     // Integrity check failed: drop the entry and report a miss — a cache
     // hit must never return bytes the mount would not have.
@@ -76,8 +81,8 @@ bool BlockCache::insert(const std::string& dn, const std::string& block,
   }
   evict_to_fit(data.size());
   Entry e;
-  e.data = data;
-  e.checksum = data.checksum();
+  e.data = data.compact();
+  e.checksum = e.data.checksum();
   e.tenant = tenant;
   e.lru = lru_.insert(lru_.end(), key);
   bytes_ += data.size();

@@ -11,9 +11,16 @@
 // *invisible-to-new-namespaces*. Accordingly the cache is invalidated on
 // exactly the events that refresh a mount: vRead_update (block create/
 // delete/rename reported by the namenode), datanode unregistration and VM
-// migration. Every entry stores its payload checksum, verified on each
-// hit; a mismatch drops the entry and reports a miss (integrity never
-// depends on the cache being right).
+// migration. Every entry stores the mem::Hasher digest of its payload,
+// taken at insert; each hit hashes the cached bytes again and compares. A
+// mismatch drops the entry and reports a miss (integrity never depends on
+// the cache being right).
+//
+// Entries hold mem::Buffer views, so a hit hands out a slice of the cached
+// slab without copying. An insert keeps the caller's view only when it
+// spans its whole slab; otherwise it compacts the bytes into an exact-size
+// slab, so a small entry never pins a larger slab and `capacity_bytes`
+// still bounds the resident payload.
 //
 // Entries are stored at the offsets the daemon's stream chopper produced
 // (kStreamChunk-sized pieces); a lookup hits only when one entry covers

@@ -74,6 +74,10 @@ inline constexpr const char* kHedgeBothSlow = "hdfs.client.hedge_both_slow";
 // if the cancel raced the completion — the leg runs (and charges) to the
 // end and the un-charge never happens for it.
 inline constexpr const char* kHedgeCancelRace = "core.daemon.hedge_cancel_race";
+// core::BlockCache::lookup: one byte of the covering entry is flipped just
+// before the hit is verified, as if cached memory rotted. The re-hash must
+// catch it: the entry is dropped and the lookup reports a miss.
+inline constexpr const char* kCacheCorrupt = "core.cache.corrupt";
 }  // namespace points
 
 // How an armed fault point decides to trigger. Deterministic knobs win

@@ -2,11 +2,12 @@
 // virtual disk (the "raw image file located in the local SSD" of the
 // evaluation setup).
 //
-// Content is chunked and copy-on-write so multi-GB images cost memory only
-// for bytes actually written. Timing is *not* modelled here — the guest
-// path charges virtio-blk + disk time, the host path charges loop-device +
-// disk time; both read the same bytes, which is what makes vRead's direct
-// image access byte-correct by construction.
+// Content is chunked and allocate-on-write (a chunk exists once a byte in
+// it is written) so multi-GB images cost memory only for bytes actually
+// written. Timing is *not* modelled here — the guest path charges
+// virtio-blk + disk time, the host path charges loop-device + disk time;
+// both read the same bytes, which is what makes vRead's direct image
+// access byte-correct by construction.
 #pragma once
 
 #include <cstdint>

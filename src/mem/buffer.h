@@ -1,77 +1,148 @@
-// Owning byte buffer with deterministic payload generation and checksums.
+// Byte buffer with deterministic payload generation and checksums.
 //
 // Real bytes flow through every simulated data path (virtio rings, TCP
 // streams, the vRead shared-memory ring, RDMA transfers), so the integrity
-// property suite can assert byte-identical delivery on all of them.
+// property suite can assert byte-identical delivery on all of them. The
+// *simulated* copies along those paths are charged as cycles; the host
+// should not pay for them again. So a Buffer is a view — offset and length
+// — into a refcounted slab (DESIGN.md "Payload plane"):
+//
+//  - Copying a Buffer and slice() share the slab: O(1), no bytes move.
+//  - A slab's bytes change only through a view that owns it alone. Mutable
+//    access (non-const data(), operator[]) first copies the view's bytes
+//    into a private slab when any other view shares the current one, so
+//    no write is ever visible through another view.
+//  - append() adopts the other view when this one is empty, grows in place
+//    when this view is the sole owner of its slab and the slab has room,
+//    and otherwise copies once into a slab twice the new length.
 #pragma once
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <string>
-#include <vector>
+#include <memory>
+#include <utility>
+
+#include "mem/hasher.h"
 
 namespace vread::mem {
 
 class Buffer {
  public:
   Buffer() = default;
-  explicit Buffer(std::size_t size) : data_(size, 0) {}
-  explicit Buffer(std::vector<std::uint8_t> data) : data_(std::move(data)) {}
-  Buffer(const std::uint8_t* p, std::size_t n) : data_(p, p + n) {}
+  // `size` zero bytes.
+  explicit Buffer(std::size_t size) : Buffer(allocate(size)) {
+    if (size > 0) std::memset(slab_.get(), 0, size);
+  }
+  Buffer(const std::uint8_t* p, std::size_t n) : Buffer(allocate(n)) {
+    if (n > 0) std::memcpy(slab_.get(), p, n);
+  }
 
-  // Deterministic pseudo-random content: byte i of stream `seed` is a pure
-  // function of (seed, absolute_offset + i), so any sub-range of a file can
+  // Deterministic pseudo-random content: the stream of `seed` is one
+  // SplitMix64 word per 8 bytes (little-endian), so byte i is a pure
+  // function of (seed, absolute_offset + i) and any sub-range of a file can
   // be regenerated and verified independently.
   static Buffer deterministic(std::uint64_t seed, std::uint64_t absolute_offset,
                               std::size_t size) {
-    Buffer b(size);
-    for (std::size_t i = 0; i < size; ++i) {
-      b.data_[i] = byte_at(seed, absolute_offset + i);
-    }
+    Buffer b = allocate(size);
+    std::uint8_t* out = b.slab_.get();
+    std::uint64_t pos = absolute_offset;
+    std::size_t i = 0;
+    for (; i < size && pos % 8 != 0; ++i, ++pos) out[i] = byte_at(seed, pos);
+    for (; i + 8 <= size; i += 8, pos += 8) store_le64(out + i, word_at(seed, pos / 8));
+    for (; i < size; ++i, ++pos) out[i] = byte_at(seed, pos);
     return b;
   }
 
   static std::uint8_t byte_at(std::uint64_t seed, std::uint64_t offset) {
-    std::uint64_t z = seed + offset * 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<std::uint8_t>(z ^ (z >> 31));
+    return static_cast<std::uint8_t>(word_at(seed, offset / 8) >> (8 * (offset % 8)));
   }
 
-  std::size_t size() const { return data_.size(); }
-  bool empty() const { return data_.empty(); }
-  std::uint8_t* data() { return data_.data(); }
-  const std::uint8_t* data() const { return data_.data(); }
-  std::uint8_t& operator[](std::size_t i) { return data_[i]; }
-  std::uint8_t operator[](std::size_t i) const { return data_[i]; }
+  std::size_t size() const { return len_; }
+  bool empty() const { return len_ == 0; }
+  const std::uint8_t* data() const { return slab_.get() + off_; }
+  std::uint8_t* data() {
+    own();
+    return slab_.get() + off_;
+  }
+  std::uint8_t operator[](std::size_t i) const& { return data()[i]; }
+  std::uint8_t& operator[](std::size_t i) & { return data()[i]; }
+  // Nothing can observe a write through a temporary, so reading one never
+  // copies its slab.
+  std::uint8_t operator[](std::size_t i) && { return std::as_const(*this)[i]; }
 
   void append(const Buffer& other) {
-    data_.insert(data_.end(), other.data_.begin(), other.data_.end());
+    if (empty()) {
+      *this = other;
+      return;
+    }
+    append(other.data(), other.size());
   }
-  void append(const std::uint8_t* p, std::size_t n) { data_.insert(data_.end(), p, p + n); }
+  void append(const std::uint8_t* p, std::size_t n) {
+    if (n == 0) return;
+    if (slab_.use_count() == 1 && off_ + len_ + n <= cap_) {
+      std::memcpy(slab_.get() + off_ + len_, p, n);
+      len_ += n;
+      return;
+    }
+    // `p` may point into the current slab: copy both before dropping it.
+    Buffer grown = allocate(2 * (len_ + n));
+    if (len_ > 0) std::memcpy(grown.slab_.get(), std::as_const(*this).data(), len_);
+    std::memcpy(grown.slab_.get() + len_, p, n);
+    grown.len_ = len_ + n;
+    *this = std::move(grown);
+  }
 
   Buffer slice(std::size_t offset, std::size_t len) const {
-    return Buffer(data_.data() + offset, len);
+    assert(offset + len <= len_);
+    Buffer b = *this;
+    b.off_ += offset;
+    b.len_ = len;
+    return b;
   }
 
-  void resize(std::size_t n) { data_.resize(n, 0); }
-
-  // FNV-1a 64-bit over the whole buffer.
-  std::uint64_t checksum() const {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::uint8_t b : data_) {
-      h ^= b;
-      h *= 0x100000001b3ULL;
-    }
-    return h;
+  // The same bytes in a view that spans its whole slab: *this when it
+  // already does, otherwise a copy into an exact-size slab. Long-lived
+  // holders (the block cache) store compacted views so a small view never
+  // pins a large slab.
+  Buffer compact() const {
+    return off_ == 0 && len_ == cap_ ? *this : Buffer(data(), len_);
   }
 
-  bool operator==(const Buffer& other) const { return data_ == other.data_; }
+  std::uint64_t checksum() const { return Hasher::hash(data(), len_); }
 
-  const std::vector<std::uint8_t>& bytes() const { return data_; }
+  bool operator==(const Buffer& other) const {
+    return len_ == other.len_ && (len_ == 0 || std::memcmp(data(), other.data(), len_) == 0);
+  }
 
  private:
-  std::vector<std::uint8_t> data_;
+  // A view of a fresh, uninitialised slab of exactly `size` bytes.
+  static Buffer allocate(std::size_t size) {
+    Buffer b;
+    if (size == 0) return b;
+    b.slab_ = std::make_shared_for_overwrite<std::uint8_t[]>(size);
+    b.cap_ = size;
+    b.len_ = size;
+    return b;
+  }
+
+  static std::uint64_t word_at(std::uint64_t seed, std::uint64_t index) {
+    std::uint64_t z = seed + index * 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+
+  // Copy-on-write: gives this view a private slab before a mutation.
+  void own() {
+    if (slab_.use_count() > 1) *this = Buffer(std::as_const(*this).data(), len_);
+  }
+
+  std::shared_ptr<std::uint8_t[]> slab_;
+  std::size_t cap_ = 0;  // slab size
+  std::size_t off_ = 0;
+  std::size_t len_ = 0;
 };
 
 }  // namespace vread::mem

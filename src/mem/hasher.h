@@ -1,0 +1,115 @@
+// Streaming 64-bit payload hasher (XXH64 layout: four 64-bit lanes over
+// 32-byte stripes, seed 0).
+//
+// The digest is a function of the concatenated bytes only: a stream fed
+// in any number of update() calls, split at any points, digests exactly
+// like one update() over the whole. Partial stripes are carried between
+// calls, so readers can hash a payload as it arrives in pieces and compare
+// the result against Buffer::checksum() of the whole.
+//
+// This is the only payload hash in the tree. The dispatch digest, the
+// host-name seed fold and obs::fnv1a hash control data, not payload, and
+// keep their own FNV chains.
+#pragma once
+
+#include <bit>
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
+
+namespace vread::mem {
+
+// Little-endian 64-bit load/store (payload words have one byte order on
+// every host, so digests and generated content are portable).
+inline std::uint64_t load_le64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap64(v);
+  return v;
+}
+
+inline void store_le64(std::uint8_t* p, std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap64(v);
+  std::memcpy(p, &v, sizeof v);
+}
+
+class Hasher {
+ public:
+  void update(const std::uint8_t* p, std::size_t n) {
+    total_ += n;
+    if (buffered_ + n < kStripe) {
+      if (n > 0) std::memcpy(buf_ + buffered_, p, n);
+      buffered_ += n;
+      return;
+    }
+    if (buffered_ > 0) {
+      const std::size_t fill = kStripe - buffered_;
+      std::memcpy(buf_ + buffered_, p, fill);
+      stripe(buf_);
+      p += fill;
+      n -= fill;
+      buffered_ = 0;
+    }
+    for (; n >= kStripe; p += kStripe, n -= kStripe) stripe(p);
+    if (n > 0) std::memcpy(buf_, p, n);
+    buffered_ = n;
+  }
+
+  std::uint64_t digest() const {
+    std::uint64_t h;
+    if (total_ >= kStripe) {
+      h = std::rotl(acc_[0], 1) + std::rotl(acc_[1], 7) + std::rotl(acc_[2], 12) +
+          std::rotl(acc_[3], 18);
+      for (std::uint64_t a : acc_) h = (h ^ round(0, a)) * kP1 + kP4;
+    } else {
+      h = kP5;
+    }
+    h += total_;
+    const std::uint8_t* p = buf_;
+    std::size_t n = buffered_;
+    for (; n >= 8; p += 8, n -= 8) h = std::rotl(h ^ round(0, load_le64(p)), 27) * kP1 + kP4;
+    if (n >= 4) {
+      const std::uint64_t w = static_cast<std::uint64_t>(p[0]) | std::uint64_t{p[1]} << 8 |
+                              std::uint64_t{p[2]} << 16 | std::uint64_t{p[3]} << 24;
+      h = std::rotl(h ^ (w * kP1), 23) * kP2 + kP3;
+      p += 4;
+      n -= 4;
+    }
+    for (; n > 0; ++p, --n) h = std::rotl(h ^ (*p * kP5), 11) * kP1;
+    h ^= h >> 33;
+    h *= kP2;
+    h ^= h >> 29;
+    h *= kP3;
+    h ^= h >> 32;
+    return h;
+  }
+
+  static std::uint64_t hash(const std::uint8_t* p, std::size_t n) {
+    Hasher h;
+    h.update(p, n);
+    return h.digest();
+  }
+
+ private:
+  static constexpr std::size_t kStripe = 32;
+  static constexpr std::uint64_t kP1 = 0x9e3779b185ebca87ULL;
+  static constexpr std::uint64_t kP2 = 0xc2b2ae3d27d4eb4fULL;
+  static constexpr std::uint64_t kP3 = 0x165667b19e3779f9ULL;
+  static constexpr std::uint64_t kP4 = 0x85ebca77c2b2ae63ULL;
+  static constexpr std::uint64_t kP5 = 0x27d4eb2f165667c5ULL;
+
+  static std::uint64_t round(std::uint64_t acc, std::uint64_t lane) {
+    return std::rotl(acc + lane * kP2, 31) * kP1;
+  }
+
+  void stripe(const std::uint8_t* p) {
+    for (int i = 0; i < 4; ++i) acc_[i] = round(acc_[i], load_le64(p + 8 * i));
+  }
+
+  std::uint64_t acc_[4] = {kP1 + kP2, kP2, 0, 0 - kP1};
+  std::uint64_t total_ = 0;
+  std::size_t buffered_ = 0;
+  std::uint8_t buf_[kStripe] = {};
+};
+
+}  // namespace vread::mem

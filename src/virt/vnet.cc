@@ -178,7 +178,7 @@ sim::Task TcpConn::recv_loop(int my_side, std::uint64_t want, bool exact,
     if (tr.enabled())
       tr.record(ctx, trace::SpanKind::kCopy, "copy skb->app",
                 static_cast<int>(self.vcpu_tid()), c0, net_.sim_.now(), take);
-    out.append(seg.data.data() + seg.consumed, take);
+    out.append(seg.data.slice(seg.consumed, take));
     seg.consumed += take;
     side.window_sem.release(take);
     if (seg.consumed == seg.data.size()) side.rx.pop_front();

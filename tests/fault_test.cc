@@ -1,9 +1,9 @@
 // Fault-injection & graceful-degradation coverage: the fault registry's
 // deterministic/probabilistic semantics, and one end-to-end test per fault
-// class (mount refresh failure, stale dentry lookup, shm timeout, shm
-// corruption, daemon crash, remote peer down, RDMA link down) proving the
-// degradation contract — byte-identical contents via bounded retries and
-// socket fallback, with every step observable through counters.
+// class (mount refresh failure, stale dentry lookup, cache corruption, shm
+// timeout, shm corruption, daemon crash, remote peer down, RDMA link down)
+// proving the degradation contract — byte-identical contents via bounded
+// retries and socket fallback, with every step observable through counters.
 //
 // All suites here are named Fault* so CI can re-run exactly this file
 // under a global VREAD_FAULT_SCHEDULE chaos baseline (ctest -R '^Fault').
@@ -204,6 +204,44 @@ TEST(FaultStaleLookup, SingleLookupMissFallsBackForOneBlockOnly) {
   EXPECT_EQ(fault::registry().fires(fault::points::kMountStaleLookup), 1u);
   EXPECT_GE(c->client("client")->vread_fallback_reads(), 1u);
   EXPECT_GT(c->daemon("host1")->bytes_read(), 0u);  // later opens recovered
+}
+
+// --- core.cache.corrupt: a rotted cache entry fails its hit-time re-hash ---
+
+TEST(FaultCacheCorrupt, RehashOnHitDropsRottedEntryAndReadStaysByteIdentical) {
+  RegistryGuard guard;
+  const std::uint64_t bytes = 8ULL << 20;
+  auto c = local_bed(bytes, 79);
+  c->enable_vread();
+  DfsIoResult warm;
+  c->run_job(TestDfsIo::read(*c, "client", "/f", 1 << 20, warm));  // fills the cache
+  core::BlockCache& cache = c->daemon("host1")->cache();
+  const std::string blk = c->namenode().all_blocks("/f").front().name;
+  const Buffer hit = cache.lookup("datanode1", blk, 0, 4096);
+  ASSERT_EQ(hit, Buffer::deterministic(79, 0, 4096));  // a real hit before arming
+  const std::uint64_t resident = cache.bytes();
+
+  fault::registry().arm(fault::points::kCacheCorrupt, {.every = 1, .max_fires = 1});
+  // The flipped byte is caught by re-hashing the cached bytes (a memoized
+  // digest would let it through): miss, one integrity failure, entry gone.
+  EXPECT_TRUE(cache.lookup("datanode1", blk, 0, 4096).empty());
+  EXPECT_EQ(fault::registry().fires(fault::points::kCacheCorrupt), 1u);
+  EXPECT_EQ(cache.integrity_failures(), 1u);
+  EXPECT_LT(cache.bytes(), resident);
+  EXPECT_TRUE(cache.lookup("datanode1", blk, 0, 4096).empty());  // dropped, not re-checked
+  EXPECT_EQ(cache.integrity_failures(), 1u);
+  // Copy-on-write: the flip touched only the entry's private bytes, never
+  // the view an earlier hit handed out.
+  EXPECT_EQ(hit, Buffer::deterministic(79, 0, 4096));
+
+  // The dropped range is served from the mount again, byte for byte.
+  const std::uint64_t misses = cache.misses();
+  DfsIoResult r;
+  c->run_job(TestDfsIo::read(*c, "client", "/f", 1 << 20, r));
+  EXPECT_EQ(r.checksum, Buffer::deterministic(79, 0, bytes).checksum());
+  EXPECT_GT(cache.misses(), misses);
+  EXPECT_EQ(cache.integrity_failures(), 1u);
+  EXPECT_EQ(cache.lookup("datanode1", blk, 0, 4096), Buffer::deterministic(79, 0, 4096));
 }
 
 // --- virt.shm.timeout: requests vanish; the library's bounded retry ---

@@ -201,6 +201,52 @@ TEST(DfsWrite, PipelineReplicatesToAllDatanodes) {
   EXPECT_EQ(got, data);
 }
 
+TEST(DfsWrite, UnalignedStreamWritesReplicateEveryBlockExactly) {
+  // 3 MiB + 1 byte writes never line up with the 4 MiB blocks, so the
+  // stream's pending bytes (views of the caller's buffer) cross a block
+  // boundary on almost every write.
+  Cluster cluster(small_blocks());
+  cluster.add_host("host1");
+  cluster.add_host("host2");
+  cluster.add_vm("host1", "client");
+  cluster.create_namenode("client");
+  cluster.add_datanode("host1", "datanode1");
+  cluster.add_datanode("host2", "datanode2");
+  DfsClient& client = cluster.add_client("client");
+
+  const std::uint64_t size = 64ULL << 20;
+  const std::uint64_t piece = (3ULL << 20) + 1;
+  const Buffer data = Buffer::deterministic(13, 0, size);
+  auto writer = [](DfsClient& c, const Buffer& d, std::uint64_t bs,
+                   std::uint64_t step) -> sim::Task {
+    std::unique_ptr<DfsOutputStream> out;
+    std::vector<std::string> pipeline = {"datanode1", "datanode2"};
+    co_await c.create("/big", Cluster::place_on(pipeline), bs, out);
+    for (std::uint64_t off = 0; off < d.size(); off += step) {
+      co_await out->write(d.slice(off, std::min(step, d.size() - off)));
+    }
+    co_await out->close();
+  };
+  cluster.sim().spawn(writer(client, data, cluster.config().block_size, piece));
+  cluster.sim().run();
+
+  const std::vector<BlockInfo> blocks = cluster.namenode().all_blocks("/big");
+  ASSERT_EQ(blocks.size(), 16u);
+  std::uint64_t covered = 0;
+  for (const BlockInfo& b : blocks) {
+    EXPECT_EQ(b.offset_in_file, covered);
+    for (const std::string& dn_id : {std::string("datanode1"), std::string("datanode2")}) {
+      fs::SimFs& fs = cluster.datanode(dn_id)->vm().fs();
+      auto ino = fs.lookup(DataNode::block_path(b.name));
+      ASSERT_TRUE(ino.has_value()) << dn_id << " missing " << b.name;
+      EXPECT_EQ(fs.read(*ino, 0, b.size), data.slice(b.offset_in_file, b.size))
+          << dn_id << " " << b.name;
+    }
+    covered += b.size;
+  }
+  EXPECT_EQ(covered, size);
+}
+
 TEST(DfsRead, PrefersColocatedReplica) {
   Cluster cluster(small_blocks());
   cluster.add_host("host1");

@@ -9,6 +9,7 @@
 
 #include <map>
 #include <tuple>
+#include <type_traits>
 
 #include "apps/cluster.h"
 #include "apps/dfsio.h"
@@ -32,13 +33,25 @@ using mem::Buffer;
 // Integrity matrix: every path delivers byte-identical data.
 // ---------------------------------------------------------------------------
 
+// gtest names each case after the raw bytes of its PathCase (there is no
+// printer for it), so the struct must have no padding: padding bytes are
+// whatever the stack held, which made the test names differ between builds.
+// `reserved` fills the gap after the two bools and is always zero.
 struct PathCase {
+  PathCase(bool vread, bool remote, core::VReadDaemon::Transport transport,
+           std::uint64_t file_bytes, std::uint64_t buffer)
+      : vread(vread), remote(remote), transport(transport), file_bytes(file_bytes),
+        buffer(buffer) {}
+
   bool vread;
   bool remote;                       // data on the remote datanode only
+  std::uint16_t reserved = 0;
   core::VReadDaemon::Transport transport;
   std::uint64_t file_bytes;
   std::uint64_t buffer;
 };
+static_assert(std::has_unique_object_representations_v<PathCase>,
+              "PathCase must have no padding bytes");
 
 class IntegrityMatrix : public ::testing::TestWithParam<PathCase> {};
 
