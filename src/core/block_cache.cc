@@ -81,7 +81,7 @@ bool BlockCache::insert(const std::string& dn, const std::string& block,
   }
   evict_to_fit(data.size());
   Entry e;
-  e.data = data.compact();
+  e.data = data;
   e.checksum = e.data.checksum();
   e.tenant = tenant;
   e.lru = lru_.insert(lru_.end(), key);

@@ -16,11 +16,12 @@
 // mismatch drops the entry and reports a miss (integrity never depends on
 // the cache being right).
 //
-// Entries hold mem::Buffer views, so a hit hands out a slice of the cached
-// slab without copying. An insert keeps the caller's view only when it
-// spans its whole slab; otherwise it compacts the bytes into an exact-size
-// slab, so a small entry never pins a larger slab and `capacity_bytes`
-// still bounds the resident payload.
+// Entries hold the caller's mem::Buffer view as is, so neither an insert
+// nor a hit copies bytes. A block read off the mount is a view of a disk
+// image run, which the image keeps resident anyway (block files are
+// write-once and never dropped), so such an entry pins nothing extra; a
+// view assembled by a non-adjacent append pins at most twice its size
+// (DESIGN.md §17). `capacity_bytes` bounds the bytes the entries cover.
 //
 // Entries are stored at the offsets the daemon's stream chopper produced
 // (kStreamChunk-sized pieces); a lookup hits only when one entry covers

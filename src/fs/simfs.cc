@@ -144,13 +144,19 @@ mem::Buffer read_file_range(const DiskImage& image, const Inode& inode,
                             std::uint64_t offset, std::uint64_t len) {
   if (offset > inode.size) throw FsError("read offset past end of file");
   len = std::min(len, inode.size - offset);
-  mem::Buffer out(len);
-  std::uint64_t written = 0;
-  for_each_segment(inode, offset, len, [&](std::uint64_t img_off, std::uint64_t n) {
-    image.read(img_off, out.data() + written, n);
-    written += n;
+  std::size_t segments = 0;
+  std::uint64_t first_img_off = 0;
+  for_each_segment(inode, offset, len, [&](std::uint64_t img_off, std::uint64_t) {
+    if (segments++ == 0) first_img_off = img_off;
   });
-  return out;
+  // One extent: the image hands out a view of its run without copying.
+  if (segments == 1) return image.read(first_img_off, len);
+  return mem::Buffer::filled(len, [&](std::uint8_t* out) {
+    for_each_segment(inode, offset, len, [&](std::uint64_t img_off, std::uint64_t n) {
+      image.read(img_off, out, n);
+      out += n;
+    });
+  });
 }
 
 std::vector<DirEntry> decode_dir(const mem::Buffer& raw) {
@@ -363,7 +369,7 @@ void SimFs::append_raw(Inode& ino, const mem::Buffer& data) {
   }
   std::uint64_t written = 0;
   for_each_segment(ino, ino.size, data.size(), [&](std::uint64_t img_off, std::uint64_t n) {
-    image_->write(img_off, data.data() + written, n);
+    image_->write(img_off, data.slice(written, n));
     written += n;
   });
   ino.size += data.size();
@@ -406,7 +412,7 @@ void SimFs::rewrite_dir(std::uint32_t dir_inode, const std::vector<DirEntry>& en
     ino.extents[ino.extent_count++] = Extent{start, blocks};
     std::uint64_t written = 0;
     for_each_segment(ino, 0, raw.size(), [&](std::uint64_t img_off, std::uint64_t n) {
-      image_->write(img_off, raw.data() + written, n);
+      image_->write(img_off, raw.slice(written, n));
       written += n;
     });
   }

@@ -12,11 +12,14 @@
 //    access (non-const data(), operator[]) first copies the view's bytes
 //    into a private slab when any other view shares the current one, so
 //    no write is ever visible through another view.
-//  - append() adopts the other view when this one is empty, grows in place
-//    when this view is the sole owner of its slab and the slab has room,
-//    and otherwise copies once into a slab twice the new length.
+//  - append() adopts the other view when this one is empty, extends this
+//    view when the other one continues it in the same slab (no bytes move),
+//    grows in place when this view is the sole owner of its slab and the
+//    slab has room, and otherwise copies once into a slab twice the new
+//    length.
 #pragma once
 
+#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -37,6 +40,15 @@ class Buffer {
   }
   Buffer(const std::uint8_t* p, std::size_t n) : Buffer(allocate(n)) {
     if (n > 0) std::memcpy(slab_.get(), p, n);
+  }
+
+  // `n` bytes written by `fill(std::uint8_t* out)`, which must write all
+  // of them: the slab is not initialised first.
+  template <typename Fill>
+  static Buffer filled(std::size_t n, Fill&& fill) {
+    Buffer b = allocate(n);
+    if (n > 0) fill(b.slab_.get());
+    return b;
   }
 
   // Deterministic pseudo-random content: the stream of `seed` is one
@@ -77,6 +89,10 @@ class Buffer {
       *this = other;
       return;
     }
+    if (slab_ == other.slab_ && off_ + len_ == other.off_) {
+      len_ += other.len_;  // `other` continues this view in the same slab
+      return;
+    }
     append(other.data(), other.size());
   }
   void append(const std::uint8_t* p, std::size_t n) {
@@ -103,9 +119,8 @@ class Buffer {
   }
 
   // The same bytes in a view that spans its whole slab: *this when it
-  // already does, otherwise a copy into an exact-size slab. Long-lived
-  // holders (the block cache) store compacted views so a small view never
-  // pins a large slab.
+  // already does, otherwise a copy into an exact-size slab. The disk image
+  // stores compacted views so a small write never pins a large slab.
   Buffer compact() const {
     return off_ == 0 && len_ == cap_ ? *this : Buffer(data(), len_);
   }
@@ -116,11 +131,18 @@ class Buffer {
     return len_ == other.len_ && (len_ == 0 || std::memcmp(data(), other.data(), len_) == 0);
   }
 
+  // Bytes of every slab allocated so far in this process: the payload
+  // bytes the host materialised, as opposed to views it handed around.
+  static std::uint64_t slab_bytes_allocated() {
+    return slab_bytes_allocated_.load(std::memory_order_relaxed);
+  }
+
  private:
   // A view of a fresh, uninitialised slab of exactly `size` bytes.
   static Buffer allocate(std::size_t size) {
     Buffer b;
     if (size == 0) return b;
+    slab_bytes_allocated_.fetch_add(size, std::memory_order_relaxed);
     b.slab_ = std::make_shared_for_overwrite<std::uint8_t[]>(size);
     b.cap_ = size;
     b.len_ = size;
@@ -138,6 +160,8 @@ class Buffer {
   void own() {
     if (slab_.use_count() > 1) *this = Buffer(std::as_const(*this).data(), len_);
   }
+
+  static inline std::atomic<std::uint64_t> slab_bytes_allocated_{0};
 
   std::shared_ptr<std::uint8_t[]> slab_;
   std::size_t cap_ = 0;  // slab size

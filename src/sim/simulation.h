@@ -25,6 +25,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/task.h"
@@ -67,7 +68,7 @@ class Simulation {
   void post_at(SimTime at, std::function<void()> fn);
 
   // Schedules `fn` to run after `delay` nanoseconds.
-  void post(SimTime delay, std::function<void()> fn) { post_at(now_ + delay, fn); }
+  void post(SimTime delay, std::function<void()> fn) { post_at(now_ + delay, std::move(fn)); }
 
   // Schedules a coroutine resumption. The handle must stay valid until
   // fired. This is the hot path: no std::function, no allocation.

@@ -170,6 +170,36 @@ TEST(BlockCacheCopies, CacheHitsKeepTwoCopiesPerByte) {
   EXPECT_NEAR(delta / per_copy, 2.0, 0.25);
 }
 
+// Copy regression guard: reading a preloaded multi-block file over the
+// hybrid vRead path (blocks alternate between the co-located and the
+// remote datanode, RDMA) hands views of the image runs all the way to the
+// reader, cold and warm, so no slab byte is allocated per delivered byte.
+// Copying each mount read out of the image and concatenating ring chunks
+// costs 2.33 slab bytes per delivered byte cold and 1.33 re-read; the
+// bound is twice the measured ratio — zero — so any per-read copy fails.
+TEST(PayloadCopies, HybridReadsMaterialiseNoPayloadBytes) {
+  Bed bed;
+  bed.cluster.preload_file("/data", kFileBytes, 81, {{"datanode1"}, {"datanode2"}});
+  bed.cluster.enable_vread(Transport::kRdma);
+  bed.cluster.drop_all_caches();
+  const auto slab_bytes_per_delivered_byte = [&bed] {
+    DfsIoResult r;
+    const std::uint64_t before = Buffer::slab_bytes_allocated();
+    bed.cluster.sim().spawn(TestDfsIo::read(bed.cluster, "client", "/data", 1 << 20, r));
+    bed.cluster.sim().run();
+    const std::uint64_t materialised = Buffer::slab_bytes_allocated() - before;
+    EXPECT_EQ(r.bytes, kFileBytes);
+    EXPECT_EQ(r.checksum, Buffer::deterministic(81, 0, kFileBytes).checksum());
+    return static_cast<double>(materialised) / static_cast<double>(kFileBytes);
+  };
+  const double cold = slab_bytes_per_delivered_byte();
+  const double reread = slab_bytes_per_delivered_byte();
+  EXPECT_GT(bed.cluster.daemon("host1")->remote_reads(), 0u);
+  EXPECT_GT(bed.cluster.daemon("host1")->cache().hits(), 0u);
+  EXPECT_EQ(cold, 0.0);
+  EXPECT_EQ(reread, 0.0);
+}
+
 TEST(BlockCacheVisibility, UpdateInvalidatesCache) {
   Bed bed;
   bed.cluster.preload_file("/data", 6 * 1024 * 1024, 79, {{"datanode1"}});

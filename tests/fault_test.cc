@@ -19,9 +19,12 @@
 #include "apps/dfsio.h"
 #include "core/libvread.h"
 #include "fault/fault.h"
+#include "fs/simfs.h"
+#include "hdfs/datanode.h"
 #include "mem/buffer.h"
 #include "metrics/fault_stats.h"
 #include "testutil.h"
+#include "virt/vm.h"
 
 namespace vread {
 namespace {
@@ -220,6 +223,13 @@ TEST(FaultCacheCorrupt, RehashOnHitDropsRottedEntryAndReadStaysByteIdentical) {
   const Buffer hit = cache.lookup("datanode1", blk, 0, 4096);
   ASSERT_EQ(hit, Buffer::deterministic(79, 0, 4096));  // a real hit before arming
   const std::uint64_t resident = cache.bytes();
+  // Neither the mount read nor the cache copied: the hit is a view of the
+  // datanode image's run, so the flip below must copy on write rather
+  // than reach the image.
+  fs::SimFs& dn_fs = c->vm("datanode1")->fs();
+  const std::uint32_t ino = *dn_fs.lookup(hdfs::DataNode::block_path(blk));
+  const Buffer on_image = dn_fs.read(ino, 0, 4096);
+  EXPECT_EQ(hit.data(), on_image.data());
 
   fault::registry().arm(fault::points::kCacheCorrupt, {.every = 1, .max_fires = 1});
   // The flipped byte is caught by re-hashing the cached bytes (a memoized
@@ -231,8 +241,10 @@ TEST(FaultCacheCorrupt, RehashOnHitDropsRottedEntryAndReadStaysByteIdentical) {
   EXPECT_TRUE(cache.lookup("datanode1", blk, 0, 4096).empty());  // dropped, not re-checked
   EXPECT_EQ(cache.integrity_failures(), 1u);
   // Copy-on-write: the flip touched only the entry's private bytes, never
-  // the view an earlier hit handed out.
+  // the view an earlier hit handed out nor the image the entry shared.
   EXPECT_EQ(hit, Buffer::deterministic(79, 0, 4096));
+  EXPECT_EQ(on_image, Buffer::deterministic(79, 0, 4096));
+  EXPECT_EQ(dn_fs.read(ino, 0, bytes / 2), Buffer::deterministic(79, 0, bytes / 2));
 
   // The dropped range is served from the mount again, byte for byte.
   const std::uint64_t misses = cache.misses();

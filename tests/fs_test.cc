@@ -2,12 +2,16 @@
 // on-image SimFs, and the host-side LoopMount with snapshot staleness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "fs/disk_image.h"
 #include "fs/loop_mount.h"
 #include "fs/simfs.h"
+#include "sim/random.h"
 
 namespace vread::fs {
 namespace {
@@ -32,9 +36,9 @@ TEST(DiskImage, UnwrittenRegionsReadZero) {
 }
 
 TEST(DiskImage, WritesSpanChunkBoundaries) {
-  DiskImage img(4 * DiskImage::kChunkSize);
-  Buffer data = Buffer::deterministic(2, 0, DiskImage::kChunkSize + 999);
-  std::uint64_t off = DiskImage::kChunkSize - 77;
+  DiskImage img(4 * 256 * 1024);
+  Buffer data = Buffer::deterministic(2, 0, 256 * 1024 + 999);
+  std::uint64_t off = 256 * 1024 - 77;
   img.write(off, data);
   EXPECT_EQ(img.read(off, data.size()), data);
 }
@@ -42,8 +46,105 @@ TEST(DiskImage, WritesSpanChunkBoundaries) {
 TEST(DiskImage, SparseAllocation) {
   DiskImage img(1ULL << 40);  // 1 TB logical
   img.write(1ULL << 39, reinterpret_cast<const std::uint8_t*>("x"), 1);
-  EXPECT_LE(img.allocated_bytes(), 2 * DiskImage::kChunkSize);
+  EXPECT_LE(img.allocated_bytes(), 2 * 256 * 1024);
   EXPECT_EQ(img.size(), 1ULL << 40);
+}
+
+// Random overlapping writes, raw and Buffer, against a flat reference: the
+// run store must trim and split exactly, and every range — inside one run,
+// across runs, over holes — must read back what the reference holds.
+TEST(DiskImage, RandomOverlappingWritesMatchAFlatReference) {
+  constexpr std::uint64_t kSize = 1 << 16;
+  DiskImage img(kSize);
+  std::vector<std::uint8_t> ref(kSize, 0);
+  sim::Rng rng(0x5eed);
+  std::vector<Buffer> earlier;  // views taken along the way, with their bytes
+  std::vector<std::vector<std::uint8_t>> earlier_bytes;
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint64_t off = rng.uniform(0, kSize - 1);
+    const std::uint64_t len = rng.uniform(1, std::min<std::uint64_t>(kSize - off, 3000));
+    const Buffer data = Buffer::deterministic(static_cast<std::uint64_t>(i), off, len);
+    if (i % 2 == 0) {
+      img.write(off, data);
+    } else {
+      img.write(off, data.data(), data.size());
+    }
+    std::memcpy(ref.data() + off, data.data(), len);
+
+    const std::uint64_t roff = rng.uniform(0, kSize - 1);
+    const std::uint64_t rlen = rng.uniform(0, std::min<std::uint64_t>(kSize - roff, 5000));
+    const Buffer got = img.read(roff, rlen);
+    ASSERT_EQ(got.size(), rlen);
+    ASSERT_TRUE(std::equal(got.data(), got.data() + rlen, ref.begin() + roff)) << "write " << i;
+    std::vector<std::uint8_t> raw(rlen);
+    img.read(roff, raw.data(), rlen);
+    ASSERT_TRUE(std::equal(raw.begin(), raw.end(), ref.begin() + roff)) << "write " << i;
+    if (i % 10 == 0) {
+      earlier.push_back(got);
+      earlier_bytes.emplace_back(ref.begin() + roff, ref.begin() + roff + rlen);
+    }
+  }
+  // Later overwrites never reach into a view handed out earlier.
+  for (std::size_t k = 0; k < earlier.size(); ++k) {
+    const Buffer& view = earlier[k];
+    EXPECT_TRUE(std::equal(view.data(), view.data() + view.size(), earlier_bytes[k].begin()));
+  }
+  EXPECT_LE(img.allocated_bytes(), kSize);
+}
+
+TEST(DiskImage, ViewTakenBeforeAnOverwriteKeepsItsBytes) {
+  DiskImage img(1 << 20);
+  img.write(4096, Buffer::deterministic(3, 0, 8192));
+  const Buffer before = img.read(4096, 8192);
+  const Buffer inner = img.read(6000, 100);
+  img.write(5000, Buffer::deterministic(4, 0, 2000));  // splits the run
+  img.write(4096, Buffer::deterministic(5, 0, 8192));  // replaces it whole
+  EXPECT_EQ(before, Buffer::deterministic(3, 0, 8192));
+  EXPECT_EQ(inner, Buffer::deterministic(3, 6000 - 4096, 100));
+  EXPECT_EQ(img.read(4096, 8192), Buffer::deterministic(5, 0, 8192));
+}
+
+TEST(DiskImage, ReadsInsideOneRunAreViewsOfIt) {
+  DiskImage img(1 << 20);
+  const Buffer data = Buffer::deterministic(6, 0, 65536);
+  img.write(1000, data);
+  const Buffer a = img.read(1000 + 4096, 4096);
+  const Buffer b = img.read(1000 + 4096, 4096);
+  EXPECT_EQ(a.data(), b.data());
+  // A whole-slab write is adopted, not copied.
+  const Buffer whole = img.read(1000, data.size());
+  EXPECT_EQ(whole.data(), data.data());
+}
+
+TEST(DiskImage, MutatingTheCallersBufferAfterWriteLeavesTheImageUnchanged) {
+  DiskImage img(1 << 20);
+  Buffer data = Buffer::deterministic(7, 0, 4096);
+  img.write(0, data);
+  data[0] ^= 0xff;
+  data[4095] ^= 0xff;
+  EXPECT_EQ(img.read(0, 4096), Buffer::deterministic(7, 0, 4096));
+  // A view handed out by a read is just as isolated the other way round.
+  Buffer view = img.read(0, 4096);
+  view[10] ^= 0xff;
+  EXPECT_EQ(img.read(0, 4096), Buffer::deterministic(7, 0, 4096));
+}
+
+TEST(DiskImage, HolesBetweenAndAroundRunsReadZero) {
+  DiskImage img(1 << 20);
+  const Buffer a = Buffer::deterministic(8, 0, 100);
+  const Buffer b = Buffer::deterministic(9, 0, 100);
+  img.write(1000, a);
+  img.write(1300, b);
+  const Buffer got = img.read(900, 600);  // hole, a, hole, b, hole
+  ASSERT_EQ(got.size(), 600u);
+  for (std::size_t i = 0; i < 600; ++i) {
+    const std::size_t pos = 900 + i;
+    std::uint8_t want = 0;
+    if (pos >= 1000 && pos < 1100) want = a.data()[pos - 1000];
+    if (pos >= 1300 && pos < 1400) want = b.data()[pos - 1300];
+    ASSERT_EQ(got.data()[i], want) << "byte " << pos;
+  }
+  EXPECT_EQ(img.allocated_bytes(), 200u);
 }
 
 TEST(DiskImage, IdsAreUnique) {

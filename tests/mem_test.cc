@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "mem/buffer.h"
 #include "mem/hasher.h"
@@ -194,6 +197,79 @@ TEST(Buffer, AppendAdoptsGrowsAndCopiesOnShare) {
   Buffer twice = whole.slice(0, 40);
   twice.append(twice);
   EXPECT_EQ(twice.slice(40, 40), whole.slice(0, 40));
+}
+
+TEST(Buffer, AdjacentAppendExtendsTheViewWithoutMovingBytes) {
+  const Buffer whole = Buffer::deterministic(19, 0, 4096);
+  const std::uint64_t allocated = Buffer::slab_bytes_allocated();
+  Buffer acc = whole.slice(0, 1024);
+  acc.append(whole.slice(1024, 1024));
+  acc.append(whole.slice(2048, 2048));
+  acc.append(Buffer());
+  EXPECT_EQ(std::as_const(acc).data(), whole.data());  // still a view of `whole`
+  EXPECT_EQ(acc, whole);
+  EXPECT_EQ(Buffer::slab_bytes_allocated(), allocated);
+  // A view continuing a slice of a slice is adjacent too.
+  const Buffer mid = whole.slice(1000, 2000);
+  Buffer tail = mid.slice(0, 500);
+  tail.append(mid.slice(500, 1500));
+  EXPECT_EQ(std::as_const(tail).data(), whole.data() + 1000);
+  EXPECT_EQ(tail, mid);
+  EXPECT_EQ(Buffer::slab_bytes_allocated(), allocated);
+}
+
+TEST(Buffer, NonAdjacentAndCrossSlabAppendsCopyCorrectly) {
+  const Buffer whole = Buffer::deterministic(20, 0, 400);
+  const auto concat = [](const Buffer& a, const Buffer& b) {
+    std::vector<std::uint8_t> v(a.data(), a.data() + a.size());
+    v.insert(v.end(), b.data(), b.data() + b.size());
+    return Buffer(v.data(), v.size());
+  };
+  // Same slab, with a gap, backwards and overlapping: each copies.
+  for (const auto& [first, second] :
+       {std::pair{whole.slice(0, 100), whole.slice(200, 100)},
+        std::pair{whole.slice(100, 100), whole.slice(0, 100)},
+        std::pair{whole.slice(0, 100), whole.slice(50, 100)}}) {
+    Buffer acc = first;
+    acc.append(second);
+    EXPECT_NE(std::as_const(acc).data(), first.data());
+    EXPECT_EQ(acc, concat(first, second));
+  }
+  // Equal bytes in another slab at the adjacent offset are not adjacent.
+  const Buffer twin = Buffer::deterministic(20, 0, 400);
+  Buffer acc = whole.slice(0, 200);
+  acc.append(twin.slice(200, 200));
+  EXPECT_EQ(acc, whole);
+  EXPECT_NE(std::as_const(acc).data(), whole.data());
+  EXPECT_EQ(whole, Buffer::deterministic(20, 0, 400));
+  EXPECT_EQ(twin, Buffer::deterministic(20, 0, 400));
+}
+
+TEST(Buffer, WritingThroughAnAdjacentAppendedViewCopiesFirst) {
+  const Buffer whole = Buffer::deterministic(21, 0, 512);
+  Buffer acc = whole.slice(0, 256);
+  acc.append(whole.slice(256, 256));
+  acc[300] ^= 0xff;
+  EXPECT_EQ(whole, Buffer::deterministic(21, 0, 512));
+  EXPECT_NE(std::as_const(acc).data(), whole.data());
+  EXPECT_NE(acc[300], whole[300]);
+  EXPECT_EQ(acc.slice(0, 300), whole.slice(0, 300));
+  EXPECT_EQ(acc.slice(301, 211), whole.slice(301, 211));
+}
+
+TEST(Buffer, SlabBytesAllocatedCountsMaterialisedBytesOnly) {
+  const std::uint64_t before = Buffer::slab_bytes_allocated();
+  const Buffer a = Buffer::deterministic(22, 0, 1000);
+  EXPECT_EQ(Buffer::slab_bytes_allocated() - before, 1000u);
+  const Buffer copy = a;
+  const Buffer part = a.slice(10, 100);
+  EXPECT_EQ(Buffer::slab_bytes_allocated() - before, 1000u);  // views are free
+  Buffer acc = a.slice(0, 100);
+  acc.append(a.slice(500, 50));  // non-adjacent: one slab twice the new length
+  EXPECT_EQ(Buffer::slab_bytes_allocated() - before, 1000u + 300u);
+  const Buffer filled = Buffer::filled(64, [](std::uint8_t* out) { std::memset(out, 7, 64); });
+  EXPECT_EQ(Buffer::slab_bytes_allocated() - before, 1000u + 300u + 64u);
+  EXPECT_EQ(filled.data()[63], 7);
 }
 
 TEST(Buffer, CompactSharesWholeSlabsAndCopiesPartialViews) {

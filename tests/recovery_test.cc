@@ -3,6 +3,9 @@
 // (parameterized sweeps).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "apps/cluster.h"
 #include "apps/dfsio.h"
 #include "mem/buffer.h"
@@ -120,11 +123,18 @@ TEST(DeleteRecreate, DeleteRefreshesMountsAndRecreateWorks) {
 
 // --- parameterized configuration sweeps ---
 
+// gtest names each case after the raw bytes of its SweepCase, so the
+// struct must have no padding (padding bytes are whatever the stack held,
+// which made the test names differ between builds). `reserved` fills the
+// gap after `vread` and is always zero.
 struct SweepCase {
   std::uint64_t block_size;
   int replication;
   bool vread;
+  std::uint8_t reserved[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<SweepCase>,
+              "SweepCase must have no padding bytes");
 
 class ConfigSweep : public ::testing::TestWithParam<SweepCase> {};
 

@@ -46,6 +46,28 @@ TEST(Simulation, SameTimeEventsFireInPostOrder) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
+// A callable that counts how often it is copied (moves are free).
+struct CopyCounter {
+  int* copies;
+  int* calls;
+  CopyCounter(int* copies, int* calls) : copies(copies), calls(calls) {}
+  CopyCounter(const CopyCounter& o) : copies(o.copies), calls(o.calls) { ++*copies; }
+  CopyCounter(CopyCounter&&) = default;
+  CopyCounter& operator=(const CopyCounter&) = delete;
+  CopyCounter& operator=(CopyCounter&&) = delete;
+  void operator()() const { ++*calls; }
+};
+
+TEST(Simulation, PostMovesTheCallableAllTheWayToDispatch) {
+  Simulation sim;
+  int copies = 0;
+  int calls = 0;
+  for (int i = 0; i < 100; ++i) sim.post(i, CopyCounter(&copies, &calls));
+  sim.run();
+  EXPECT_EQ(calls, 100);
+  EXPECT_EQ(copies, 0);
+}
+
 TEST(Simulation, PostIntoPastThrows) {
   Simulation sim;
   sim.post_at(ms(10), [] {});
