@@ -18,6 +18,9 @@ std::uint64_t cache_key(const fs::DiskImage& image, std::uint32_t inode) {
 }
 // Control-message sizes on the wire (request/response headers).
 constexpr std::uint64_t kCtrlBytes = 96;
+// RDMA payloads are written by the sender's NIC straight into the
+// receiver's registered ring memory: the daemon's ring copy is skipped.
+bool lands_in_ring(Transport t) { return t == Transport::kRdma; }
 }  // namespace
 
 Status DaemonConfig::Validate() const {
@@ -449,16 +452,8 @@ VReadDaemon::Transport VReadDaemon::effective_transport(hw::ThreadId tid, trace:
 }
 
 sim::Task VReadDaemon::serve(ClientPort& port, hw::ThreadId tid) {
-  const hw::CostModel& cm = host_.costs();
   for (;;) {
     ShmRequest req = co_await port.channel->requests().recv();
-    // eventfd wakeup on the daemon side.
-    co_await host_.cpu().consume(tid, cm.doorbell_host, CycleCategory::kInterrupt,
-                                 req.ctx);
-    // Injected daemon crash: the process dies and is supervised back up
-    // before this request is picked off the ring. All descriptor state is
-    // gone; reads on pre-crash vfds answer BAD_FD below.
-    if (fault::registry().should_fire(fault::points::kDaemonCrash)) restart();
     co_await handle(*port.channel, tid, std::move(req));
   }
 }
@@ -482,16 +477,10 @@ sim::Task VReadDaemon::pump(ClientPort& port) {
 }
 
 sim::Task VReadDaemon::pool_worker(hw::ThreadId tid) {
-  const hw::CostModel& cm = host_.costs();
   for (;;) {
     QosScheduler::Item item;
     co_await qos_->next(item);
-    // eventfd wakeup on the daemon side (paid at dispatch, not admission).
-    co_await host_.cpu().consume(tid, cm.doorbell_host, CycleCategory::kInterrupt,
-                                 item.req.ctx);
-    if (fault::registry().should_fire(fault::points::kDaemonCrash)) restart();
-    virt::ShmChannel& channel = *item.channel;
-    co_await handle(channel, tid, std::move(item.req));
+    co_await handle(*item.channel, tid, std::move(item.req));
   }
 }
 
@@ -504,9 +493,17 @@ sim::Task VReadDaemon::shed_response(ClientPort& port, std::uint64_t req_id,
 
 sim::Task VReadDaemon::handle(virt::ShmChannel& channel, hw::ThreadId tid,
                               ShmRequest req) {
+  const trace::Ctx ctx = req.ctx;
+  // eventfd wakeup on the daemon side (under QoS: paid at dispatch, not
+  // admission).
+  co_await host_.cpu().consume(tid, host_.costs().doorbell_host, CycleCategory::kInterrupt,
+                               ctx);
+  // Injected daemon crash: the process dies and is supervised back up
+  // before this request is picked off the ring. All descriptor state is
+  // gone; reads on pre-crash vfds answer BAD_FD below.
+  if (fault::registry().should_fire(fault::points::kDaemonCrash)) restart();
   ShmResponse resp;
   resp.id = req.id;
-  const trace::Ctx ctx = req.ctx;
 
   switch (static_cast<VReadOp>(req.op)) {
     case VReadOp::kOpen: {
@@ -573,10 +570,15 @@ sim::Task VReadDaemon::handle(virt::ShmChannel& channel, hw::ThreadId tid,
         ~InflightGuard() { *v -= n; }
       } inflight_guard{&inflight_read_bytes_, req.len};
       inflight_read_bytes_ += req.len;
-      if (d->remote) {
-        co_await serve_remote_read(channel, tid, req, std::move(d));
+      // The peer tier serves a remote block chunk by chunk, like a local
+      // one. Without it — or once an invalidation voided the descriptor's
+      // size snapshot, so its local range check could be wrong — the owner
+      // streams the whole window and checks the range itself (§15).
+      if (!d->remote ||
+          (peer_dir_ && cache_.enabled() && !config_.direct_read && !d->peer_size_stale)) {
+        co_await serve_chunks(channel, tid, req, *d);
       } else {
-        co_await stream_local_read(channel, tid, req, *d);
+        co_await serve_remote_read(channel, tid, req, *d);
       }
       read_latency_.observe(static_cast<std::uint64_t>(host_.sim().now() - t0));
       co_return;  // responses already streamed into the ring
@@ -663,26 +665,16 @@ sim::Task VReadDaemon::local_open(hw::ThreadId tid, const std::string& dn_id,
   opens_.inc();
 }
 
-sim::Task VReadDaemon::readahead_task(std::shared_ptr<RaState> ra,
-                                      fs::DiskImagePtr image, std::uint64_t key,
+sim::Task VReadDaemon::readahead_task(std::shared_ptr<RaState> ra, std::uint64_t key,
                                       std::uint64_t begin, std::uint64_t end,
                                       trace::Ctx ctx) {
-  (void)image;
-  auto& tr = trace::tracer();
   // The window lands incrementally so a waiter needing only the first
   // pages resumes as soon as they arrive, not when the whole window does.
   std::uint64_t pos = begin;
   while (pos < end) {
     const std::uint64_t n = std::min(kStreamChunk, end - pos);
     const std::uint64_t missing = host_.page_cache().miss_bytes(key, pos, n);
-    if (missing > 0) {
-      const sim::SimTime d0 = host_.sim().now();
-      co_await host_.disk().read_batched(missing);
-      if (tr.enabled())
-        tr.record(ctx, trace::SpanKind::kDisk, "disk-read",
-                  tr.track(host_.name() + " disk", host_.name()), d0, host_.sim().now(),
-                  missing);
-    }
+    if (missing > 0) co_await disk_read(missing, /*batched=*/true, ctx);
     host_.page_cache().fill(key, pos, n);
     pos += n;
     ra->done = std::max(ra->done, pos);
@@ -695,7 +687,6 @@ sim::Task VReadDaemon::ensure_resident(hw::ThreadId tid, Descriptor& d,
                                        trace::Ctx ctx, bool allow_readahead,
                                        std::uint64_t* disk_bytes) {
   const hw::CostModel& cm = host_.costs();
-  auto& tr = trace::tracer();
   const std::uint64_t key = cache_key(*d.mount->image(), d.inode.id);
   if (!d.ra) {
     // Readahead state is shared by every descriptor of this file, so
@@ -736,13 +727,8 @@ sim::Task VReadDaemon::ensure_resident(hw::ThreadId tid, Descriptor& d,
       const std::uint64_t missing =
           host_.page_cache().miss_bytes(key, offset, window_end - offset);
       if (missing > 0) {
-        const sim::SimTime d0 = host_.sim().now();
-        co_await host_.disk().read_batched(missing);
+        co_await disk_read(missing, /*batched=*/true, ctx);
         if (disk_bytes) *disk_bytes += missing;
-        if (tr.enabled())
-          tr.record(ctx, trace::SpanKind::kDisk, "disk-read",
-                    tr.track(host_.name() + " disk", host_.name()), d0, host_.sim().now(),
-                    missing);
       }
       host_.page_cache().fill(key, offset, window_end - offset);
       ra.done = std::max(ra.done, window_end);
@@ -753,178 +739,262 @@ sim::Task VReadDaemon::ensure_resident(hw::ThreadId tid, Descriptor& d,
         ra.inflight_end <= ra.done) {
       const std::uint64_t ra_end = std::min(d.inode.size, ra.done + kReadahead);
       ra.inflight_end = ra_end;
-      host_.sim().spawn(readahead_task(d.ra, d.mount->image(), key, ra.done, ra_end, ctx));
+      host_.sim().spawn(readahead_task(d.ra, key, ra.done, ra_end, ctx));
     }
   } else {
     // Random access: fetch exactly what was asked for.
     const std::uint64_t missing = host_.page_cache().miss_bytes(key, offset, n);
     if (missing > 0) {
-      const sim::SimTime d0 = host_.sim().now();
-      co_await host_.disk().read_batched(missing);
+      co_await disk_read(missing, /*batched=*/true, ctx);
       if (disk_bytes) *disk_bytes += missing;
-      if (tr.enabled())
-        tr.record(ctx, trace::SpanKind::kDisk, "disk-read",
-                  tr.track(host_.name() + " disk", host_.name()), d0, host_.sim().now(),
-                  missing);
     }
     host_.page_cache().fill(key, offset, n);
   }
   d.seq_pos = end;
 }
 
-sim::Task VReadDaemon::local_read(hw::ThreadId tid, Descriptor& d, std::uint64_t offset,
-                                  std::uint64_t len, mem::Buffer& out, Status& status,
-                                  const std::string& tenant, trace::Ctx ctx,
-                                  bool allow_coalesce, bool allow_readahead,
-                                  bool allow_peer) {
-  const hw::CostModel& cm = host_.costs();
-  auto& tr = trace::tracer();
-  if (offset >= d.inode.size) {
+sim::Task VReadDaemon::read_chunk(hw::ThreadId tid, Descriptor& d, std::uint64_t off,
+                                  std::uint64_t len, const ReadHints& h, Chunk& c) {
+  if (off >= d.inode.size) {
     // The snapshot inode is shorter than the reader expects (stale mount):
     // force the client back to the vanilla path.
-    status = Status(StatusCode::kRange, d.block_name);
+    c.status = Status(StatusCode::kRange, d.block_name);
     co_return;
   }
-  const std::uint64_t n = std::min(len, d.inode.size - offset);
+  const std::uint64_t n = std::min(len, d.inode.size - off);
+  // Direct mode has no cache, so no coalescing and no peer tier either:
+  // its contract is every byte off the device. Each step below runs only
+  // while the earlier ones left `c.data` empty.
+  const bool cached = !config_.direct_read && cache_.enabled();
 
-  if (!config_.direct_read && cache_.enabled()) {
-    // Shared block cache (DESIGN.md §10). The lookup charge is paid hit or
-    // miss; a hit skips the loop-device traversal and the mount read and
-    // serves the ring copy straight from the cached buffer, so the only
-    // remaining copies are the two standing ring copies.
-    co_await host_.cpu().consume(
-        tid, cm.daemon_cache_lookup + cm.daemon_cache_per_page * cm.pages(n),
-        CycleCategory::kLoopDevice, ctx);
-    mem::Buffer hit = cache_.lookup(d.dn_id, d.block_name, offset, n);
-    if (!hit.empty()) {
-      out = std::move(hit);
-      d.seq_pos = offset + n;
-      status = Status::Ok();
-      reads_.inc();
-      bytes_read_.inc(out.size());
-      co_return;
-    }
+  // Shared block cache (DESIGN.md §10). A hit skips the backing store and
+  // serves the ring copy straight from the cached buffer, so the only
+  // remaining copies are the two standing ring copies.
+  if (cached && !d.remote) {
+    co_await probe_cache(tid, d.dn_id, d.block_name, off, n, h.ctx, c.data);
   }
-
-  // Cross-VM coalescing (§12): a cache-missing window already being filled
-  // for someone else is joined as a waiter instead of refilled. Skipped in
-  // direct mode — its contract is every byte off the device.
+  // Cross-VM coalescing (§12): a window already being filled for someone
+  // else is joined as a waiter instead of refilled.
+  bool joined = false;
   CoalesceMap::FillPtr fill;
-  if (coalesce_ && allow_coalesce && !config_.direct_read) {
-    if (CoalesceMap::FillPtr f = coalesce_->attach(d.dn_id, d.block_name, offset, n, tenant)) {
-      if (obs_fr_) {
-        obs_fr_->record(host_.sim().now(), obs::FlightEventKind::kCoalesceMerge,
-                        d.block_name, "local-fill", n);
-      }
-      tr.instant(ctx, trace::SpanKind::kCoalesce, "coalesce-attach",
-                 static_cast<int>(tid));
-      const trace::SpanId wsp = tr.begin(ctx, trace::SpanKind::kSyncWait,
-                                         "coalesce-wait", static_cast<int>(tid));
-      co_await f->done.wait();
-      tr.end(wsp, n);
-      if (!f->status.ok()) {
-        status = f->status;
-        co_return;
-      }
-      out = f->data.slice(offset - f->offset, n);
-      d.seq_pos = offset + n;
-      status = Status::Ok();
-      reads_.inc();
-      bytes_read_.inc(out.size());
-      co_return;
-    }
-    fill = coalesce_->begin(d.dn_id, d.block_name, offset, n, tenant);
+  if (c.data.empty() && coalesce_ && h.coalesce && !config_.direct_read) {
+    const char* site = d.remote ? "peer-tier" : "local-fill";
+    co_await join_fill(tid, d, off, n, h.tenant, h.ctx, site, joined, c);
+    if (!joined) fill = coalesce_->begin(d.dn_id, d.block_name, off, n, h.tenant);
   }
-
-  // Cooperative peer tier (§15): before paying the disk, ask the owner
-  // directory whether a copyset holder still caches this exact range — one
-  // LAN hop beats a device read. The fetch rides the coalesced fill like
-  // any other backing source, so waiters and fill-byte attribution behave
-  // identically to a disk fill.
-  if (allow_peer && peer_dir_ && !config_.direct_read && cache_.enabled()) {
-    mem::Buffer pbuf;
-    std::uint64_t pepoch = 0;
-    bool pok = false;
-    co_await peer_fetch(tid, d.dn_id, d.block_name, offset, n, ctx, pbuf, pepoch, pok);
-    if (pok) {
-      // Publish-gated insert: if an invalidation advanced the epoch while
-      // the bytes were in flight, serve them to this reader (they were
-      // valid at lookup time — read-time semantics) but neither cache nor
-      // advertise them.
-      if (peer_dir_->publish_if_current(this, d.dn_id, d.block_name, pepoch)) {
-        if (cache_.insert(d.dn_id, d.block_name, offset, pbuf, tenant)) {
-          peer_epochs_[std::make_pair(d.dn_id, d.block_name)] = pepoch;
-        } else {
-          peer_dir_->unpublish(this, d.dn_id, d.block_name);
-        }
-      }
-      out = std::move(pbuf);
-      d.seq_pos = offset + n;
-      status = Status::Ok();
-      reads_.inc();
-      bytes_read_.inc(out.size());
-      if (fill) {
-        if (fill->waiters > 0) {
-          tr.instant(ctx, trace::SpanKind::kCoalesce, "coalesce-fanout",
-                     static_cast<int>(tid));
-        }
-        coalesce_->complete(fill, out, status, n);
-        charge_fill_split(*fill);
-      }
-      co_return;
+  if (c.data.empty() && !joined) {
+    // A remote block probes the cache after the join, so concurrent streams
+    // merge at the same chop points the caches use (§15).
+    if (cached && d.remote) {
+      co_await probe_cache(tid, d.dn_id, d.block_name, off, n, h.ctx, c.data);
     }
+    std::uint64_t fill_bytes = 0;
+    // Cooperative peer tier (§15): before paying the backing store, ask the
+    // owner directory whether a copyset holder still caches this exact
+    // range — one LAN hop beats a device read.
+    if (c.data.empty() && cached && h.peer && peer_dir_) {
+      std::uint64_t epoch = 0;
+      co_await peer_fetch(tid, d.dn_id, d.block_name, off, n, h.ctx, c.data, epoch);
+      if (!c.data.empty()) {
+        cache_if_current(d, off, c.data, h.tenant, epoch);
+        fill_bytes = n;
+      }
+    }
+    if (c.data.empty() && d.remote) {
+      co_await owner_chunk(tid, d, off, n, h, c);
+      fill_bytes = n;
+    } else if (c.data.empty()) {
+      co_await image_chunk(tid, d, off, n, h, c, fill_bytes);
+    }
+    // Fan the window out to every waiter and split the backing-store cost
+    // across the tenants that shared the fill.
+    if (fill) finish_fill(tid, h.ctx, fill, c.data, c.status, fill_bytes);
   }
+  if (c.status.ok() && !d.remote) {
+    d.seq_pos = off + n;
+    reads_.inc();
+    bytes_read_.inc(c.data.size());
+  }
+}
 
-  std::uint64_t fill_disk_bytes = 0;
+sim::Task VReadDaemon::image_chunk(hw::ThreadId tid, Descriptor& d, std::uint64_t off,
+                                   std::uint64_t n, const ReadHints& h, Chunk& c,
+                                   std::uint64_t& disk_bytes) {
+  const hw::CostModel& cm = host_.costs();
   if (config_.direct_read) {
     // §6 alternative: raw image access. Per-page address translation, and
     // no host page cache — every byte comes off the device.
     co_await host_.cpu().consume(
         tid, cm.blk_per_request + cm.direct_translate_per_page * cm.pages(n),
-        CycleCategory::kLoopDevice, ctx);
-    const sim::SimTime d0 = host_.sim().now();
-    co_await host_.disk().read(n);
-    if (tr.enabled())
-      tr.record(ctx, trace::SpanKind::kDisk, "disk-read",
-                tr.track(host_.name() + " disk", host_.name()), d0, host_.sim().now(), n);
-    co_await host_.cpu().consume(tid, cm.copy_cost(n), CycleCategory::kLoopDevice, ctx);
+        CycleCategory::kLoopDevice, h.ctx);
+    co_await disk_read(n, /*batched=*/false, h.ctx);
+    co_await host_.cpu().consume(tid, cm.copy_cost(n), CycleCategory::kLoopDevice, h.ctx);
+    c.data = d.mount->read(d.inode, off, n);
+    co_return;
+  }
+  // Host file-system read through the loop device (with readahead).
+  co_await ensure_resident(tid, d, off, n, h.ctx, h.readahead, &disk_bytes);
+  // Loop-device traversal + the page-cache -> daemon-buffer copy. Not a
+  // kCopy span: the paper's copy arithmetic counts only the two standing
+  // ring copies on the vRead path (see DESIGN.md §8).
+  co_await host_.cpu().consume(tid, cm.loop_per_page * cm.pages(n) + cm.copy_cost(n),
+                               CycleCategory::kLoopDevice, h.ctx);
+  c.data = d.mount->read(d.inode, off, n);
+  if (cache_.insert(d.dn_id, d.block_name, off, c.data, h.tenant) && peer_dir_) {
+    // Unconditional publish is safe HERE (unlike the peer/owner-fetch
+    // paths): mount read, insert, and publish share one tick with no
+    // suspension point, and a refresh's cache-invalidate + epoch bump
+    // are equally atomic — so the mount state these bytes reflect and
+    // the epoch they are published under cannot be separated by an
+    // invalidation.
+    peer_epochs_[std::make_pair(d.dn_id, d.block_name)] =
+        peer_dir_->publish(this, d.dn_id, d.block_name);
+  }
+}
+
+sim::Task VReadDaemon::owner_chunk(hw::ThreadId tid, Descriptor& d, std::uint64_t off,
+                                   std::uint64_t n, const ReadHints& h, Chunk& c) {
+  // Snapshot the directory epoch BEFORE dispatching: the bytes cross
+  // several suspension points (owner control worker, LAN payload, RX CPU),
+  // and an invalidation interleaving anywhere in that span — e.g. the
+  // owner's local_refresh exposing a new snapshot — means they are
+  // authoritative at THIS epoch, not at whatever epoch holds when they
+  // finally land here.
+  const std::uint64_t epoch = peer_dir_->epoch(d.dn_id, d.block_name);
+  VReadDaemon* owner = d.peer;
+  const Transport transport = effective_transport(tid, h.ctx);
+  co_await charge_send(tid, transport, 0, h.ctx);
+  co_await host_.lan().transfer(host_.lan_id(), owner->host_.lan_id(), kCtrlBytes);
+  if (fault::registry().should_fire(fault::points::kPeerDown)) {
+    c.status = Status(StatusCode::kPeerDown, d.dn_id);
+    co_return;
+  }
+  // Owner side, on its control worker: the chunk comes through the owner's
+  // own chain (minus the peer tier), then is pushed back.
+  const std::uint64_t owner_vfd = d.peer_vfd;
+  std::function<sim::Task(hw::ThreadId)> job = [owner, owner_vfd, off, n, transport, &h,
+                                                &c](hw::ThreadId otid) -> sim::Task {
+    co_await owner->charge_recv(otid, transport, 0, h.ctx);
+    auto it = owner->descriptors_.find(owner_vfd);
+    if (it == owner->descriptors_.end()) {
+      c.status = Status::from_wire(kVReadErrBadFd, "peer descriptor");
+      co_return;
+    }
+    DescriptorPtr od = it->second;
+    const ReadHints oh{h.tenant, h.ctx, h.coalesce, h.readahead, /*peer=*/false};
+    co_await owner->read_chunk(otid, *od, off, n, oh, c);
+    if (c.status.ok()) co_await owner->charge_send(otid, transport, n, h.ctx);
+  };
+  co_await owner->run_on_control(std::move(job));
+  if (!c.status.ok()) {
+    co_await host_.lan().transfer(owner->host_.lan_id(), host_.lan_id(), kCtrlBytes);
+    co_return;
+  }
+  co_await host_.lan().transfer(owner->host_.lan_id(), host_.lan_id(), c.data.size());
+  co_await charge_recv(tid, transport, n, h.ctx);
+  c.in_ring = lands_in_ring(transport);
+  peer_bytes(owner->host_.name(), transport).inc(c.data.size());
+  cache_if_current(d, off, c.data, h.tenant, epoch);
+}
+
+sim::Task VReadDaemon::probe_cache(hw::ThreadId tid, const std::string& dn,
+                                   const std::string& block, std::uint64_t off,
+                                   std::uint64_t n, trace::Ctx ctx, mem::Buffer& out) {
+  const hw::CostModel& cm = host_.costs();
+  co_await host_.cpu().consume(
+      tid, cm.daemon_cache_lookup + cm.daemon_cache_per_page * cm.pages(n),
+      CycleCategory::kLoopDevice, ctx);
+  out = cache_.lookup(dn, block, off, n);
+}
+
+sim::Task VReadDaemon::join_fill(hw::ThreadId tid, const Descriptor& d, std::uint64_t off,
+                                 std::uint64_t n, const std::string& tenant, trace::Ctx ctx,
+                                 const char* site, bool& joined, Chunk& c) {
+  CoalesceMap::FillPtr f = coalesce_->attach(d.dn_id, d.block_name, off, n, tenant);
+  if (!f) co_return;
+  joined = true;
+  if (obs_fr_) {
+    obs_fr_->record(host_.sim().now(), obs::FlightEventKind::kCoalesceMerge, d.block_name,
+                    site, n);
+  }
+  auto& tr = trace::tracer();
+  tr.instant(ctx, trace::SpanKind::kCoalesce, "coalesce-attach", static_cast<int>(tid));
+  const trace::SpanId wsp =
+      tr.begin(ctx, trace::SpanKind::kSyncWait, "coalesce-wait", static_cast<int>(tid));
+  co_await f->done.wait();
+  tr.end(wsp, n);
+  const std::uint64_t start = off - f->offset;
+  if (!f->status.ok()) {
+    c.status = f->status;
+  } else if (start >= f->data.size()) {
+    // A remote leader's payload stops at the owner inode's end; a window
+    // starting past that would have gotten RANGE from the owner too.
+    c.status = Status(StatusCode::kRange, d.block_name);
   } else {
-    // Host file-system read through the loop device (with readahead).
-    co_await ensure_resident(tid, d, offset, n, ctx, allow_readahead,
-                             &fill_disk_bytes);
-    // Loop-device traversal + the page-cache -> daemon-buffer copy. Not a
-    // kCopy span: the paper's copy arithmetic counts only the two standing
-    // ring copies on the vRead path (see DESIGN.md §8).
-    co_await host_.cpu().consume(tid, cm.loop_per_page * cm.pages(n) + cm.copy_cost(n),
-                                 CycleCategory::kLoopDevice, ctx);
+    c.data = f->data.slice(start, std::min(n, f->data.size() - start));
   }
-  out = d.mount->read(d.inode, offset, n);
-  if (!config_.direct_read) {
-    const bool resident = cache_.insert(d.dn_id, d.block_name, offset, out, tenant);
-    if (resident && peer_dir_) {
-      // Unconditional publish is safe HERE (unlike the peer/owner-fetch
-      // paths): mount read, insert, and publish share one tick with no
-      // suspension point, and a refresh's cache-invalidate + epoch bump
-      // are equally atomic — so the mount state these bytes reflect and
-      // the epoch they are published under cannot be separated by an
-      // invalidation.
-      peer_epochs_[std::make_pair(d.dn_id, d.block_name)] =
-          peer_dir_->publish(this, d.dn_id, d.block_name);
-    }
+}
+
+void VReadDaemon::finish_fill(hw::ThreadId tid, trace::Ctx ctx,
+                              const CoalesceMap::FillPtr& fill, mem::Buffer data,
+                              const Status& status, std::uint64_t fill_bytes) {
+  if (fill->waiters > 0 && status.ok()) {
+    trace::tracer().instant(ctx, trace::SpanKind::kCoalesce, "coalesce-fanout",
+                            static_cast<int>(tid));
   }
-  status = Status::Ok();
-  reads_.inc();
-  bytes_read_.inc(out.size());
-  if (fill) {
-    // Fan the window out to every waiter and split the disk cost across
-    // the tenants that shared the fill.
-    if (fill->waiters > 0) {
-      tr.instant(ctx, trace::SpanKind::kCoalesce, "coalesce-fanout",
-                 static_cast<int>(tid));
-    }
-    coalesce_->complete(fill, out, status, fill_disk_bytes);
-    charge_fill_split(*fill);
+  coalesce_->complete(fill, std::move(data), status, status.ok() ? fill_bytes : 0);
+  charge_fill_split(*fill);
+}
+
+void VReadDaemon::cache_if_current(const Descriptor& d, std::uint64_t off,
+                                   const mem::Buffer& data, const std::string& tenant,
+                                   std::uint64_t epoch) {
+  if (!peer_dir_->publish_if_current(this, d.dn_id, d.block_name, epoch)) return;
+  if (cache_.insert(d.dn_id, d.block_name, off, data, tenant)) {
+    peer_epochs_[std::make_pair(d.dn_id, d.block_name)] = epoch;
+  } else {
+    peer_dir_->unpublish(this, d.dn_id, d.block_name);
   }
+}
+
+sim::Task VReadDaemon::disk_read(std::uint64_t bytes, bool batched, trace::Ctx ctx) {
+  auto& tr = trace::tracer();
+  const sim::SimTime d0 = host_.sim().now();
+  if (batched) {
+    co_await host_.disk().read_batched(bytes);
+  } else {
+    co_await host_.disk().read(bytes);
+  }
+  if (tr.enabled()) {
+    tr.record(ctx, trace::SpanKind::kDisk, "disk-read",
+              tr.track(host_.name() + " disk", host_.name()), d0, host_.sim().now(), bytes);
+  }
+}
+
+sim::Task VReadDaemon::charge_net(hw::ThreadId tid, Transport transport, bool send,
+                                  std::uint64_t bytes, trace::Ctx ctx) {
+  const hw::CostModel& cm = host_.costs();
+  if (transport == Transport::kRdma) {
+    // The sender posts one WR whose verb cost grows with the payload (the
+    // active push of paper Fig. 7); the receiver reaps one CQE, the payload
+    // already in registered memory.
+    const sim::Cycles cycles =
+        send ? cm.rdma_post_wr + cm.per_byte(bytes, cm.rdma_cycles_per_byte) : cm.rdma_cqe;
+    co_await host_.cpu().consume(tid, cycles, CycleCategory::kRdma, ctx);
+    co_return;
+  }
+  // User-space TCP: per-segment syscalls (one for a bare control message)
+  // plus the payload copy, a real data copy on the vread-net path.
+  auto& tr = trace::tracer();
+  const char* copy = send ? "copy vread-net-tx" : "copy vread-net-rx";
+  const trace::SpanId sp =
+      bytes > 0 ? tr.begin(ctx, trace::SpanKind::kCopy, copy, static_cast<int>(tid)) : 0;
+  co_await host_.cpu().consume(
+      tid,
+      cm.vreadnet_per_segment * std::max<std::uint64_t>(1, cm.segments(bytes)) +
+          cm.copy_cost(bytes),
+      CycleCategory::kVreadNet, ctx);
+  if (bytes > 0) tr.end(sp, bytes);
 }
 
 void VReadDaemon::charge_fill_split(const CoalesceMap::Fill& fill) {
@@ -975,8 +1045,7 @@ sim::Task VReadDaemon::run_on_control(std::function<sim::Task(hw::ThreadId)> job
 sim::Task VReadDaemon::peer_fetch(hw::ThreadId tid, const std::string& dn,
                                   const std::string& block, std::uint64_t offset,
                                   std::uint64_t n, trace::Ctx ctx, mem::Buffer& out,
-                                  std::uint64_t& epoch_out, bool& ok) {
-  ok = false;
+                                  std::uint64_t& epoch_out) {
   if (!peer_dir_ || n == 0 || n > peer_dir_->config().max_fetch_bytes) co_return;
   peer_lookups_.inc();
   PeerCacheDirectory::LookupResult lr;
@@ -986,19 +1055,13 @@ sim::Task VReadDaemon::peer_fetch(hw::ThreadId tid, const std::string& dn,
     co_return;
   }
   peer_dir_hits_.inc();
-  const hw::CostModel& cm = host_.costs();
   const std::size_t attempts =
       std::min(peer_dir_->config().fetch_attempts, lr.holders.size());
   for (std::size_t i = 0; i < attempts; ++i) {
     VReadDaemon* holder = lr.holders[i].daemon;
     const Transport transport = effective_transport(tid, ctx);
     // Fetch request out: one WR / one user-space TCP message to the holder.
-    if (transport == Transport::kRdma) {
-      co_await host_.cpu().consume(tid, cm.rdma_post_wr, CycleCategory::kRdma, ctx);
-    } else {
-      co_await host_.cpu().consume(tid, cm.vreadnet_per_segment,
-                                   CycleCategory::kVreadNet, ctx);
-    }
+    co_await charge_send(tid, transport, 0, ctx);
     co_await host_.lan().transfer(host_.lan_id(), holder->host_.lan_id(), kCtrlBytes);
     if (fault::registry().should_fire(fault::points::kPeerCachePeerDown)) {
       // The holder died mid-fetch. No retry storm here: the tier is an
@@ -1010,57 +1073,30 @@ sim::Task VReadDaemon::peer_fetch(hw::ThreadId tid, const std::string& dn,
     // mount; a holder that evicted since publishing simply answers "gone".
     mem::Buffer buf;
     std::uint64_t holder_epoch = 0;
-    bool have = false;
     std::function<sim::Task(hw::ThreadId)> fetch_job =
-        [holder, dn, block, offset, n, transport, &buf, &holder_epoch, &have,
+        [holder, &dn, &block, offset, n, transport, &buf, &holder_epoch,
          ctx](hw::ThreadId ptid) -> sim::Task {
-      const hw::CostModel& pcm = holder->host_.costs();
-      if (transport == Transport::kRdma) {
-        co_await holder->host_.cpu().consume(ptid, pcm.rdma_cqe,
-                                             CycleCategory::kRdma, ctx);
-      } else {
-        co_await holder->host_.cpu().consume(ptid, pcm.vreadnet_per_segment,
-                                             CycleCategory::kVreadNet, ctx);
-      }
-      co_await holder->host_.cpu().consume(
-          ptid, pcm.daemon_cache_lookup + pcm.daemon_cache_per_page * pcm.pages(n),
-          CycleCategory::kLoopDevice, ctx);
-      mem::Buffer hit = holder->cache_.lookup(dn, block, offset, n);
-      if (hit.empty()) co_return;
+      co_await holder->charge_recv(ptid, transport, 0, ctx);
+      co_await holder->probe_cache(ptid, dn, block, offset, n, ctx, buf);
+      if (buf.empty()) co_return;
       if (auto it = holder->peer_epochs_.find(std::make_pair(dn, block));
           it != holder->peer_epochs_.end()) {
         holder_epoch = it->second;
       }
       // Send side: active push of the payload, same arithmetic as the
       // owner-streamed remote read (paper Fig. 7).
-      if (transport == Transport::kRdma) {
-        co_await holder->host_.cpu().consume(
-            ptid, pcm.rdma_post_wr + pcm.per_byte(n, pcm.rdma_cycles_per_byte),
-            CycleCategory::kRdma, ctx);
-      } else {
-        co_await holder->host_.cpu().consume(
-            ptid, pcm.vreadnet_per_segment * pcm.segments(n) + pcm.copy_cost(n),
-            CycleCategory::kVreadNet, ctx);
-      }
-      buf = std::move(hit);
-      have = true;
+      co_await holder->charge_send(ptid, transport, n, ctx);
     };
     co_await holder->run_on_control(std::move(fetch_job));
 
-    if (!have) {
+    if (buf.empty()) {
       // Miss header back (the holder evicted between publish and fetch).
       co_await host_.lan().transfer(holder->host_.lan_id(), host_.lan_id(), kCtrlBytes);
       continue;
     }
     // Payload crosses the wire, then receive-side CPU.
     co_await host_.lan().transfer(holder->host_.lan_id(), host_.lan_id(), n);
-    if (transport == Transport::kRdma) {
-      co_await host_.cpu().consume(tid, cm.rdma_cqe, CycleCategory::kRdma, ctx);
-    } else {
-      co_await host_.cpu().consume(
-          tid, cm.vreadnet_per_segment * cm.segments(n) + cm.copy_cost(n),
-          CycleCategory::kVreadNet, ctx);
-    }
+    co_await charge_recv(tid, transport, n, ctx);
     peer_bytes(holder->host_.name(), transport).inc(n);
     if (holder_epoch != lr.epoch) {
       // Defense layer 3: the holder's copy predates the current epoch (its
@@ -1071,7 +1107,6 @@ sim::Task VReadDaemon::peer_fetch(hw::ThreadId tid, const std::string& dn,
     }
     out = std::move(buf);
     epoch_out = lr.epoch;
-    ok = true;
     peer_fetches_.inc();
     peer_fetch_bytes_.inc(n);
     if (obs_fr_) {
@@ -1089,18 +1124,12 @@ sim::Task VReadDaemon::remote_open(hw::ThreadId tid, VReadDaemon* peer,
                                    const std::string& block_name,
                                    std::uint64_t& peer_vfd, std::uint64_t& size_out,
                                    Status& status, trace::Ctx ctx) {
-  const hw::CostModel& cm = host_.costs();
   auto& tr = trace::tracer();
   const RetryPolicy& policy = config_.remote_retry;
   for (int attempt = 1; attempt <= policy.max_attempts; ++attempt) {
     const Transport transport = effective_transport(tid, ctx);
     // Request out: one WR (RDMA) or one user-space TCP message.
-    if (transport == Transport::kRdma) {
-      co_await host_.cpu().consume(tid, cm.rdma_post_wr, CycleCategory::kRdma, ctx);
-    } else {
-      co_await host_.cpu().consume(tid, cm.vreadnet_per_segment,
-                                   CycleCategory::kVreadNet, ctx);
-    }
+    co_await charge_send(tid, transport, 0, ctx);
     co_await host_.lan().transfer(host_.lan_id(), peer->host_.lan_id(), kCtrlBytes);
 
     if (fault::registry().should_fire(fault::points::kPeerDown)) {
@@ -1127,13 +1156,7 @@ sim::Task VReadDaemon::remote_open(hw::ThreadId tid, VReadDaemon* peer,
     std::function<sim::Task(hw::ThreadId)> open_job =
         [peer, transport, dn_id, block_name, &vfd_out, &inode_size_out, &status_out,
          ctx](hw::ThreadId ptid) -> sim::Task {
-      const hw::CostModel& pcm = peer->host_.costs();
-      if (transport == Transport::kRdma) {
-        co_await peer->host_.cpu().consume(ptid, pcm.rdma_cqe, CycleCategory::kRdma, ctx);
-      } else {
-        co_await peer->host_.cpu().consume(ptid, pcm.vreadnet_per_segment,
-                                           CycleCategory::kVreadNet, ctx);
-      }
+      co_await peer->charge_recv(ptid, transport, 0, ctx);
       if (peer->local_mounts_.count(dn_id) != 0) {
         co_await peer->local_open(ptid, dn_id, block_name, vfd_out, status_out, ctx);
         if (status_out.ok()) {
@@ -1147,12 +1170,7 @@ sim::Task VReadDaemon::remote_open(hw::ThreadId tid, VReadDaemon* peer,
 
     // Response back over the wire.
     co_await host_.lan().transfer(peer->host_.lan_id(), host_.lan_id(), kCtrlBytes);
-    if (transport == Transport::kRdma) {
-      co_await host_.cpu().consume(tid, cm.rdma_cqe, CycleCategory::kRdma, ctx);
-    } else {
-      co_await host_.cpu().consume(tid, cm.vreadnet_per_segment,
-                                   CycleCategory::kVreadNet, ctx);
-    }
+    co_await charge_recv(tid, transport, 0, ctx);
     peer_vfd = vfd_out;
     size_out = inode_size_out;
     status = status_out;
@@ -1183,43 +1201,47 @@ sim::Task VReadDaemon::abort_cancelled(virt::ShmChannel& channel, hw::ThreadId t
                                 /*charge_copy=*/true, req.ctx);
 }
 
-sim::Task VReadDaemon::stream_local_read(virt::ShmChannel& channel, hw::ThreadId tid,
-                                         const virt::ShmRequest& req, Descriptor& d) {
+sim::Task VReadDaemon::serve_chunks(virt::ShmChannel& channel, hw::ThreadId tid,
+                                    const virt::ShmRequest& req, Descriptor& d) {
   const trace::Ctx ctx = req.ctx;
   if (req.offset >= d.inode.size) {
-    // Snapshot shorter than the reader expects: fall back to vanilla.
-    co_await channel.respond_part(tid, req.id, kVReadErrRange, req.vfd,
-                                  mem::Buffer(), /*last=*/true,
-                                  /*charge_copy=*/true, ctx);
+    // Snapshot shorter than the reader expects: fall back to vanilla. (A
+    // remote descriptor's size came with the open reply, so the range check
+    // the owner would make is answered here without a wire hop.)
+    co_await channel.respond_part(tid, req.id, kVReadErrRange, req.vfd, mem::Buffer(),
+                                  /*last=*/true, /*charge_copy=*/true, ctx);
     co_return;
   }
   const std::uint64_t end = std::min(req.offset + req.len, d.inode.size);
   if (obs_ts_) obs_ts_->record_block_access(d.block_name, end - req.offset);
-  std::uint64_t off = req.offset;
+  const ReadHints hints{req.tenant, ctx, req.coalesce, req.readahead};
   std::uint64_t delivered = 0;
-  while (off < end) {
+  for (std::uint64_t off = req.offset; off < end;) {
     if (off > req.offset && hedge_cancelled(req)) {
       // Between chunks only: the checked flag can't claw back a chunk
-      // already in the ring, it stops the NEXT one.
+      // already in the ring, it stops the NEXT one. Any fill this leg led
+      // was completed in its own chunk, so aborting strands no waiter.
       co_await abort_cancelled(channel, tid, req, d.block_name, delivered);
       co_return;
     }
     const std::uint64_t n = std::min(kStreamChunk, end - off);
-    mem::Buffer buf;
-    Status status;
-    co_await local_read(tid, d, off, n, buf, status, req.tenant, ctx,
-                        req.coalesce, req.readahead);
-    const std::int64_t wire =
-        status.ok() ? static_cast<std::int64_t>(buf.size()) : status.to_wire();
-    const bool last = off + n >= end;
-    if (qos_ && status.ok()) {
-      qos_->account_bytes(req.tenant, buf.size());
-      delivered += buf.size();
+    Chunk c;
+    co_await read_chunk(tid, d, off, n, hints, c);
+    if (!c.status.ok()) {
+      co_await channel.respond_part(tid, req.id, c.status.to_wire(), req.vfd, mem::Buffer(),
+                                    /*last=*/true, /*charge_copy=*/true, ctx);
+      co_return;
     }
-    co_await channel.respond_part(tid, req.id, wire, req.vfd,
-                                  std::move(buf), last, /*charge_copy=*/true, ctx);
+    if (qos_) {
+      qos_->account_bytes(req.tenant, c.data.size());
+      delivered += c.data.size();
+    }
     off += n;
+    co_await channel.respond_part(tid, req.id, static_cast<std::int64_t>(c.data.size()),
+                                  req.vfd, std::move(c.data), /*last=*/off >= end,
+                                  /*charge_copy=*/!c.in_ring, ctx);
   }
+  if (d.remote) remote_reads_.inc();
 }
 
 namespace {
@@ -1248,302 +1270,44 @@ sim::Task remote_wire_hop(sim::Simulation* sim, hw::Lan* lan, hw::HostId src,
 }  // namespace
 
 sim::Task VReadDaemon::serve_remote_read(virt::ShmChannel& channel, hw::ThreadId tid,
-                                         const virt::ShmRequest& req, DescriptorPtr d) {
-  auto& tr = trace::tracer();
-  if (peer_dir_ && cache_.enabled() && !config_.direct_read && !d->peer_size_stale) {
-    // Cooperative tier on: serve chunk-at-a-time so each piece can come
-    // from this daemon's own cache, a copyset holder, or the owner. A
-    // descriptor whose size snapshot was invalidated skips the tier — its
-    // local range check could be wrong, so the owner-checked stream path
-    // below takes over.
-    co_await serve_remote_peer_tier(channel, tid, req, std::move(d));
-    co_return;
-  }
-  if (obs_ts_) obs_ts_->record_block_access(d->block_name, req.len);
+                                         const virt::ShmRequest& req, Descriptor& d) {
+  if (obs_ts_) obs_ts_->record_block_access(d.block_name, req.len);
+  CoalesceMap::FillPtr fill;
   if (coalesce_ && req.coalesce) {
     // Waiter path: a fill of this window is already crossing the wire;
     // sleep on it and serve the slice from the fanned-out payload instead
     // of paying a second daemon-to-daemon traversal.
-    if (CoalesceMap::FillPtr f = coalesce_->attach(d->dn_id, d->block_name,
-                                                   req.offset, req.len, req.tenant)) {
-      if (obs_fr_) {
-        obs_fr_->record(host_.sim().now(), obs::FlightEventKind::kCoalesceMerge,
-                        d->block_name, "remote-leg", req.len);
-      }
-      tr.instant(req.ctx, trace::SpanKind::kCoalesce, "coalesce-attach",
-                 static_cast<int>(tid));
-      const trace::SpanId wsp = tr.begin(req.ctx, trace::SpanKind::kSyncWait,
-                                         "coalesce-wait", static_cast<int>(tid));
-      co_await f->done.wait();
-      tr.end(wsp, req.len);
-      if (!f->status.ok()) {
-        co_await channel.respond_part(tid, req.id, f->status.to_wire(), req.vfd,
-                                      mem::Buffer(), /*last=*/true,
-                                      /*charge_copy=*/true, req.ctx);
-        co_return;
-      }
-      // The leader's payload stops at the peer inode's end; a waiter window
-      // starting past that would have gotten RANGE from the peer too.
-      const std::uint64_t start = req.offset - f->offset;
-      if (start >= f->data.size()) {
-        co_await channel.respond_part(tid, req.id, kVReadErrRange, req.vfd,
-                                      mem::Buffer(), /*last=*/true,
-                                      /*charge_copy=*/true, req.ctx);
-        co_return;
-      }
-      mem::Buffer out = f->data.slice(start, std::min<std::uint64_t>(
-                                                 req.len, f->data.size() - start));
-      if (qos_) qos_->account_bytes(req.tenant, out.size());
-      const std::int64_t wire = static_cast<std::int64_t>(out.size());
-      co_await channel.respond_part(tid, req.id, wire, req.vfd, std::move(out),
+    bool joined = false;
+    Chunk c;
+    co_await join_fill(tid, d, req.offset, req.len, req.tenant, req.ctx, "remote-leg",
+                       joined, c);
+    if (joined) {
+      const bool ok = c.status.ok();
+      if (ok && qos_) qos_->account_bytes(req.tenant, c.data.size());
+      const std::int64_t wire =
+          ok ? static_cast<std::int64_t>(c.data.size()) : c.status.to_wire();
+      co_await channel.respond_part(tid, req.id, wire, req.vfd, std::move(c.data),
                                     /*last=*/true, /*charge_copy=*/true, req.ctx);
-      remote_reads_.inc();
+      if (ok) remote_reads_.inc();
       co_return;
     }
-    CoalesceMap::FillPtr fill =
-        coalesce_->begin(d->dn_id, d->block_name, req.offset, req.len, req.tenant);
-    co_await stream_remote_read(channel, tid, req, *d, fill);
-    co_return;
+    fill = coalesce_->begin(d.dn_id, d.block_name, req.offset, req.len, req.tenant);
   }
-  co_await stream_remote_read(channel, tid, req, *d, nullptr);
-}
-
-sim::Task VReadDaemon::serve_remote_peer_tier(virt::ShmChannel& channel, hw::ThreadId tid,
-                                              const virt::ShmRequest& req,
-                                              DescriptorPtr dp) {
-  Descriptor& d = *dp;
-  const hw::CostModel& cm = host_.costs();
-  auto& tr = trace::tracer();
-  const trace::Ctx ctx = req.ctx;
-  if (req.offset >= d.inode.size) {
-    // The open reply carried the peer inode's snapshot size, so the range
-    // check the peer would make is answered here without a wire hop.
-    co_await channel.respond_part(tid, req.id, kVReadErrRange, req.vfd, mem::Buffer(),
-                                  /*last=*/true, /*charge_copy=*/true, ctx);
-    co_return;
-  }
-  const std::uint64_t end = std::min(req.offset + req.len, d.inode.size);
-  if (obs_ts_) obs_ts_->record_block_access(d.block_name, end - req.offset);
-  std::uint64_t off = req.offset;
-  std::uint64_t delivered = 0;
-  while (off < end) {
-    if (off > req.offset && hedge_cancelled(req)) {
-      // Chunk boundary: any fill this leg led in a previous iteration was
-      // completed there, so aborting now strands no coalesced waiter.
-      co_await abort_cancelled(channel, tid, req, d.block_name, delivered);
-      co_return;
-    }
-    const std::uint64_t n = std::min(kStreamChunk, end - off);
-    mem::Buffer buf;
-    Status status;
-    bool zero_copy = false;  // RDMA owner payloads land in ring memory
-    bool is_waiter = false;
-
-    // Per-chunk single-flight: concurrent streams of the same remote block
-    // on this host merge at the same chop points the caches use.
-    CoalesceMap::FillPtr fill;
-    if (coalesce_ && req.coalesce) {
-      if (CoalesceMap::FillPtr f =
-              coalesce_->attach(d.dn_id, d.block_name, off, n, req.tenant)) {
-        if (obs_fr_) {
-          obs_fr_->record(host_.sim().now(), obs::FlightEventKind::kCoalesceMerge,
-                          d.block_name, "peer-tier", n);
-        }
-        tr.instant(ctx, trace::SpanKind::kCoalesce, "coalesce-attach",
-                   static_cast<int>(tid));
-        const trace::SpanId wsp = tr.begin(ctx, trace::SpanKind::kSyncWait,
-                                           "coalesce-wait", static_cast<int>(tid));
-        co_await f->done.wait();
-        tr.end(wsp, n);
-        if (!f->status.ok()) {
-          co_await channel.respond_part(tid, req.id, f->status.to_wire(), req.vfd,
-                                        mem::Buffer(), /*last=*/true,
-                                        /*charge_copy=*/true, ctx);
-          co_return;
-        }
-        const std::uint64_t start = off - f->offset;
-        buf = f->data.slice(start,
-                            std::min<std::uint64_t>(n, f->data.size() - start));
-        is_waiter = true;
-      } else {
-        fill = coalesce_->begin(d.dn_id, d.block_name, off, n, req.tenant);
-      }
-    }
-
-    if (!is_waiter) {
-      std::uint64_t fill_bytes = 0;
-      // Source 1: this daemon's own cache — remote bytes fetched earlier
-      // stay useful, which the whole-window path never managed.
-      co_await host_.cpu().consume(
-          tid, cm.daemon_cache_lookup + cm.daemon_cache_per_page * cm.pages(n),
-          CycleCategory::kLoopDevice, ctx);
-      buf = cache_.lookup(d.dn_id, d.block_name, off, n);
-      if (buf.empty()) {
-        // Source 2: a copyset holder's cache, one LAN hop away.
-        std::uint64_t pepoch = 0;
-        bool pok = false;
-        co_await peer_fetch(tid, d.dn_id, d.block_name, off, n, ctx, buf, pepoch, pok);
-        if (pok) {
-          if (peer_dir_->publish_if_current(this, d.dn_id, d.block_name, pepoch)) {
-            if (cache_.insert(d.dn_id, d.block_name, off, buf, req.tenant)) {
-              peer_epochs_[std::make_pair(d.dn_id, d.block_name)] = pepoch;
-            } else {
-              peer_dir_->unpublish(this, d.dn_id, d.block_name);
-            }
-          }
-          fill_bytes = n;
-        } else {
-          // Source 3: the owner daemon reads it through its own mount.
-          // Snapshot the directory epoch BEFORE dispatching: the bytes
-          // cross several suspension points (owner control worker, LAN
-          // payload, RX CPU), and an invalidation interleaving anywhere in
-          // that span — e.g. the owner's local_refresh exposing a new
-          // snapshot — means they are authoritative at THIS epoch, not at
-          // whatever epoch holds when they finally land here.
-          const std::uint64_t owner_epoch =
-              peer_dir_->epoch(d.dn_id, d.block_name);
-          VReadDaemon* peer = d.peer;
-          const Transport transport = effective_transport(tid, ctx);
-          if (transport == Transport::kRdma) {
-            co_await host_.cpu().consume(tid, cm.rdma_post_wr, CycleCategory::kRdma,
-                                         ctx);
-          } else {
-            co_await host_.cpu().consume(tid, cm.vreadnet_per_segment,
-                                         CycleCategory::kVreadNet, ctx);
-          }
-          co_await host_.lan().transfer(host_.lan_id(), peer->host_.lan_id(),
-                                        kCtrlBytes);
-          if (fault::registry().should_fire(fault::points::kPeerDown)) {
-            status = Status(StatusCode::kPeerDown, d.dn_id);
-          } else {
-            const std::uint64_t peer_vfd = d.peer_vfd;
-            const std::uint64_t off_c = off;
-            const std::string tenant = req.tenant;
-            const bool coalesce_hint = req.coalesce;
-            const bool readahead_hint = req.readahead;
-            mem::Buffer obuf;
-            Status ostatus;
-            std::function<sim::Task(hw::ThreadId)> chunk_job =
-                [peer, peer_vfd, off_c, n, transport, tenant, coalesce_hint,
-                 readahead_hint, &obuf, &ostatus, ctx](hw::ThreadId ptid) -> sim::Task {
-              const hw::CostModel& pcm = peer->host_.costs();
-              if (transport == Transport::kRdma) {
-                co_await peer->host_.cpu().consume(ptid, pcm.rdma_cqe,
-                                                   CycleCategory::kRdma, ctx);
-              } else {
-                co_await peer->host_.cpu().consume(ptid, pcm.vreadnet_per_segment,
-                                                   CycleCategory::kVreadNet, ctx);
-              }
-              auto it = peer->descriptors_.find(peer_vfd);
-              if (it == peer->descriptors_.end()) {
-                ostatus = Status::from_wire(kVReadErrBadFd, "peer descriptor");
-                co_return;
-              }
-              DescriptorPtr pd = it->second;
-              co_await peer->local_read(ptid, *pd, off_c, n, obuf, ostatus, tenant,
-                                        ctx, coalesce_hint, readahead_hint,
-                                        /*allow_peer=*/false);
-              if (!ostatus.ok()) co_return;
-              if (transport == Transport::kRdma) {
-                co_await peer->host_.cpu().consume(
-                    ptid, pcm.rdma_post_wr + pcm.per_byte(n, pcm.rdma_cycles_per_byte),
-                    CycleCategory::kRdma, ctx);
-              } else {
-                auto& ptr = trace::tracer();
-                const trace::SpanId sp =
-                    ptr.begin(ctx, trace::SpanKind::kCopy, "copy vread-net-tx",
-                              static_cast<int>(ptid));
-                co_await peer->host_.cpu().consume(
-                    ptid, pcm.vreadnet_per_segment * pcm.segments(n) + pcm.copy_cost(n),
-                    CycleCategory::kVreadNet, ctx);
-                ptr.end(sp, n);
-              }
-            };
-            co_await peer->run_on_control(std::move(chunk_job));
-            if (!ostatus.ok()) {
-              co_await host_.lan().transfer(peer->host_.lan_id(), host_.lan_id(),
-                                            kCtrlBytes);
-              status = ostatus;
-            } else {
-              co_await host_.lan().transfer(peer->host_.lan_id(), host_.lan_id(),
-                                            obuf.size());
-              if (transport == Transport::kRdma) {
-                co_await host_.cpu().consume(tid, cm.rdma_cqe, CycleCategory::kRdma,
-                                             ctx);
-                zero_copy = true;
-              } else {
-                const trace::SpanId sp =
-                    tr.begin(ctx, trace::SpanKind::kCopy, "copy vread-net-rx",
-                             static_cast<int>(tid));
-                co_await host_.cpu().consume(
-                    tid, cm.vreadnet_per_segment * cm.segments(n) + cm.copy_cost(n),
-                    CycleCategory::kVreadNet, ctx);
-                tr.end(sp, n);
-              }
-              peer_bytes(peer->host_.name(), transport).inc(obuf.size());
-              buf = std::move(obuf);
-              fill_bytes = n;
-              // Publish-gated insert against the pre-dispatch snapshot,
-              // mirroring the peer-fetch path: bytes that raced an
-              // invalidation are served to this reader (read-time
-              // semantics) but neither cached nor advertised.
-              if (peer_dir_->publish_if_current(this, d.dn_id, d.block_name,
-                                                owner_epoch)) {
-                if (cache_.insert(d.dn_id, d.block_name, off, buf, req.tenant)) {
-                  peer_epochs_[std::make_pair(d.dn_id, d.block_name)] = owner_epoch;
-                } else {
-                  peer_dir_->unpublish(this, d.dn_id, d.block_name);
-                }
-              }
-            }
-          }
-        }
-      }
-      if (fill) {
-        if (fill->waiters > 0 && status.ok()) {
-          tr.instant(ctx, trace::SpanKind::kCoalesce, "coalesce-fanout",
-                     static_cast<int>(tid));
-        }
-        coalesce_->complete(fill, buf, status, status.ok() ? fill_bytes : 0);
-        charge_fill_split(*fill);
-      }
-      if (!status.ok()) {
-        co_await channel.respond_part(tid, req.id, status.to_wire(), req.vfd,
-                                      mem::Buffer(), /*last=*/true,
-                                      /*charge_copy=*/true, ctx);
-        co_return;
-      }
-    }
-
-    if (qos_) {
-      qos_->account_bytes(req.tenant, buf.size());
-      delivered += buf.size();
-    }
-    const bool last = off + n >= end;
-    co_await channel.respond_part(tid, req.id, static_cast<std::int64_t>(buf.size()),
-                                  req.vfd, std::move(buf), last, !zero_copy, ctx);
-    off += n;
-  }
-  remote_reads_.inc();
+  co_await stream_remote_read(channel, tid, req, d, std::move(fill));
 }
 
 sim::Task VReadDaemon::stream_remote_read(virt::ShmChannel& channel, hw::ThreadId tid,
                                           const virt::ShmRequest& req, Descriptor& d,
                                           CoalesceMap::FillPtr fill) {
-  const hw::CostModel& cm = host_.costs();
   const trace::Ctx ctx = req.ctx;
   VReadDaemon* peer = d.peer;
   const std::uint64_t peer_vfd = d.peer_vfd;
   const Transport transport = effective_transport(tid, ctx);
-  const char* wire_name = transport == Transport::kRdma ? "rdma-wire" : "vread-net-wire";
+  const bool in_ring = lands_in_ring(transport);
+  const char* wire_name = in_ring ? "rdma-wire" : "vread-net-wire";
 
   // Request out: one WR / one user-space TCP message.
-  if (transport == Transport::kRdma) {
-    co_await host_.cpu().consume(tid, cm.rdma_post_wr, CycleCategory::kRdma, ctx);
-  } else {
-    co_await host_.cpu().consume(tid, cm.vreadnet_per_segment,
-                                 CycleCategory::kVreadNet, ctx);
-  }
+  co_await charge_send(tid, transport, 0, ctx);
   co_await host_.lan().transfer(host_.lan_id(), peer->host_.lan_id(), kCtrlBytes);
 
   if (fault::registry().should_fire(fault::points::kPeerDown)) {
@@ -1552,8 +1316,7 @@ sim::Task VReadDaemon::stream_remote_read(virt::ShmChannel& channel, hw::ThreadI
     // The failure fans out to every coalesced waiter; nobody gets bytes,
     // and the next arrival retries single-flight.
     if (fill) {
-      coalesce_->complete(fill, mem::Buffer(),
-                          Status(StatusCode::kPeerDown, d.dn_id), 0);
+      finish_fill(tid, ctx, fill, mem::Buffer(), Status(StatusCode::kPeerDown, d.dn_id), 0);
     }
     co_await channel.respond_part(tid, req.id, kVReadErrPeerDown, req.vfd,
                                   mem::Buffer(), /*last=*/true,
@@ -1583,8 +1346,6 @@ sim::Task VReadDaemon::stream_remote_read(virt::ShmChannel& channel, hw::ThreadI
       [peer, peer_vfd, offset, len, transport, &arrivals, sim, wire_name, tenant,
        coalesce_hint, readahead_hint, ctx, home, cancellable,
        cancel](hw::ThreadId ptid) -> sim::Task {
-    const hw::CostModel& pcm = peer->host_.costs();
-    auto& tr = trace::tracer();
     auto it = peer->descriptors_.find(peer_vfd);
     if (it == peer->descriptors_.end() || offset >= it->second->inode.size) {
       arrivals.send(RemoteChunk{mem::Buffer(),
@@ -1596,6 +1357,7 @@ sim::Task VReadDaemon::stream_remote_read(virt::ShmChannel& channel, hw::ThreadI
     // Shared reference: a peer restart mid-stream must not invalidate the
     // descriptor this coroutine is reading through.
     DescriptorPtr pd = it->second;
+    const ReadHints hints{tenant, ctx, coalesce_hint, readahead_hint, /*peer=*/false};
     const std::uint64_t end = std::min(offset + len, pd->inode.size);
     std::uint64_t off = offset;
     while (off < end) {
@@ -1610,34 +1372,21 @@ sim::Task VReadDaemon::stream_remote_read(virt::ShmChannel& channel, hw::ThreadI
         co_return;
       }
       const std::uint64_t n = std::min(kStreamChunk, end - off);
-      mem::Buffer buf;
-      Status status;
-      co_await peer->local_read(ptid, *pd, off, n, buf, status, tenant, ctx,
-                                coalesce_hint, readahead_hint, /*allow_peer=*/false);
-      if (transport == Transport::kRdma) {
-        // Active push: the datanode-side daemon posts the RDMA write, so
-        // its verb cost is higher than the client side's (paper Fig. 7).
-        co_await peer->host_.cpu().consume(
-            ptid, pcm.rdma_post_wr + pcm.per_byte(n, pcm.rdma_cycles_per_byte),
-            CycleCategory::kRdma, ctx);
-      } else {
-        // User-space TCP: per-segment syscalls plus a send-side copy. The
-        // send copy is a real data copy on the vread-net path — record it.
-        const trace::SpanId sp = tr.begin(ctx, trace::SpanKind::kCopy,
-                                          "copy vread-net-tx", static_cast<int>(ptid));
-        co_await peer->host_.cpu().consume(
-            ptid, pcm.vreadnet_per_segment * pcm.segments(n) + pcm.copy_cost(n),
-            CycleCategory::kVreadNet, ctx);
-        tr.end(sp, n);
-      }
+      Chunk c;
+      co_await peer->read_chunk(ptid, *pd, off, n, hints, c);
+      // Active push: the datanode-side daemon posts the RDMA write (its verb
+      // cost is higher than the client side's, paper Fig. 7), or pays the
+      // user-space TCP send.
+      co_await peer->charge_send(ptid, transport, n, ctx);
+      const bool ok = c.status.ok();
       const std::int64_t wire =
-          status.ok() ? static_cast<std::int64_t>(buf.size()) : status.to_wire();
-      const bool last = !status.ok() || off + n >= end;
+          ok ? static_cast<std::int64_t>(c.data.size()) : c.status.to_wire();
+      const bool last = !ok || off + n >= end;
       // NIC DMA rides asynchronously; the next disk read overlaps it.
       sim->spawn(remote_wire_hop(sim, &peer->host_.lan(), peer->host_.lan_id(), home,
-                                 n, &arrivals, RemoteChunk{std::move(buf), wire, last},
+                                 n, &arrivals, RemoteChunk{std::move(c.data), wire, last},
                                  wire_name, ctx));
-      if (!status.ok()) co_return;
+      if (!ok) co_return;
       off += n;
     }
   };
@@ -1647,7 +1396,6 @@ sim::Task VReadDaemon::stream_remote_read(virt::ShmChannel& channel, hw::ThreadI
     co_await stream_job(peer->control_->tid());
   });
 
-  auto& tr = trace::tracer();
   metrics::Counter& from_peer = peer_bytes(peer->host_.name(), transport);
   // Coalescing leader: retain the payload as it lands so completion can
   // fan the whole window out to every attached waiter in one shot.
@@ -1663,8 +1411,8 @@ sim::Task VReadDaemon::stream_remote_read(virt::ShmChannel& channel, hw::ThreadI
         co_return;
       }
       if (fill) {
-        coalesce_->complete(fill, mem::Buffer(),
-                            Status::from_wire(chunk.status, d.block_name), 0);
+        finish_fill(tid, ctx, fill, mem::Buffer(),
+                    Status::from_wire(chunk.status, d.block_name), 0);
       }
       co_await channel.respond_part(tid, req.id, chunk.status, req.vfd,
                                     mem::Buffer(), /*last=*/true,
@@ -1674,21 +1422,9 @@ sim::Task VReadDaemon::stream_remote_read(virt::ShmChannel& channel, hw::ThreadI
     const std::uint64_t n = chunk.data.size();
     from_peer.inc(n);
     if (fill) collected.append(chunk.data);
-    bool zero_copy = false;
-    if (transport == Transport::kRdma) {
-      // One CQE; the payload already sits in the registered ring memory.
-      co_await host_.cpu().consume(tid, cm.rdma_cqe, CycleCategory::kRdma, ctx);
-      zero_copy = true;
-    } else {
-      // Receive-side copy out of the user-space TCP stream.
-      const trace::SpanId sp = tr.begin(ctx, trace::SpanKind::kCopy,
-                                        "copy vread-net-rx",
-                                        static_cast<int>(tid));
-      co_await host_.cpu().consume(
-          tid, cm.vreadnet_per_segment * cm.segments(n) + cm.copy_cost(n),
-          CycleCategory::kVreadNet, ctx);
-      tr.end(sp, n);
-    }
+    // One CQE (the payload already sits in the registered ring memory), or
+    // the receive-side copy out of the user-space TCP stream.
+    co_await charge_recv(tid, transport, n, ctx);
     if (qos_) {
       qos_->account_bytes(req.tenant, n);
       delivered += n;
@@ -1698,15 +1434,10 @@ sim::Task VReadDaemon::stream_remote_read(virt::ShmChannel& channel, hw::ThreadI
       // Complete before streaming the final chunk into our own ring:
       // waiters wake on the fill, not on the leader's ring flow control.
       const std::uint64_t wire_bytes = collected.size();
-      if (fill->waiters > 0) {
-        tr.instant(ctx, trace::SpanKind::kCoalesce, "coalesce-fanout",
-                   static_cast<int>(tid));
-      }
-      coalesce_->complete(fill, std::move(collected), Status::Ok(), wire_bytes);
-      charge_fill_split(*fill);
+      finish_fill(tid, ctx, fill, std::move(collected), Status::Ok(), wire_bytes);
     }
     co_await channel.respond_part(tid, req.id, chunk.status, req.vfd,
-                                  std::move(chunk.data), last, !zero_copy, ctx);
+                                  std::move(chunk.data), last, !in_ring, ctx);
     if (last) break;
   }
   remote_reads_.inc();

@@ -408,29 +408,112 @@ class VReadDaemon {
   sim::Task shed_response(ClientPort& port, std::uint64_t req_id, std::uint64_t vfd,
                           trace::Ctx ctx);
 
+  // Serves one dequeued request (both worker layouts): the daemon-side
+  // eventfd wakeup, the injected crash point, then the op itself.
   sim::Task handle(virt::ShmChannel& channel, hw::ThreadId tid, virt::ShmRequest req);
 
-  // Streams a block-read response into the client's ring in packet-sized
-  // pieces so the disk, the ring and the guest's copy-out pipeline.
-  sim::Task stream_local_read(virt::ShmChannel& channel, hw::ThreadId tid,
-                              const virt::ShmRequest& req, Descriptor& d);
-  // Remote entry point: attaches the request to an in-flight coalesced
-  // fill of the same window when possible (§12), else leads one through
-  // stream_remote_read.
+  // --- read serving (DESIGN.md §10 "Read serving") ---
+  // Per-request hints carried down the chunk chain: from the ShmRequest
+  // (ReadRequest on the guest side), or from the control message of a
+  // remote read on the owner side.
+  struct ReadHints {
+    const std::string& tenant;  // QoS identity the cache insert is charged to
+    trace::Ctx ctx;
+    bool coalesce = true;   // may join or lead a merged fill (§12)
+    bool readahead = true;  // may use the mount's sequential readahead
+    // False when the chunk is read on the owner's control worker for a
+    // remote requester: the requester already consulted the directory,
+    // and a control-worker-initiated fetch could wait on a peer's control
+    // worker that is waiting on ours.
+    bool peer = true;
+  };
+  // One chunk's outcome: its bytes, or the status it failed with. RDMA
+  // payloads from the owner are written straight into the client's ring
+  // (`in_ring`), which skips the daemon's ring copy.
+  struct Chunk {
+    mem::Buffer data;
+    Status status;
+    bool in_ring = false;
+  };
+
+  // The chunk loop: serves a kRead on a local descriptor — or on a remote
+  // one when the peer tier is on — in kStreamChunk pieces from read_chunk,
+  // so the disk, the ring and the guest's copy-out pipeline. It clips the
+  // range to the descriptor's size, feeds hot-block accesses, checks the
+  // hedge-cancel flag between chunks, charges QoS bytes, stops at the
+  // first failed chunk and writes the ring responses.
+  sim::Task serve_chunks(virt::ShmChannel& channel, hw::ThreadId tid,
+                         const virt::ShmRequest& req, Descriptor& d);
+  // One chunk [off, off+len) of `d` from the first source that has it:
+  // this daemon's cache, an in-flight fill (joined) or a new one (led), a
+  // copyset holder's cache, then the backing store — the image for a local
+  // descriptor, the owner daemon for a remote one. The local chain probes
+  // the cache before joining a fill; the remote chain joins first.
+  sim::Task read_chunk(hw::ThreadId tid, Descriptor& d, std::uint64_t off,
+                       std::uint64_t len, const ReadHints& h, Chunk& c);
+  // Local backing store: the loop-mounted image through the host page
+  // cache, or the raw image in direct mode. Adds the device bytes read
+  // synchronously to `disk_bytes` (a led fill's charge).
+  sim::Task image_chunk(hw::ThreadId tid, Descriptor& d, std::uint64_t off,
+                        std::uint64_t n, const ReadHints& h, Chunk& c,
+                        std::uint64_t& disk_bytes);
+  // Remote backing store (peer tier): one chunk fetched from the owner
+  // daemon, which reads it through its own chain on its control worker.
+  sim::Task owner_chunk(hw::ThreadId tid, Descriptor& d, std::uint64_t off,
+                        std::uint64_t n, const ReadHints& h, Chunk& c);
+
+  // Remote whole-window entry (peer tier off, or the descriptor's size
+  // snapshot was invalidated): attaches the request to an in-flight
+  // coalesced fill of the same window when possible (§12), else leads one
+  // through stream_remote_read.
   sim::Task serve_remote_read(virt::ShmChannel& channel, hw::ThreadId tid,
-                              const virt::ShmRequest& req, DescriptorPtr d);
-  // Peer-tier remote serve (§15): chunk-at-a-time so every kStreamChunk
-  // piece can come from the cheapest source — this daemon's own cache, a
-  // copyset holder's cache, or the owner daemon — at the same chop points
-  // the local path caches at. Replaces stream_remote_read when the tier
-  // is enabled.
-  sim::Task serve_remote_peer_tier(virt::ShmChannel& channel, hw::ThreadId tid,
-                                   const virt::ShmRequest& req, DescriptorPtr d);
-  // `fill`, when set, is the coalesced fill this stream leads: payload
-  // chunks are accumulated and fanned out to waiters on completion.
+                              const virt::ShmRequest& req, Descriptor& d);
+  // The owner's active-push window stream. `fill`, when set, is the
+  // coalesced fill this stream leads: payload chunks are accumulated and
+  // fanned out to waiters on completion.
   sim::Task stream_remote_read(virt::ShmChannel& channel, hw::ThreadId tid,
                                const virt::ShmRequest& req, Descriptor& d,
                                CoalesceMap::FillPtr fill);
+
+  // Cache step: the lookup charge (paid hit or miss), then the lookup;
+  // `out` stays empty on a miss.
+  sim::Task probe_cache(hw::ThreadId tid, const std::string& dn, const std::string& block,
+                        std::uint64_t off, std::uint64_t n, trace::Ctx ctx,
+                        mem::Buffer& out);
+  // Coalesce step (§12): when an in-flight fill covers [off, off+n), sets
+  // `joined`, waits for the fill and slices this window out of its payload
+  // into `c` (or takes its failure). Returns at once otherwise, and the
+  // caller leads a fill itself. `site` labels the flight-recorder merge.
+  sim::Task join_fill(hw::ThreadId tid, const Descriptor& d, std::uint64_t off,
+                      std::uint64_t n, const std::string& tenant, trace::Ctx ctx,
+                      const char* site, bool& joined, Chunk& c);
+  // Completes a led fill with the chunk's outcome: marks the fan-out,
+  // wakes every waiter and splits the backing-store bytes across tenants.
+  void finish_fill(hw::ThreadId tid, trace::Ctx ctx, const CoalesceMap::FillPtr& fill,
+                   mem::Buffer data, const Status& status, std::uint64_t fill_bytes);
+  // Publish-gated insert of fetched bytes: when an invalidation advanced
+  // the directory epoch while they were in flight, they are served to this
+  // reader (they were valid at `epoch` — read-time semantics) but neither
+  // cached nor advertised.
+  void cache_if_current(const Descriptor& d, std::uint64_t off, const mem::Buffer& data,
+                        const std::string& tenant, std::uint64_t epoch);
+  // One device read of `bytes`, recorded as a disk span. `batched` joins
+  // the coalescing submission window; direct-mode reads bypass it.
+  sim::Task disk_read(std::uint64_t bytes, bool batched, trace::Ctx ctx);
+
+  // Daemon-to-daemon transport CPU on THIS daemon's host: the send or
+  // receive side of one message carrying `bytes` of payload (0 for a
+  // control message). TCP payload copies are recorded as copy spans.
+  sim::Task charge_send(hw::ThreadId tid, Transport t, std::uint64_t bytes,
+                        trace::Ctx ctx) {
+    return charge_net(tid, t, /*send=*/true, bytes, ctx);
+  }
+  sim::Task charge_recv(hw::ThreadId tid, Transport t, std::uint64_t bytes,
+                        trace::Ctx ctx) {
+    return charge_net(tid, t, /*send=*/false, bytes, ctx);
+  }
+  sim::Task charge_net(hw::ThreadId tid, Transport t, bool send, std::uint64_t bytes,
+                       trace::Ctx ctx);
 
   // True when the request's hedge-cancel flag is set AND the injected
   // cancel/completion race (core.daemon.hedge_cancel_race) does not fire.
@@ -447,17 +530,6 @@ class VReadDaemon {
   sim::Task local_open(hw::ThreadId tid, const std::string& dn_id,
                        const std::string& block_name, std::uint64_t& vfd,
                        Status& status, trace::Ctx ctx = {});
-  // `allow_coalesce` / `allow_readahead` carry the per-request hints from
-  // ShmRequest (ReadRequest on the guest side) down the local path.
-  // `allow_peer=false` skips the peer-cache tier: set when this read runs
-  // on the control worker on behalf of a remote requester — the requester
-  // already consulted the directory, and a control-worker-initiated fetch
-  // could wait on a peer's control worker that is waiting on ours.
-  sim::Task local_read(hw::ThreadId tid, Descriptor& d, std::uint64_t offset,
-                       std::uint64_t len, mem::Buffer& out, Status& status,
-                       const std::string& tenant = {}, trace::Ctx ctx = {},
-                       bool allow_coalesce = true, bool allow_readahead = true,
-                       bool allow_peer = true);
   sim::Task local_refresh(hw::ThreadId tid, const std::string& dn_id);
 
   // --- remote (daemon-to-daemon) operations, called on a local worker ---
@@ -471,14 +543,14 @@ class VReadDaemon {
   // Peer-cache fetch (§15): directory lookup, then up to
   // peer_cache.fetch_attempts copyset holders are asked for exactly
   // [offset, offset+n) of (dn, block) out of their BlockCaches. On success
-  // `ok` is true, `out` holds the bytes and `epoch_out` the directory
-  // epoch observed at lookup time (the publish gate). Any failure — no
-  // holder, holder evicted, holder down, epoch mismatch — leaves ok false
-  // and the caller falls back to its disk / owner path.
+  // `out` holds the bytes and `epoch_out` the directory epoch observed at
+  // lookup time (the publish gate). Any failure — no holder, holder
+  // evicted, holder down, epoch mismatch — leaves `out` untouched and the
+  // caller falls back to its disk / owner path.
   sim::Task peer_fetch(hw::ThreadId tid, const std::string& dn,
                        const std::string& block, std::uint64_t offset,
                        std::uint64_t n, trace::Ctx ctx, mem::Buffer& out,
-                       std::uint64_t& epoch_out, bool& ok);
+                       std::uint64_t& epoch_out);
 
   // The transport a remote operation actually uses: the configured one,
   // degraded to TCP when the RDMA-link-down fault point fires. `tid` and
@@ -504,9 +576,8 @@ class VReadDaemon {
                             std::uint64_t n, trace::Ctx ctx,
                             bool allow_readahead = true,
                             std::uint64_t* disk_bytes = nullptr);
-  sim::Task readahead_task(std::shared_ptr<RaState> ra, fs::DiskImagePtr image,
-                           std::uint64_t key, std::uint64_t begin, std::uint64_t end,
-                           trace::Ctx ctx);
+  sim::Task readahead_task(std::shared_ptr<RaState> ra, std::uint64_t key,
+                           std::uint64_t begin, std::uint64_t end, trace::Ctx ctx);
 
   virt::Host& host_;
   DaemonConfig config_;

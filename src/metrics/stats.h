@@ -1,90 +1,12 @@
-// Small statistics helpers used by benches and tests: latency samples with
-// percentiles, and throughput computation.
+// Small statistics helpers used by benches and tests: throughput, rates
+// and percent changes.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "sim/time.h"
 
 namespace vread::metrics {
-
-// All the order statistics a bench table needs, computed with ONE sort —
-// callers that used to issue percentile() several times (each sorting a
-// fresh copy) ask for a Summary instead.
-struct Summary {
-  std::size_t count = 0;
-  sim::SimTime min = 0;
-  double mean = 0.0;
-  sim::SimTime p50 = 0;
-  sim::SimTime p95 = 0;
-  sim::SimTime p99 = 0;
-  sim::SimTime max = 0;
-};
-
-// Collects duration samples; percentile queries sort a copy on demand.
-class LatencyRecorder {
- public:
-  void record(sim::SimTime v) { samples_.push_back(v); }
-
-  std::size_t count() const { return samples_.size(); }
-  // min/max of no samples are 0, matching mean()/percentile() — NOT a
-  // dereference of an end() iterator.
-  sim::SimTime min() const {
-    if (samples_.empty()) return 0;
-    return *std::min_element(samples_.begin(), samples_.end());
-  }
-  sim::SimTime max() const {
-    if (samples_.empty()) return 0;
-    return *std::max_element(samples_.begin(), samples_.end());
-  }
-
-  double mean() const {
-    if (samples_.empty()) return 0.0;
-    double sum = 0.0;
-    for (sim::SimTime s : samples_) sum += static_cast<double>(s);
-    return sum / static_cast<double>(samples_.size());
-  }
-
-  // p in [0,100]; nearest-rank percentile.
-  sim::SimTime percentile(double p) const {
-    if (samples_.empty()) return 0;
-    std::vector<sim::SimTime> sorted = samples_;
-    std::sort(sorted.begin(), sorted.end());
-    double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-    return sorted[static_cast<std::size_t>(rank + 0.5)];
-  }
-
-  // min/mean/p50/p95/p99/max in one pass over one sorted copy. An empty
-  // recorder summarizes to all zeros, matching the scalar accessors.
-  Summary summary() const {
-    Summary s;
-    s.count = samples_.size();
-    if (samples_.empty()) return s;
-    std::vector<sim::SimTime> sorted = samples_;
-    std::sort(sorted.begin(), sorted.end());
-    s.min = sorted.front();
-    s.max = sorted.back();
-    double sum = 0.0;
-    for (sim::SimTime v : sorted) sum += static_cast<double>(v);
-    s.mean = sum / static_cast<double>(sorted.size());
-    auto nearest_rank = [&sorted](double p) {
-      double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-      return sorted[static_cast<std::size_t>(rank + 0.5)];
-    };
-    s.p50 = nearest_rank(50);
-    s.p95 = nearest_rank(95);
-    s.p99 = nearest_rank(99);
-    return s;
-  }
-
-  void clear() { samples_.clear(); }
-  const std::vector<sim::SimTime>& samples() const { return samples_; }
-
- private:
-  std::vector<sim::SimTime> samples_;
-};
 
 // Bytes over a simulated duration, reported in MB/s (1 MB = 1e6 bytes, as
 // the paper's MBps axes use decimal megabytes).

@@ -72,53 +72,6 @@ TEST(Categories, AllHaveNames) {
   }
 }
 
-TEST(LatencyRecorder, BasicStats) {
-  LatencyRecorder rec;
-  for (int i = 1; i <= 100; ++i) rec.record(i * 1000);
-  EXPECT_EQ(rec.count(), 100u);
-  EXPECT_EQ(rec.min(), 1000);
-  EXPECT_EQ(rec.max(), 100000);
-  EXPECT_DOUBLE_EQ(rec.mean(), 50500.0);
-  EXPECT_EQ(rec.percentile(50), 51000);
-  EXPECT_EQ(rec.percentile(0), 1000);
-  EXPECT_EQ(rec.percentile(100), 100000);
-}
-
-TEST(LatencyRecorder, EmptyRecorderStatsAreZero) {
-  // Regression: min()/max() on an empty recorder used to dereference
-  // *min_element(end, end). All stats of "no samples" are defined as 0.
-  LatencyRecorder rec;
-  EXPECT_EQ(rec.count(), 0u);
-  EXPECT_EQ(rec.min(), 0);
-  EXPECT_EQ(rec.max(), 0);
-  EXPECT_DOUBLE_EQ(rec.mean(), 0.0);
-  EXPECT_EQ(rec.percentile(50), 0);
-}
-
-TEST(LatencyRecorder, SummaryMatchesScalarAccessors) {
-  LatencyRecorder rec;
-  for (int i = 1; i <= 100; ++i) rec.record(i * 1000);
-  const Summary s = rec.summary();
-  EXPECT_EQ(s.count, rec.count());
-  EXPECT_EQ(s.min, rec.min());
-  EXPECT_EQ(s.max, rec.max());
-  EXPECT_DOUBLE_EQ(s.mean, rec.mean());
-  EXPECT_EQ(s.p50, rec.percentile(50));
-  EXPECT_EQ(s.p95, rec.percentile(95));
-  EXPECT_EQ(s.p99, rec.percentile(99));
-}
-
-TEST(LatencyRecorder, SummaryOfEmptyRecorderIsAllZeros) {
-  const Summary s = LatencyRecorder{}.summary();
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_EQ(s.min, 0);
-  EXPECT_EQ(s.max, 0);
-  EXPECT_DOUBLE_EQ(s.mean, 0.0);
-  EXPECT_EQ(s.p50, 0);
-  EXPECT_EQ(s.p95, 0);
-  EXPECT_EQ(s.p99, 0);
-}
-
 TEST(Stats, Throughput) {
   EXPECT_DOUBLE_EQ(throughput_mbps(100'000'000, sim::sec(1)), 100.0);
   EXPECT_DOUBLE_EQ(throughput_mbps(50'000'000, sim::ms(500)), 100.0);

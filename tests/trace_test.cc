@@ -9,7 +9,10 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/cluster.h"
@@ -17,10 +20,12 @@
 #include "core/libvread.h"
 #include "core/vread_daemon.h"
 #include "fault/fault.h"
+#include "hdfs/dfs_client.h"
 #include "mem/buffer.h"
 #include "trace/aggregate.h"
 #include "trace/chrome_export.h"
 #include "trace/tracer.h"
+#include "testutil.h"
 
 namespace vread::trace {
 namespace {
@@ -203,6 +208,52 @@ TEST(TraceCopies, VReadMovesEveryByteTwice) {
   // No virtual-network copies at all on the shortcut path.
   EXPECT_FALSE(s.total.copy_by_site.count("copy vhost-pull"));
   EXPECT_FALSE(s.total.copy_by_site.count("copy skb->app"));
+}
+
+// `path` by value: spawned coroutines outlive the caller's temporaries.
+sim::Task pread_task(hdfs::DfsClient* client, std::string path, std::uint64_t offset,
+                     std::uint64_t len, std::uint64_t* checksum) {
+  std::unique_ptr<hdfs::DfsInputStream> in;
+  co_await client->open(path, in);
+  Buffer data;
+  co_await in->pread(offset, len, data);
+  *checksum = data.checksum();
+  co_await in->close();
+}
+
+TEST(TraceCopies, PeerFetchOverTcpRecordsBothCopySpans) {
+  TracerGuard g;
+  // The file lives on datanode1 only and the peer tier runs over TCP.
+  // client2's read leaves the first chunk cached (and published) on a
+  // copyset holder; client3's read of the same chunk is then a holder
+  // fetch, traced on its own.
+  constexpr std::uint64_t kChunk = 256 * 1024;
+  auto c = testutil::racked_bed(3, 3, 0, 0);
+  c->preload_file("/data", 8 * 1024 * 1024, 77, {{"datanode1"}});
+  core::DaemonConfig dc;
+  dc.transport = core::Transport::kTcp;
+  dc.workers = 4;
+  dc.peer_cache.enabled = true;
+  c->enable_vread(dc);
+  c->drop_all_caches();
+  std::uint64_t warm = 0, sum = 0;
+  c->run_job(pread_task(c->client("client2"), "/data", 0, kChunk, &warm));
+  tracer().enable(c->sim());
+  c->run_job(pread_task(c->client("client3"), "/data", 0, kChunk, &sum));
+  tracer().disable();
+  EXPECT_EQ(sum, Buffer::deterministic(77, 0, kChunk).checksum());
+  ASSERT_EQ(c->daemon("host3")->stats_snapshot().peer_fetches, 1u);
+  // The holder's send copy and the requester's receive copy are real data
+  // copies on the vread-net path, one span each carrying the chunk.
+  std::map<std::string, std::vector<std::uint64_t>> net_copies;
+  for (const Span& s : tracer().spans()) {
+    const std::string_view name(s.name);
+    if (s.kind == SpanKind::kCopy && name.rfind("copy vread-net-", 0) == 0) {
+      net_copies[std::string(name)].push_back(s.bytes);
+    }
+  }
+  EXPECT_EQ(net_copies["copy vread-net-tx"], std::vector<std::uint64_t>{kChunk});
+  EXPECT_EQ(net_copies["copy vread-net-rx"], std::vector<std::uint64_t>{kChunk});
 }
 
 // -------------------------------------------------------- fault markers
