@@ -7,10 +7,12 @@
 // keyed by its image offset, so multi-GB images cost memory only for bytes
 // actually written:
 //
-//  - write(Buffer) stores the caller's view compacted: a view spanning its
-//    whole slab is adopted without copying (a preloaded block's
-//    deterministic slab, shared by every replica written from it); a raw
-//    pointer write copies its bytes once into an exact-size slab.
+//  - write(Buffer) stores the caller's view as it is, without copying: a
+//    preloaded block's deterministic slab is shared by every replica
+//    written from it, and a pipeline packet stays a view of the writer's
+//    buffer on every replica. A raw pointer write copies its bytes once
+//    into an exact-size slab. The image pins only slabs some writer handed
+//    it; every writer hands whole buffers (DESIGN.md §17 lists them).
 //  - An overwrite trims or splits the runs it overlaps by slicing them. No
 //    slab is ever written in place, so a view handed out by an earlier
 //    read keeps the bytes it saw.
@@ -49,7 +51,7 @@ class DiskImage {
   }
 
   void write(std::uint64_t offset, const mem::Buffer& buf) {
-    if (!buf.empty()) store(offset, buf.compact());
+    if (!buf.empty()) store(offset, buf);
   }
 
   // Copies [offset, offset+len) out to `out`.

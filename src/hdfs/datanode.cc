@@ -11,7 +11,7 @@ using virt::TcpSocket;
 sim::Task send_frame(TcpSocket conn, mem::Buffer payload, CycleCategory cat,
                      trace::Ctx ctx) {
   wire::Writer w;
-  w.u16(static_cast<std::uint16_t>(payload.size()));
+  w.u16(wire::u16_length(payload.size(), "frame"));
   mem::Buffer framed = w.take();
   framed.append(payload);
   co_await conn.send(std::move(framed), cat, /*from_app_buffer=*/true, ctx);

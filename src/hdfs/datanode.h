@@ -71,7 +71,9 @@ class DataNode {
   std::uint64_t bytes_served_ = 0;
 };
 
-// Frame helpers shared with the client: u16 length prefix + payload.
+// Frame helpers shared with the client: u16 length prefix + payload. A
+// payload over 65,535 bytes throws std::length_error before anything is
+// sent.
 sim::Task send_frame(virt::TcpSocket conn, mem::Buffer payload, hw::CycleCategory cat,
                      trace::Ctx ctx = {});
 sim::Task recv_frame(virt::TcpSocket conn, mem::Buffer& out, hw::CycleCategory cat,

@@ -1,10 +1,11 @@
 // Wire codec for the (simplified) HDFS data-transfer protocol.
 //
 // Little-endian framing helpers used by the datanode service and the
-// DFSClient socket path. Strings are length-prefixed (u16).
+// DFSClient socket path. Strings and frames are length-prefixed (u16).
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 #include "mem/buffer.h"
@@ -15,6 +16,16 @@ enum class Op : std::uint8_t {
   kReadBlock = 1,
   kWriteBlock = 2,
 };
+
+// The u16 prefix for `n` bytes of `what`. A length past 65,535 throws
+// std::length_error: a truncated prefix would desynchronise the stream.
+inline std::uint16_t u16_length(std::size_t n, const char* what) {
+  if (n > 0xffff) {
+    throw std::length_error(std::string(what) + " of " + std::to_string(n) +
+                            " bytes exceeds its u16 length field");
+  }
+  return static_cast<std::uint16_t>(n);
+}
 
 class Writer {
  public:
@@ -30,7 +41,7 @@ class Writer {
   }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void str(const std::string& s) {
-    u16(static_cast<std::uint16_t>(s.size()));
+    u16(u16_length(s.size(), "wire string"));
     buf_.append(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
   }
   mem::Buffer take() { return std::move(buf_); }

@@ -118,13 +118,6 @@ class Buffer {
     return b;
   }
 
-  // The same bytes in a view that spans its whole slab: *this when it
-  // already does, otherwise a copy into an exact-size slab. The disk image
-  // stores compacted views so a small write never pins a large slab.
-  Buffer compact() const {
-    return off_ == 0 && len_ == cap_ ? *this : Buffer(data(), len_);
-  }
-
   std::uint64_t checksum() const { return Hasher::hash(data(), len_); }
 
   bool operator==(const Buffer& other) const {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/cluster.h"
@@ -14,6 +15,7 @@
 #include "core/vread_daemon.h"
 #include "fault/fault.h"
 #include "fault/status.h"
+#include "hdfs/datanode.h"
 #include "hdfs/dfs_client.h"
 #include "hw/cost_model.h"
 #include "mem/buffer.h"
@@ -198,6 +200,36 @@ TEST(PayloadCopies, HybridReadsMaterialiseNoPayloadBytes) {
   EXPECT_GT(bed.cluster.daemon("host1")->cache().hits(), 0u);
   EXPECT_EQ(cold, 0.0);
   EXPECT_EQ(reread, 0.0);
+}
+
+// The write-side twin: every replica of a pipeline packet is a view of the
+// writer's buffer, so a 2-replica write materialises no payload bytes. What
+// is left is inode and directory metadata.
+TEST(PayloadCopies, PipelineWritesMaterialiseNoPayloadBytes) {
+  Bed bed;
+  constexpr std::uint64_t kBytes = 64ULL << 20;
+  const Buffer data = Buffer::deterministic(83, 0, kBytes);
+  const std::string path = "/written";  // outlives the spawned write
+  const std::uint64_t before = Buffer::slab_bytes_allocated();
+  bed.cluster.sim().spawn(bed.cluster.client("client")->write_file(
+      path, data, Cluster::place_on({"datanode1", "datanode2"}),
+      bed.cluster.config().block_size));
+  bed.cluster.sim().run();
+  const double per_written_byte =
+      static_cast<double>(Buffer::slab_bytes_allocated() - before) / static_cast<double>(kBytes);
+
+  const std::vector<hdfs::BlockInfo> blocks = bed.cluster.namenode().all_blocks(path);
+  ASSERT_EQ(blocks.size(), kBytes / bed.cluster.config().block_size);
+  for (const hdfs::BlockInfo& b : blocks) {
+    for (const char* dn : {"datanode1", "datanode2"}) {
+      fs::SimFs& fs = bed.cluster.datanode(dn)->vm().fs();
+      const auto ino = fs.lookup(hdfs::DataNode::block_path(b.name));
+      ASSERT_TRUE(ino.has_value()) << dn << " missing " << b.name;
+      EXPECT_EQ(fs.read(*ino, 0, b.size), data.slice(b.offset_in_file, b.size))
+          << dn << " " << b.name;
+    }
+  }
+  EXPECT_LE(per_written_byte, 0.01);
 }
 
 TEST(BlockCacheVisibility, UpdateInvalidatesCache) {

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fs/disk_image.h"
@@ -64,8 +65,12 @@ TEST(DiskImage, RandomOverlappingWritesMatchAFlatReference) {
     const std::uint64_t off = rng.uniform(0, kSize - 1);
     const std::uint64_t len = rng.uniform(1, std::min<std::uint64_t>(kSize - off, 3000));
     const Buffer data = Buffer::deterministic(static_cast<std::uint64_t>(i), off, len);
-    if (i % 2 == 0) {
+    if (i % 4 == 0) {
       img.write(off, data);
+    } else if (i % 4 == 2) {
+      // A partial view of a larger slab, stored as it is.
+      img.write(off, Buffer::deterministic(static_cast<std::uint64_t>(i), off, len + 64)
+                         .slice(0, len));
     } else {
       img.write(off, data.data(), data.size());
     }
@@ -117,12 +122,24 @@ TEST(DiskImage, ReadsInsideOneRunAreViewsOfIt) {
 }
 
 TEST(DiskImage, MutatingTheCallersBufferAfterWriteLeavesTheImageUnchanged) {
+  // A whole-slab view and a partial one: either way the image keeps the
+  // writer's view (a read points into the writer's slab), and copy-on-write
+  // keeps the writer's later edits out of it.
+  struct Case {
+    std::uint64_t slab_bytes, from;
+  };
+  for (const Case c : {Case{4096, 0}, Case{3 * 4096, 4096}}) {
+    DiskImage img(1 << 20);
+    Buffer data = Buffer::deterministic(7, 0, c.slab_bytes).slice(c.from, 4096);
+    img.write(0, data);
+    const Buffer stored = img.read(0, 4096);
+    EXPECT_EQ(stored.data(), std::as_const(data).data()) << c.from;
+    data[0] ^= 0xff;
+    data[4095] ^= 0xff;
+    EXPECT_EQ(img.read(0, 4096), Buffer::deterministic(7, c.from, 4096)) << c.from;
+  }
   DiskImage img(1 << 20);
-  Buffer data = Buffer::deterministic(7, 0, 4096);
-  img.write(0, data);
-  data[0] ^= 0xff;
-  data[4095] ^= 0xff;
-  EXPECT_EQ(img.read(0, 4096), Buffer::deterministic(7, 0, 4096));
+  img.write(0, Buffer::deterministic(7, 0, 4096));
   // A view handed out by a read is just as isolated the other way round.
   Buffer view = img.read(0, 4096);
   view[10] ^= 0xff;

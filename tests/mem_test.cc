@@ -272,15 +272,6 @@ TEST(Buffer, SlabBytesAllocatedCountsMaterialisedBytesOnly) {
   EXPECT_EQ(filled.data()[63], 7);
 }
 
-TEST(Buffer, CompactSharesWholeSlabsAndCopiesPartialViews) {
-  const Buffer whole = Buffer::deterministic(18, 0, 512);
-  const Buffer same = whole.compact();
-  EXPECT_EQ(same.data(), whole.data());  // spans its slab: no copy
-  const Buffer part = whole.slice(10, 100).compact();
-  EXPECT_NE(part.data(), whole.data() + 10);  // private exact-size slab
-  EXPECT_EQ(part, whole.slice(10, 100));
-}
-
 TEST(PageCache, MissThenHit) {
   PageCache cache(1 << 20);  // 256 pages
   EXPECT_EQ(cache.miss_bytes(1, 0, 8192), 8192u);

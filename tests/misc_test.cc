@@ -2,8 +2,12 @@
 // worker-thread composition, deadlock detection, and assorted accessors.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "apps/cluster.h"
 #include "apps/dfsio.h"
+#include "hdfs/datanode.h"
 #include "hdfs/wire.h"
 #include "hw/worker.h"
 #include "mem/buffer.h"
@@ -39,6 +43,58 @@ TEST(WireCodec, OpcodesAreStable) {
   // Protocol constants are on-the-wire ABI; lock them down.
   EXPECT_EQ(static_cast<int>(hdfs::wire::Op::kReadBlock), 1);
   EXPECT_EQ(static_cast<int>(hdfs::wire::Op::kWriteBlock), 2);
+}
+
+TEST(WireCodec, StringOverU16LengthIsRejectedBeforeWriting) {
+  hdfs::wire::Writer w;
+  w.u8(7);
+  EXPECT_THROW(w.str(std::string(65'536, 'x')), std::length_error);
+  w.str(std::string(65'535, 'y'));  // the largest length the field holds
+  Buffer raw = w.take();
+  EXPECT_EQ(raw.size(), 1u + 2u + 65'535u);  // nothing of the rejected string
+  hdfs::wire::Reader r(raw);
+  EXPECT_EQ(r.u8(), 7);
+  EXPECT_EQ(r.str(), std::string(65'535, 'y'));
+}
+
+TEST(WireCodec, FrameOverU16LengthIsRejectedBeforeSending) {
+  sim::Simulation sim;
+  metrics::CycleAccounting acct;
+  hw::CostModel costs;
+  hw::Lan lan(sim, {});
+  virt::VirtualNetwork net(sim, lan, costs);
+  virt::Host host(sim, acct, costs, lan, {.name = "h"});
+  virt::Vm& a = host.add_vm({.name = "a"});
+  virt::Vm& b = host.add_vm({.name = "b"});
+  net.register_vm(a);
+  net.register_vm(b);
+  net.listen(b, 1);
+  auto server = [](virt::VirtualNetwork* n, virt::Vm* vm, Buffer* got) -> sim::Task {
+    virt::TcpSocket conn;
+    co_await n->accept(*vm, 1, conn);
+    co_await hdfs::recv_frame(conn, *got, hw::CycleCategory::kDatanodeApp);
+  };
+  auto client = [](virt::VirtualNetwork* n, virt::Vm* vm, bool* rejected) -> sim::Task {
+    virt::TcpSocket conn;
+    co_await n->connect(*vm, "b", 1, conn);
+    try {
+      co_await hdfs::send_frame(conn, Buffer::deterministic(5, 0, 65'536),
+                                hw::CycleCategory::kClientApp);
+    } catch (const std::length_error&) {
+      *rejected = true;
+    }
+    co_await hdfs::send_frame(conn, Buffer::deterministic(6, 0, 65'535),
+                              hw::CycleCategory::kClientApp);
+  };
+  Buffer got;
+  bool rejected = false;
+  sim.spawn(server(&net, &b, &got));
+  sim.spawn(client(&net, &a, &rejected));
+  sim.run();
+  EXPECT_TRUE(rejected);
+  // Only the second frame reached the wire, and it arrived intact.
+  EXPECT_EQ(net.bytes_sent(), 2u + 65'535u);
+  EXPECT_EQ(got, Buffer::deterministic(6, 0, 65'535));
 }
 
 // --- TCP window backpressure ---

@@ -5,6 +5,7 @@
 
 #include "apps/cluster.h"
 #include "core/libvread.h"
+#include "fs/simfs.h"
 #include "mem/buffer.h"
 #include "qfs/qfs.h"
 
@@ -76,6 +77,30 @@ TEST(Qfs, WriteReadRoundTripVanilla) {
   // Chunk files live under /chunks on the owning server.
   EXPECT_TRUE(bed.cs1->vm().fs().exists(
       ChunkServer::chunk_path(bed.meta->layout("/q")[0])));
+}
+
+// The kWriteChunk path stores each packet as a view of the client's
+// buffer: a 64 MiB write materialises no payload bytes on the chunkservers.
+TEST(Qfs, ChunkWritesMaterialiseNoPayloadBytes) {
+  QfsBed bed;
+  const std::uint64_t bytes = 64ULL << 20;  // 16 chunks over 2 servers
+  const Buffer data = Buffer::deterministic(56, 0, bytes);
+  auto job = [](QfsBed* b, const Buffer* d) -> sim::Task {
+    co_await b->client->write_file("/q", *d, kChunk);
+  };
+  const std::uint64_t before = Buffer::slab_bytes_allocated();
+  bed.cluster.run_job(job(&bed, &data));
+  const double per_written_byte =
+      static_cast<double>(Buffer::slab_bytes_allocated() - before) / static_cast<double>(bytes);
+
+  ASSERT_EQ(bed.meta->layout("/q").size(), bytes / kChunk);
+  for (const ChunkInfo& c : bed.meta->layout("/q")) {
+    fs::SimFs& fs = (c.server == "cs1" ? bed.cs1 : bed.cs2)->vm().fs();
+    const auto ino = fs.lookup(ChunkServer::chunk_path(c));
+    ASSERT_TRUE(ino.has_value()) << c.server << " missing chunk " << c.id;
+    EXPECT_EQ(fs.read(*ino, 0, c.size), data.slice(c.offset_in_file, c.size)) << c.id;
+  }
+  EXPECT_LE(per_written_byte, 0.01);
 }
 
 TEST(Qfs, PreadClampsAndAddresses) {
