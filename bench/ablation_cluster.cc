@@ -8,7 +8,7 @@
 //      unless replica-aware beats both baselines on throughput AND
 //      cross-rack bytes at >= 64 hosts — that is the routing claim.
 //   2. scale arm — 500 hosts / 1000 readers / 1.2M reads through the
-//      calendar-queue engine. The run must finish within a generous
+//      event engine. The run must finish within a generous
 //      wall-clock bound (exit 1 otherwise); wall time and event rate are
 //      printed but deliberately kept OUT of the JSON report — the gate
 //      compares simulator outputs, not machine speed.

@@ -338,7 +338,7 @@ class FlowSim {
                      DaemonLoad{host_active_[f.src], host_inflight_[f.src], false});
     const std::uint32_t reader = f.reader;
     // The reader's next read goes through the event queue: a million-read
-    // run is a million calendar-queue dispatches.
+    // run is a million event-queue dispatches.
     sim_.post_at(sim_.now(), [this, reader] { start_read(reader); });
   }
 

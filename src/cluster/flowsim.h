@@ -8,8 +8,8 @@
 // crossing it and every flow progresses at the minimum share along its
 // path. Readers are closed-loop (one outstanding read each), and each
 // completion is posted through the sim::Simulation event queue — a
-// 500-host, million-read sweep pushes >1M events through the calendar
-// queue and still finishes in a couple of wall-clock seconds.
+// 500-host, million-read sweep pushes >1M events through the engine and
+// still finishes in a couple of wall-clock seconds.
 //
 // Replica selection is the SAME ReplicaSelector the detailed DfsClient
 // uses, so policy semantics cannot drift between the two models.

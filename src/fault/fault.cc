@@ -1,5 +1,6 @@
 #include "fault/fault.h"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -24,14 +25,23 @@ bool Registry::armed(const std::string& point) const {
 
 void Registry::reset() {
   points_.clear();
+  gen_ = next_generation();
   rng_ = sim::Rng(seed_);
   if (!baseline_.empty()) load_schedule(baseline_);
+}
+
+std::uint64_t Registry::next_generation() {
+  static std::atomic<std::uint64_t> last{0};
+  return ++last;
 }
 
 bool Registry::should_fire(const std::string& point) {
   PointState& st = state(point);
   const std::uint64_t hit = ++st.hits;
-  if (!st.armed) return false;
+  return st.armed && decide(st, hit, point.c_str());
+}
+
+bool Registry::decide(PointState& st, std::uint64_t hit, const char* point) {
   const Spec& s = st.spec;
   if (hit <= s.after) return false;
   if (st.fires >= s.max_fires) return false;

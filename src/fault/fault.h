@@ -5,7 +5,7 @@
 // stale-dentry windows in fs::LoopMount, request timeout/corruption on the
 // shared-memory ring in virt::ShmChannel, daemon restart (descriptor-table
 // loss), remote-peer unreachable and RDMA-link-down in core::VReadDaemon.
-// A fault point is a single `should_fire(name)` call on the code path; the
+// A fault point is a single `should_fire(point)` call on the code path; the
 // registry decides — deterministically (every Nth hit, after a warmup,
 // with a fire budget) or probabilistically from a seeded SplitMix64 stream
 // — whether the fault triggers, and counts both hits and fires so tests
@@ -29,57 +29,6 @@
 
 namespace vread::fault {
 
-// Well-known fault-point names. Layers fire these; tests arm them.
-namespace points {
-// fs::LoopMount::refresh() silently fails: the snapshot stays stale.
-inline constexpr const char* kMountRefreshFail = "fs.loop.refresh_fail";
-// fs::LoopMount::lookup() misses as if the dentry cache were mid-refresh.
-inline constexpr const char* kMountStaleLookup = "fs.loop.stale_lookup";
-// virt::ShmChannel::call(): the request is lost; the guest times out.
-inline constexpr const char* kShmTimeout = "virt.shm.timeout";
-// virt::ShmChannel::call(): the response fails validation on arrival.
-inline constexpr const char* kShmCorrupt = "virt.shm.corrupt";
-// core::VReadDaemon restarts before serving a request: the descriptor
-// table is lost (clients' vfds dangle -> kVReadErrBadFd on next use).
-inline constexpr const char* kDaemonCrash = "core.daemon.crash";
-// Daemon-to-daemon request: the remote peer is unreachable.
-inline constexpr const char* kPeerDown = "core.daemon.peer_down";
-// RDMA link down: remote ops fail over to the user-space TCP transport.
-inline constexpr const char* kRdmaDown = "core.daemon.rdma_down";
-// QoS admission control sheds the request as if the tenant's queue were
-// at cap (kVReadErrOverloaded to the client), regardless of actual depth.
-inline constexpr const char* kAdmissionShed = "core.daemon.admission_shed";
-// hdfs::DataNode::handle_read answers "block missing" once, as if the
-// block file vanished mid-serve (transient store trouble); the client's
-// replica failover / pread retry machinery must absorb it.
-inline constexpr const char* kDatanodeReadFail = "hdfs.datanode.read_fail";
-// core::PeerCacheDirectory: a copyset invalidation notification is lost —
-// the holder keeps its (now unreachable) cached bytes; the directory's
-// epoch filter must keep it off every later lookup.
-inline constexpr const char* kPeerCacheInvalidateLost = "core.peercache.invalidate_lost";
-// core::PeerCacheDirectory::lookup returns stale copyset members (as if
-// the shard owner answered from a pre-invalidation snapshot); the
-// requester's fetch-time epoch check must reject their bytes.
-inline constexpr const char* kPeerCacheStalePeer = "core.peercache.stale_peer";
-// core::VReadDaemon peer-cache fetch: the chosen holder dies mid-fetch;
-// the requester must fall back to the next holder / the disk path.
-inline constexpr const char* kPeerCachePeerDown = "core.peercache.peer_down";
-// hdfs::DfsInputStream hedging: the second leg is lost at launch (never
-// issued); the primary must still complete the read alone.
-inline constexpr const char* kHedgeLegLost = "hdfs.client.hedge_leg_lost";
-// hdfs::DfsInputStream hedging: the hedge timer fires late (both legs run
-// long), racing the primary's completion against hedge issuance.
-inline constexpr const char* kHedgeBothSlow = "hdfs.client.hedge_both_slow";
-// core::VReadDaemon: the loser's cancel flag is ignored for one check, as
-// if the cancel raced the completion — the leg runs (and charges) to the
-// end and the un-charge never happens for it.
-inline constexpr const char* kHedgeCancelRace = "core.daemon.hedge_cancel_race";
-// core::BlockCache::lookup: one byte of the covering entry is flipped just
-// before the hit is verified, as if cached memory rotted. The re-hash must
-// catch it: the entry is dropped and the lookup reports a miss.
-inline constexpr const char* kCacheCorrupt = "core.cache.corrupt";
-}  // namespace points
-
 // How an armed fault point decides to trigger. Deterministic knobs win
 // over `probability` when both are set; armed with neither, every
 // eligible hit triggers (bounded only by `after`/`max_fires`).
@@ -94,6 +43,82 @@ struct Spec {
   // Stop triggering after this many fires (budgeted faults).
   std::uint64_t max_fires = UINT64_MAX;
 };
+
+struct PointState {
+  Spec spec{};
+  bool armed = false;
+  std::uint64_t hits = 0;
+  std::uint64_t fires = 0;
+};
+
+// A registered fault point with static storage. It caches its registry
+// state, resolved once per registry generation, so an unarmed hit is one
+// compare and one increment.
+class Point {
+ public:
+  constexpr explicit Point(const char* name) : name_(name) {}
+  Point(const Point&) = delete;
+  Point& operator=(const Point&) = delete;
+  operator std::string() const { return name_; }
+
+ private:
+  friend class Registry;
+  const char* name_;
+  std::uint64_t gen_ = 0;  // registry generation `state_` belongs to
+  PointState* state_ = nullptr;
+};
+
+// The well-known fault points. Layers fire these; tests arm them by name
+// (a Point converts to its name).
+namespace points {
+// fs::LoopMount::refresh() silently fails: the snapshot stays stale.
+inline constinit Point kMountRefreshFail{"fs.loop.refresh_fail"};
+// fs::LoopMount::lookup() misses as if the dentry cache were mid-refresh.
+inline constinit Point kMountStaleLookup{"fs.loop.stale_lookup"};
+// virt::ShmChannel::call(): the request is lost; the guest times out.
+inline constinit Point kShmTimeout{"virt.shm.timeout"};
+// virt::ShmChannel::call(): the response fails validation on arrival.
+inline constinit Point kShmCorrupt{"virt.shm.corrupt"};
+// core::VReadDaemon restarts before serving a request: the descriptor
+// table is lost (clients' vfds dangle -> kVReadErrBadFd on next use).
+inline constinit Point kDaemonCrash{"core.daemon.crash"};
+// Daemon-to-daemon request: the remote peer is unreachable.
+inline constinit Point kPeerDown{"core.daemon.peer_down"};
+// RDMA link down: remote ops fail over to the user-space TCP transport.
+inline constinit Point kRdmaDown{"core.daemon.rdma_down"};
+// QoS admission control sheds the request as if the tenant's queue were
+// at cap (kVReadErrOverloaded to the client), regardless of actual depth.
+inline constinit Point kAdmissionShed{"core.daemon.admission_shed"};
+// hdfs::DataNode::handle_read answers "block missing" once, as if the
+// block file vanished mid-serve (transient store trouble); the client's
+// replica failover / pread retry machinery must absorb it.
+inline constinit Point kDatanodeReadFail{"hdfs.datanode.read_fail"};
+// core::PeerCacheDirectory: a copyset invalidation notification is lost —
+// the holder keeps its (now unreachable) cached bytes; the directory's
+// epoch filter must keep it off every later lookup.
+inline constinit Point kPeerCacheInvalidateLost{"core.peercache.invalidate_lost"};
+// core::PeerCacheDirectory::lookup returns stale copyset members (as if
+// the shard owner answered from a pre-invalidation snapshot); the
+// requester's fetch-time epoch check must reject their bytes.
+inline constinit Point kPeerCacheStalePeer{"core.peercache.stale_peer"};
+// core::VReadDaemon peer-cache fetch: the chosen holder dies mid-fetch;
+// the requester must fall back to the next holder / the disk path.
+inline constinit Point kPeerCachePeerDown{"core.peercache.peer_down"};
+// hdfs::DfsInputStream hedging: the second leg is lost at launch (never
+// issued); the primary must still complete the read alone.
+inline constinit Point kHedgeLegLost{"hdfs.client.hedge_leg_lost"};
+// hdfs::DfsInputStream hedging: the hedge timer fires late (both legs run
+// long), racing the primary's completion against hedge issuance.
+inline constinit Point kHedgeBothSlow{"hdfs.client.hedge_both_slow"};
+// core::VReadDaemon: the loser's cancel flag is ignored for one check, as
+// if the cancel raced the completion — the leg runs (and charges) to the
+// end and the un-charge never happens for it.
+inline constinit Point kHedgeCancelRace{"core.daemon.hedge_cancel_race"};
+// core::BlockCache::lookup: one byte of the covering entry is flipped just
+// before the hit is verified, as if cached memory rotted. The re-hash must
+// catch it: the entry is dropped and the lookup reports a miss.
+inline constinit Point kCacheCorrupt{"core.cache.corrupt"};
+}  // namespace points
 
 class Registry {
  public:
@@ -112,7 +137,16 @@ class Registry {
   void reset();
 
   // The fault point itself: records a hit and reports whether the armed
-  // spec (if any) says the fault triggers now.
+  // spec (if any) says the fault triggers now. The name overload serves
+  // ad-hoc points; both share one decision.
+  bool should_fire(Point& point) {
+    if (point.gen_ != gen_) {
+      point.state_ = &points_[point.name_];
+      point.gen_ = gen_;
+    }
+    const std::uint64_t hit = ++point.state_->hits;
+    return point.state_->armed && decide(*point.state_, hit, point.name_);
+  }
   bool should_fire(const std::string& point);
 
   std::uint64_t hits(const std::string& point) const;
@@ -154,17 +188,16 @@ class Registry {
   }
 
  private:
-  struct PointState {
-    Spec spec{};
-    bool armed = false;
-    std::uint64_t hits = 0;
-    std::uint64_t fires = 0;
-  };
   PointState& state(const std::string& point) { return points_[point]; }
+  bool decide(PointState& st, std::uint64_t hit, const char* point);
 
   static constexpr std::uint64_t kDefaultSeed = 42;
+  static std::uint64_t next_generation();
 
   std::map<std::string, PointState> points_;
+  // Bumped by reset(), which drops every PointState; unique across
+  // registries, so a Point never trusts a pointer into another one.
+  std::uint64_t gen_ = next_generation();
   std::uint64_t seed_ = kDefaultSeed;
   sim::Rng rng_{kDefaultSeed};
   std::string baseline_;

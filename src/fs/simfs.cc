@@ -179,7 +179,13 @@ std::vector<DirEntry> decode_dir(const mem::Buffer& raw) {
 
 mem::Buffer encode_dir(const std::vector<DirEntry>& entries) {
   std::size_t bytes = 4;
-  for (const DirEntry& e : entries) bytes += 6 + e.name.size();
+  for (const DirEntry& e : entries) {
+    if (e.name.size() > 0xffff) {
+      throw FsError("directory entry name of " + std::to_string(e.name.size()) +
+                    " bytes exceeds its u16 length field");
+    }
+    bytes += 6 + e.name.size();
+  }
   mem::Buffer raw(bytes);
   put_u32(raw.data(), static_cast<std::uint32_t>(entries.size()));
   std::size_t pos = 4;

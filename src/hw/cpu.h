@@ -66,6 +66,8 @@ class CpuScheduler {
     bool fresh = true;        // first quantum of the burst (wakeup path)
     sim::SimTime enqueue_t = 0;  // when the burst became runnable
     sim::SimTime busy_t = 0;     // core time granted so far
+    sim::Cycles quantum = 0;     // cycles of the quantum in flight...
+    sim::SimTime quantum_t = 0;  // ...and its core time
 
     bool await_ready() const noexcept { return remaining == 0; }
     void await_suspend(std::coroutine_handle<> h) {
@@ -147,11 +149,19 @@ class CpuScheduler {
     const sim::Cycles q = std::min(slice_cycles == 0 ? 1 : slice_cycles, b->remaining);
     const sim::SimTime dur = cycles_to_time(q);
     b->fresh = false;
-    sim_.post(extra_latency + (dur == 0 ? 1 : dur),
-              [this, b, q, dur] { finish_quantum(b, q, dur); });
+    b->quantum = q;
+    b->quantum_t = dur;
+    sim_.call_at(sim_.now() + extra_latency + (dur == 0 ? 1 : dur), &on_quantum_end, b);
   }
 
-  void finish_quantum(ConsumeAwaiter* b, sim::Cycles q, sim::SimTime dur) {
+  static void on_quantum_end(void* burst) {
+    auto* b = static_cast<ConsumeAwaiter*>(burst);
+    b->cpu.finish_quantum(b);
+  }
+
+  void finish_quantum(ConsumeAwaiter* b) {
+    const sim::Cycles q = b->quantum;
+    const sim::SimTime dur = b->quantum_t;
     acct_.charge(b->tid, b->cat, q);
     acct_.note_busy(b->tid, dur);
     b->remaining -= q;

@@ -1,9 +1,62 @@
 #include "sim/simulation.h"
 
+#include <sanitizer/asan_interface.h>
+
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 namespace vread::sim {
+
+namespace {
+
+// Frame pool: per-thread free lists in 64-byte size classes up to 2 KiB.
+// Trivially destructible, so a frame freed after the lists were released
+// (static destruction on the main thread) still finds `closed`.
+constexpr std::size_t kClassBytes = 64, kClasses = 32;
+struct FrameLists { void* head[kClasses]; bool closed; };
+thread_local FrameLists lists{};
+
+void* pop_free(std::size_t c) {
+  void* p = lists.head[c];
+  if (p == nullptr) return nullptr;
+  ASAN_UNPOISON_MEMORY_REGION(p, (c + 1) * kClassBytes);
+  lists.head[c] = *static_cast<void**>(p);
+  return p;
+}
+
+struct FrameListsCloser {
+  ~FrameListsCloser() {
+    lists.closed = true;
+    for (std::size_t c = 0; c < kClasses; ++c) {
+      while (void* p = pop_free(c)) ::operator delete(p);
+    }
+  }
+};
+
+using Boxed = std::function<void()>;
+
+// Fires and frees a post_at() callable, even when it throws.
+void fire_boxed(void* box) { (*std::unique_ptr<Boxed>(static_cast<Boxed*>(box)))(); }
+
+}  // namespace
+
+void* frame_alloc(std::size_t bytes) {
+  const std::size_t c = (bytes - 1) / kClassBytes;
+  if (c >= kClasses || lists.closed) return ::operator new(bytes);
+  if (void* p = pop_free(c)) return p;
+  thread_local FrameListsCloser closer;  // the first miss on a thread arms it
+  return ::operator new((c + 1) * kClassBytes);
+}
+
+void frame_free(void* frame, std::size_t bytes) noexcept {
+  const std::size_t c = (bytes - 1) / kClassBytes;
+  if (c >= kClasses || lists.closed) return ::operator delete(frame);
+  *static_cast<void**>(frame) = lists.head[c];
+  lists.head[c] = frame;
+  // Poisoned while free: ASan still reports a frame resumed after destroy.
+  ASAN_POISON_MEMORY_REGION(frame, (c + 1) * kClassBytes);
+}
 
 Simulation::~Simulation() { shutdown(); }
 
@@ -14,84 +67,58 @@ void Simulation::shutdown() {
 }
 
 void Simulation::clear_events() {
-  for (Bucket& b : wheel_) {
-    b.ev.clear();
-    b.heaped = false;
-  }
-  far_.clear();
-  near_count_ = 0;
-  size_ = 0;
+  const auto drop = [](const Event& e) {
+    if (e.fn == &fire_boxed) delete static_cast<Boxed*>(e.arg);
+  };
+  std::for_each(heap_.begin(), heap_.end(), drop);
+  std::for_each(lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_), lane_.end(), drop);
+  heap_.clear();
+  lane_.clear();
+  lane_head_ = 0;
 }
 
-void Simulation::push_event(Event e) {
+void Simulation::push_event(const Event& e) {
   if (e.time < now_) throw SimError("post_at: scheduling into the past");
-  const std::uint64_t epoch = epoch_of(e.time);
-  if (epoch >= win_lo_ + kWheelSize) {
-    far_.push_back(std::move(e));
-    std::push_heap(far_.begin(), far_.end(), EventLater{});
-  } else {
-    // Invariant: win_lo_ <= epoch_of(now_) <= epoch, so the slot mapping
-    // is unambiguous (the window only slides forward when it is empty).
-    Bucket& b = slot(epoch);
-    b.ev.push_back(std::move(e));
-    if (b.heaped) std::push_heap(b.ev.begin(), b.ev.end(), EventLater{});
-    if (epoch < cursor_) cursor_ = epoch;  // landed behind the drain point
-    ++near_count_;
+  if (e.time == now_) {
+    lane_.push_back(e);
+    return;
   }
-  ++size_;
-}
-
-SimTime Simulation::peek_time() {
-  if (near_count_ == 0) {
-    // Earliest pending event lives in the far heap; the window slides to
-    // it only at pop time (between peek and pop nothing else runs).
-    return far_.front().time;
-  }
-  if (cursor_ < win_lo_) cursor_ = win_lo_;
-  while (slot(cursor_).ev.empty()) {
-    slot(cursor_).heaped = false;
-    ++cursor_;
-  }
-  Bucket& b = slot(cursor_);
-  if (!b.heaped) {
-    std::make_heap(b.ev.begin(), b.ev.end(), EventLater{});
-    b.heaped = true;
-  }
-  return b.ev.front().time;
+  std::size_t i = heap_.size();  // sift up; the parent of slot i is (i - 1) / 4
+  heap_.push_back(e);
+  for (; i > 0 && e.before(heap_[(i - 1) / 4]); i = (i - 1) / 4) heap_[i] = heap_[(i - 1) / 4];
+  heap_[i] = e;
 }
 
 Simulation::Event Simulation::pop_event() {
-  if (near_count_ == 0) {
-    // Slide the window to the far heap's earliest epoch and pull every far
-    // event that now fits. The popped event's time becomes `now_`
-    // immediately after, so no push can land before the new window.
-    win_lo_ = epoch_of(far_.front().time);
-    cursor_ = win_lo_;
-    while (!far_.empty() && epoch_of(far_.front().time) < win_lo_ + kWheelSize) {
-      std::pop_heap(far_.begin(), far_.end(), EventLater{});
-      Bucket& b = slot(epoch_of(far_.back().time));
-      b.ev.push_back(std::move(far_.back()));
-      far_.pop_back();
-      ++near_count_;
+  // A heap event due now predates every lane event (see simulation.h).
+  if (heap_.empty() || (heap_.front().time != now_ && lane_head_ < lane_.size())) {
+    const Event e = lane_[lane_head_++];
+    if (lane_head_ == lane_.size()) {
+      lane_.clear();
+      lane_head_ = 0;
     }
+    return e;
   }
-  peek_time();  // positions cursor_ on the earliest non-empty bucket, heaped
-  Bucket& b = slot(cursor_);
-  std::pop_heap(b.ev.begin(), b.ev.end(), EventLater{});
-  Event e = std::move(b.ev.back());
-  b.ev.pop_back();
-  if (b.ev.empty()) b.heaped = false;
-  --near_count_;
-  --size_;
-  return e;
+  const Event top = heap_.front();
+  const Event last = heap_.back();
+  heap_.pop_back();
+  std::size_t i = 0;  // sift `last` down; the children of slot i are 4i+1 .. 4i+4
+  for (std::size_t c; (c = 4 * i + 1) < heap_.size(); i = c) {
+    const std::size_t end = std::min(c + 4, heap_.size());
+    for (std::size_t k = c + 1; k < end; ++k) {
+      if (heap_[k].before(heap_[c])) c = k;
+    }
+    if (!heap_[c].before(last)) break;
+    heap_[i] = heap_[c];
+  }
+  if (!heap_.empty()) heap_[i] = last;
+  return top;
 }
 
 void Simulation::post_at(SimTime at, std::function<void()> fn) {
-  push_event(Event{at, next_seq_++, {}, std::move(fn)});
-}
-
-void Simulation::resume_at(SimTime at, std::coroutine_handle<> h) {
-  push_event(Event{at, next_seq_++, h, {}});
+  auto box = std::make_unique<Boxed>(std::move(fn));
+  call_at(at, &fire_boxed, box.get());
+  box.release();  // the queued event owns it now
 }
 
 void Simulation::spawn(Task task) {
@@ -127,23 +154,21 @@ void Simulation::check_failure() {
       detached_failure_ = t.handle_.promise().exception;
     }
   }
-  if (detached_failure_) {
-    std::exception_ptr e = std::exchange(detached_failure_, nullptr);
-    std::rethrow_exception(e);
-  }
+  if (detached_failure_) std::rethrow_exception(std::exchange(detached_failure_, nullptr));
 }
 
 void Simulation::run() { run_until(INT64_MAX); }
 
 void Simulation::run_until(SimTime deadline) {
-  while (size_ != 0) {
-    const SimTime top_time = peek_time();
-    if (top_time > deadline) {
+  if (deadline < now_) throw SimError("run_until: deadline is in the past");
+  while (!idle()) {
+    const SimTime next = lane_head_ < lane_.size() ? now_ : heap_.front().time;
+    if (next > deadline) {
       now_ = deadline;
       check_failure();
       return;
     }
-    Event e = pop_event();
+    const Event e = pop_event();
     now_ = e.time;
     ++events_dispatched_;
     if (digest_enabled_) {
@@ -157,7 +182,7 @@ void Simulation::run_until(SimTime deadline) {
     if (now_ >= probe_deadline_) {
       probe_deadline_ = probe_->on_advance(now_);
     }
-    e.fire();
+    e.fn(e.arg);
     if ((events_dispatched_ & 1023) == 0) reap_detached(/*force=*/false);
     if (detached_failure_) check_failure();
   }

@@ -6,25 +6,22 @@
 // resuming coroutines inline, which keeps wakeup order deterministic and
 // bounds native stack depth.
 //
-// Scalability (DESIGN.md §13): the event queue is an epoch-bucketed
-// calendar queue instead of one global binary heap. Near-future events
-// (within the wheel's ~4 ms window) are pushed O(1) into their epoch's
-// bucket; only the bucket currently being drained is kept heap-ordered,
-// and far-future events (timeouts, background periods) overflow into a
-// small auxiliary heap. Cluster-scale runs dispatch tens of millions of
-// events, almost all within microseconds of `now`, so push cost — not
-// pop cost — dominates; the wheel makes the hot path allocation-free
-// (coroutine resumptions carry a raw handle, no std::function) and
-// O(1) amortized. Dispatch order is STILL exactly (time, seq): the
-// bucketing only changes where an event waits, never when it fires.
+// Event queue (DESIGN.md §13): a 4-ary min-heap on (time, seq) plus a FIFO
+// lane for events due at `now()`. An event is 32 trivially-copyable bytes
+// (a function pointer and its argument), so a coroutine resume or a CPU
+// quantum allocates nothing; only std::function callers box a callable.
+// The lane keeps (time, seq) order exactly: a heap event due at `now()` was
+// pushed before the clock got there, so its seq is below every lane
+// event's, and dispatch takes the heap top if it is due now, else the lane
+// head, else the heap top.
 #pragma once
 
-#include <array>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -64,15 +61,26 @@ class Simulation {
 
   SimTime now() const { return now_; }
 
-  // Schedules `fn` to run at absolute time `at` (>= now).
+  // Schedules `fn` to run at absolute time `at` (>= now). The callable is
+  // boxed on the heap; hot paths use call_at() or resume_at() instead.
   void post_at(SimTime at, std::function<void()> fn);
 
   // Schedules `fn` to run after `delay` nanoseconds.
   void post(SimTime delay, std::function<void()> fn) { post_at(now_ + delay, std::move(fn)); }
 
+  // Schedules `fn(arg)` at absolute time `at` (>= now): no allocation.
+  // Whatever `arg` points to must stay valid until the event fires or the
+  // queue is cleared.
+  void call_at(SimTime at, void (*fn)(void*), void* arg) {
+    push_event(Event{at, next_seq_++, fn, arg});
+  }
+
   // Schedules a coroutine resumption. The handle must stay valid until
   // fired. This is the hot path: no std::function, no allocation.
-  void resume_at(SimTime at, std::coroutine_handle<> h);
+  void resume_at(SimTime at, std::coroutine_handle<> h) {
+    call_at(at, [](void* frame) { std::coroutine_handle<>::from_address(frame).resume(); },
+            h.address());
+  }
 
   // Detaches a task onto the simulation: it starts at the current time and
   // its frame is reaped when it completes. Exceptions escaping a detached
@@ -83,7 +91,8 @@ class Simulation {
   void run();
 
   // Runs until the queue drains or simulated time would exceed `deadline`;
-  // `now()` is clamped to `deadline` when the limit is hit.
+  // `now()` is clamped to `deadline` when the limit is hit. Throws SimError
+  // if `deadline` is before `now()`: the clock never runs backwards.
   void run_until(SimTime deadline);
 
   // Awaitable: `co_await sim.delay(d)` suspends for d nanoseconds.
@@ -96,8 +105,8 @@ class Simulation {
   };
   DelayAwaiter delay(SimTime d) { return DelayAwaiter{*this, d}; }
 
-  // Awaitable that yields control to the event loop at the current time
-  // (other events already queued for `now` run first).
+  // Awaitable that yields control to the event loop for 1 ns: every event
+  // queued for `now` runs first, and so does any event they post for `now`.
   DelayAwaiter yield() { return DelayAwaiter{*this, 1}; }
 
   // Number of events dispatched so far (exposed for tests/benchmarks).
@@ -123,7 +132,7 @@ class Simulation {
 
   // True when no events are pending (suspended coroutines may still exist:
   // an idle simulation with unfinished work is a deadlock).
-  bool idle() const { return size_ == 0; }
+  bool idle() const { return heap_.empty() && lane_head_ == lane_.size(); }
 
   // Drops every pending event and destroys every still-suspended detached
   // frame, in that order (events hold resumption handles into the frames).
@@ -139,47 +148,16 @@ class Simulation {
   struct Event {
     SimTime time;
     std::uint64_t seq;
-    std::coroutine_handle<> handle{};  // coroutine resumption (hot path)...
-    std::function<void()> fn{};        // ...or an arbitrary callback
-    void fire() const {
-      if (handle) {
-        handle.resume();
-      } else {
-        fn();
-      }
-    }
+    void (*fn)(void*);
+    void* arg;
+    bool before(const Event& o) const { return time < o.time || (time == o.time && seq < o.seq); }
   };
-  // Min-heap comparator: earliest (time, seq) at the top.
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
+  static_assert(sizeof(Event) == 32 && std::is_trivially_copyable_v<Event>);
 
-  // Calendar-queue geometry: 1024 buckets of 4096 ns cover a ~4.2 ms
-  // window. `win_lo_` is the absolute epoch (time >> kBucketBits) mapped
-  // to wheel slot `win_lo_ % kWheelSize`; events at or beyond the window
-  // go to the `far_` heap and are redistributed when the window slides.
-  static constexpr unsigned kBucketBits = 12;
-  static constexpr std::size_t kWheelSize = 1024;
-
-  struct Bucket {
-    std::vector<Event> ev;
-    bool heaped = false;  // true once this bucket became the drain target
-  };
-
-  static std::uint64_t epoch_of(SimTime t) {
-    return static_cast<std::uint64_t>(t) >> kBucketBits;
-  }
-  Bucket& slot(std::uint64_t epoch) { return wheel_[epoch % kWheelSize]; }
-
-  void push_event(Event e);
-  // Positions cursor_ on the earliest pending event and returns its time;
-  // call only when !idle(). Mutates cursor/heap state but removes nothing.
-  SimTime peek_time();
-  // Removes and returns the earliest event; call only after peek_time().
+  void push_event(const Event& e);
+  // Removes and returns the earliest event; call only when !idle().
   Event pop_event();
+  // Destroys every unfired boxed callable, then empties the queue.
   void clear_events();
 
   void reap_detached(bool force);
@@ -194,12 +172,9 @@ class Simulation {
   bool digest_enabled_ = false;
   std::uint64_t digest_ = 14695981039346656037ULL;  // FNV-1a offset basis
 
-  std::array<Bucket, kWheelSize> wheel_{};
-  std::uint64_t win_lo_ = 0;    // first epoch addressable by the wheel
-  std::uint64_t cursor_ = 0;    // epoch currently being drained (absolute)
-  std::size_t near_count_ = 0;  // events resident in the wheel
-  std::vector<Event> far_;      // min-heap of events beyond the window
-  std::size_t size_ = 0;        // near_count_ + far_.size()
+  std::vector<Event> heap_;  // 4-ary min-heap on (time, seq)
+  std::vector<Event> lane_;  // events due at now_, in seq order from lane_head_
+  std::size_t lane_head_ = 0;
 
   std::vector<Task> detached_;
   std::exception_ptr detached_failure_{};

@@ -115,13 +115,7 @@ class Semaphore {
     std::uint64_t need;
     std::coroutine_handle<> handle{};
 
-    bool await_ready() {
-      if (sem.waiters_.empty() && sem.count_ >= need) {
-        sem.count_ -= need;
-        return true;
-      }
-      return false;
-    }
+    bool await_ready() { return sem.try_acquire(need); }
     void await_suspend(std::coroutine_handle<> h) {
       handle = h;
       sem.waiters_.push_back(this);

@@ -12,10 +12,15 @@
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <utility>
 
 namespace vread::sim {
+
+// Coroutine frames come from a thread-local pool (simulation.cc).
+void* frame_alloc(std::size_t bytes);
+void frame_free(void* frame, std::size_t bytes) noexcept;
 
 class [[nodiscard]] Task {
  public:
@@ -29,6 +34,9 @@ class [[nodiscard]] Task {
     // reaps the frame after completion instead of an awaiting parent.
     bool detached = false;
     bool done_flag = false;
+
+    static void* operator new(std::size_t n) { return frame_alloc(n); }
+    static void operator delete(void* p, std::size_t n) noexcept { frame_free(p, n); }
 
     Task get_return_object() { return Task{Handle::from_promise(*this)}; }
     std::suspend_always initial_suspend() noexcept { return {}; }

@@ -312,7 +312,7 @@ TEST(FlowSim, CompletesEveryReadAndAccountsBytes) {
   EXPECT_GT(r.sim_seconds, 0.0);
   EXPECT_GT(r.aggregate_mb_s, 0.0);
   EXPECT_GT(r.epochs, 0u);
-  // Every completion is a calendar-queue event: the engine dispatched at
+  // Every completion is a queued event: the engine dispatched at
   // least one event per read plus the epoch ticks.
   EXPECT_GT(r.events_dispatched, cfg.reads);
 }

@@ -13,6 +13,8 @@
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "apps/cluster.h"
@@ -123,6 +125,62 @@ TEST(FaultRegistry, ResetRestoresBaselineSchedule) {
   EXPECT_EQ(r.hits("test.base"), 0u);   // counters zeroed
   r.set_baseline("");
   EXPECT_FALSE(r.armed("test.base"));
+}
+
+std::vector<std::tuple<std::string, std::uint64_t, std::uint64_t, bool>> rows_of(
+    const fault::Registry& r) {
+  std::vector<std::tuple<std::string, std::uint64_t, std::uint64_t, bool>> out;
+  for (const fault::Registry::Row& row : r.rows()) {
+    out.emplace_back(row.name, row.hits, row.fires, row.armed);
+  }
+  return out;
+}
+
+TEST(FaultRegistry, PointAndNameHitsAgreeAcrossResetAndBaseline) {
+  // One registry is driven through registered Points, the other through
+  // plain names; every decision, counter, row and hook call must match,
+  // including after reset() drops the state the Points had cached.
+  fault::Point det{"test.pt.det"};
+  fault::Point prob{"test.pt.prob"};
+  fault::Point quiet{"test.pt.quiet"};
+  fault::Registry by_point;
+  fault::Registry by_name;
+  std::vector<std::string> hooked[2];
+  int side = 0;
+  for (fault::Registry* r : {&by_point, &by_name}) {
+    r->seed(11);
+    r->set_baseline("test.pt.det:every=3,after=1;test.pt.prob:p=0.4,max=5");
+    r->set_fire_hook([&hooked, s = side++](const std::string& p) { hooked[s].push_back(p); });
+  }
+  for (int round = 0; round < 3; ++round) {
+    if (round == 2) {
+      by_point.arm(quiet, {.every = 2});
+      by_name.arm("test.pt.quiet", {.every = 2});
+    }
+    std::vector<bool> fired[2];
+    for (int i = 0; i < 40; ++i) {
+      for (fault::Point* pt : {&det, &prob, &quiet}) {
+        fired[0].push_back(by_point.should_fire(*pt));
+        fired[1].push_back(by_name.should_fire(std::string(*pt)));
+      }
+    }
+    EXPECT_EQ(fired[0], fired[1]) << "round " << round;
+    EXPECT_EQ(rows_of(by_point), rows_of(by_name)) << "round " << round;
+    EXPECT_EQ(by_point.hits(det), 40u);
+    EXPECT_EQ(by_point.fires(det), 13u);  // hits 2, 5, ..., 38
+    EXPECT_EQ(by_point.fires(quiet), round == 2 ? 20u : 0u);
+    by_point.reset();
+    by_name.reset();
+    EXPECT_EQ(by_point.hits(det), 0u);
+    EXPECT_TRUE(by_point.armed(det));
+  }
+  EXPECT_EQ(hooked[0], hooked[1]);
+  EXPECT_FALSE(hooked[0].empty());
+  // A Point that cached one registry's state never trusts it in another.
+  fault::Registry other;
+  EXPECT_FALSE(other.should_fire(det));
+  EXPECT_EQ(other.hits(det), 1u);
+  EXPECT_EQ(by_point.hits(det), 0u);
 }
 
 TEST(FaultRegistry, ScopedFaultRestoresGlobalBaseline) {

@@ -279,6 +279,25 @@ TEST(SimFs, GenerationBumpsOnEveryMutation) {
   EXPECT_GT(fs.generation(), g2);
 }
 
+TEST(SimFs, OverlongEntryNameThrowsBeforeTheDirectoryIsWritten) {
+  // Directory entries store the name length in a u16; a longer name used
+  // to be truncated into it silently, corrupting the directory.
+  EXPECT_THROW(layout::encode_dir({DirEntry{7, std::string(65'536, 'x')}}), FsError);
+  const std::string longest(65'535, 'y');
+  const std::vector<DirEntry> back = layout::decode_dir(layout::encode_dir({DirEntry{7, longest}}));
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0].name, longest);
+
+  auto img = make_image();
+  SimFs fs = SimFs::format(img);
+  fs.write_file("/keep", Buffer::deterministic(1, 0, 10));
+  EXPECT_THROW(fs.create("/" + std::string(70'000, 'z')), FsError);
+  const std::vector<DirEntry> root = fs.list("/");
+  ASSERT_EQ(root.size(), 1u);
+  EXPECT_EQ(root[0].name, "keep");
+  EXPECT_TRUE(fs.exists("/keep"));
+}
+
 TEST(SimFs, ImageFullThrows) {
   auto img = std::make_shared<DiskImage>(64 * 4096);  // tiny: 64 blocks
   SimFs fs = SimFs::format(img, 16);

@@ -6,6 +6,8 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/random.h"
@@ -84,6 +86,21 @@ TEST(Simulation, RunUntilStopsClockAtDeadline) {
   EXPECT_EQ(sim.now(), sec(1));
   sim.run();
   EXPECT_TRUE(fired);
+}
+
+TEST(Simulation, RunUntilPastDeadlineThrowsAndKeepsTheClock) {
+  Simulation sim;
+  bool fired = false;
+  sim.post_at(ms(10), [] {});
+  sim.post_at(ms(50), [&] { fired = true; });
+  sim.run_until(ms(20));
+  ASSERT_EQ(sim.now(), ms(20));
+  EXPECT_THROW(sim.run_until(ms(5)), SimError);
+  EXPECT_EQ(sim.now(), ms(20));
+  EXPECT_FALSE(fired);
+  sim.run();
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(sim.now(), ms(50));
 }
 
 Task delayer(Simulation& sim, std::vector<SimTime>& stamps) {
@@ -372,10 +389,10 @@ TEST(Determinism, DifferentSeedDifferentTrace) {
   EXPECT_NE(t1, t2);
 }
 
-// Calendar-queue internals (DESIGN.md §13): the wheel covers ~4.2 ms of
-// near future; events beyond it park in the far heap and migrate into the
-// wheel as the window slides. None of that machinery may be observable —
-// dispatch order must stay exactly (time, seq).
+// Ordering cases written against the former calendar queue (a ~4.2 ms
+// wheel plus a far heap, DESIGN.md §13). The engine is now one heap plus a
+// same-instant lane; these mixes of near, far and idle-gap times still pin
+// dispatch order to exactly (time, seq).
 
 TEST(CalendarQueue, FarFutureEventsCrossTheWindowInOrder) {
   // Times straddle the wheel boundary: some land in the current window,
@@ -454,6 +471,193 @@ TEST(CalendarQueue, IdleGapRebasesWindowCleanly) {
   ASSERT_EQ(fired.size(), 50u);
   for (std::size_t i = 1; i < fired.size(); ++i) EXPECT_LT(fired[i - 1], fired[i]);
   EXPECT_EQ(sim.now(), sec(63) + us(40));
+}
+
+// The same-instant lane (DESIGN.md §13): events posted for `now()` skip the
+// heap, but dispatch order must stay exactly (time, seq).
+
+TEST(EventLane, HeapEventDueNowRunsBeforeQueuedLaneEvents) {
+  // The ms(2) event was posted before the clock got to ms(2), so it
+  // precedes everything posted *at* ms(2), even though those sit in the
+  // lane before it is popped.
+  Simulation sim;
+  std::vector<std::string> order;
+  sim.post_at(ms(1), [&] {
+    order.push_back("a@1");
+    sim.post_at(ms(2), [&] { order.push_back("heap@2"); });
+  });
+  sim.post_at(ms(2), [&] {
+    order.push_back("b@2");
+    sim.post_at(ms(2), [&] { order.push_back("lane1@2"); });
+    sim.post_at(ms(2), [&] { order.push_back("lane2@2"); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"a@1", "b@2", "heap@2", "lane1@2", "lane2@2"}));
+}
+
+TEST(EventLane, PostAtNowFromALaneEventRunsAfterTheQueuedLane) {
+  Simulation sim;
+  std::vector<int> order;
+  sim.post_at(0, [&] {
+    order.push_back(0);
+    sim.post_at(0, [&] {
+      order.push_back(1);
+      sim.post_at(0, [&] { order.push_back(4); });
+    });
+    sim.post_at(0, [&] { order.push_back(2); });
+    sim.post_at(0, [&] { order.push_back(3); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(sim.now(), 0);
+}
+
+TEST(EventLane, RunUntilStopsAcrossTheLane) {
+  // Lane events at the deadline itself run; the heap event past it waits,
+  // and the clock parks exactly at the deadline.
+  Simulation sim;
+  std::vector<int> order;
+  sim.post_at(ms(3), [&] {
+    order.push_back(1);
+    sim.post_at(ms(3), [&] { order.push_back(2); });
+    sim.post_at(ms(3) + 1, [&] { order.push_back(3); });
+  });
+  sim.run_until(ms(3));
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sim.now(), ms(3));
+  EXPECT_FALSE(sim.idle());
+  sim.post_at(ms(3), [&] { order.push_back(4); });  // lane again, before the heap event
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 3}));
+}
+
+TEST(EventLane, LaneEventsKeepTheirSequenceNumbersInTheDigest) {
+  // The digest chains (time, seq) of every dispatch. Events that took the
+  // lane must hash exactly as the (time, seq) order says.
+  Simulation sim;
+  sim.enable_dispatch_digest();
+  sim.post_at(ms(1), [&sim] {                // seq 0 (heap)
+    for (int i = 0; i < 3; ++i) sim.post_at(ms(1), [] {});  // seq 2..4 (lane)
+  });
+  sim.post_at(ms(1), [] {});                 // seq 1 (heap, due with the lane)
+  sim.run();
+  std::uint64_t want = 14695981039346656037ULL;
+  for (std::uint64_t seq : {0, 1, 2, 3, 4}) {
+    want = (want ^ static_cast<std::uint64_t>(ms(1))) * 1099511628211ULL;
+    want = (want ^ seq) * 1099511628211ULL;
+  }
+  EXPECT_EQ(sim.events_dispatched(), 5u);
+  EXPECT_EQ(sim.dispatch_digest(), want);
+}
+
+// A callable that counts its destructions; moved-from copies do not count.
+struct DestroyCounter {
+  int* destroyed;
+  explicit DestroyCounter(int* d) : destroyed(d) {}
+  DestroyCounter(const DestroyCounter& o) : destroyed(o.destroyed) {}
+  DestroyCounter(DestroyCounter&& o) noexcept : destroyed(std::exchange(o.destroyed, nullptr)) {}
+  ~DestroyCounter() {
+    if (destroyed) ++*destroyed;
+  }
+  void operator()() const {}
+};
+
+TEST(EventLane, UnfiredCallablesAreDestroyedExactlyOnceOnShutdown) {
+  int destroyed = 0;
+  {
+    Simulation sim;
+    sim.post_at(0, DestroyCounter(&destroyed));       // lane
+    sim.post_at(ms(5), DestroyCounter(&destroyed));   // heap
+    sim.post_at(sec(9), DestroyCounter(&destroyed));  // heap
+    sim.run_until(ms(1));                             // fires (and frees) the first
+    EXPECT_EQ(destroyed, 1);
+    sim.post_at(ms(1), DestroyCounter(&destroyed));   // lane, unfired
+    sim.shutdown();
+    EXPECT_EQ(destroyed, 4);
+    EXPECT_TRUE(sim.idle());
+  }
+  EXPECT_EQ(destroyed, 4);  // the destructor's second shutdown() frees nothing twice
+}
+
+TEST(EventLane, PostIntoThePastFreesTheRejectedCallable) {
+  int destroyed = 0;
+  Simulation sim;
+  sim.post_at(ms(2), [] {});
+  sim.run();
+  EXPECT_THROW(sim.post_at(ms(1), DestroyCounter(&destroyed)), SimError);
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_TRUE(sim.idle());
+}
+
+TEST(EventLane, ThrowingCallableIsFreedAndRethrown) {
+  Simulation sim;
+  int destroyed = 0;
+  sim.post_at(ms(1), [d = DestroyCounter(&destroyed)] { throw std::runtime_error("boom"); });
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_EQ(destroyed, 1);
+}
+
+std::pair<std::uint64_t, std::uint64_t> digest_of_det_workload(std::uint64_t seed) {
+  Simulation sim;
+  sim.enable_dispatch_digest();
+  Mailbox<int> mb(sim);
+  Semaphore sem(sim, 2);
+  Rng rng(seed);
+  std::vector<Rng> rngs;
+  for (int i = 0; i < 4; ++i) rngs.push_back(rng.fork());
+  std::vector<std::int64_t> trace;
+  sim.spawn(det_drain(mb, trace, 80));
+  for (int i = 0; i < 4; ++i) {
+    sim.spawn(det_worker(sim, mb, sem, rngs[static_cast<size_t>(i)], trace, i));
+  }
+  sim.run();
+  return {sim.dispatch_digest(), sim.events_dispatched()};
+}
+
+TEST(FramePool, SimulationsOnTwoThreadsProduceIdenticalDigests) {
+  // Coroutine frames come from thread-local free lists; two engines on two
+  // threads must neither race on them nor see each other's frames.
+  const auto reference = digest_of_det_workload(77);
+  std::pair<std::uint64_t, std::uint64_t> got[2];
+  std::thread a([&] {
+    for (int i = 0; i < 20; ++i) got[0] = digest_of_det_workload(77);
+  });
+  std::thread b([&] {
+    for (int i = 0; i < 20; ++i) got[1] = digest_of_det_workload(77);
+  });
+  a.join();
+  b.join();
+  EXPECT_EQ(got[0], reference);
+  EXPECT_EQ(got[1], reference);
+  EXPECT_GT(reference.second, 100u);
+}
+
+Task frame_of_size(std::vector<char>& sink, int depth) {
+  char pad[512] = {};  // keeps the frame in a mid-size class across the await
+  pad[depth % 512] = static_cast<char>(depth);
+  if (depth > 0) co_await frame_of_size(sink, depth - 1);
+  sink.push_back(pad[depth % 512]);
+}
+
+Task big_frame(std::vector<char>& sink, Simulation& sim) {
+  char pad[4096] = {};  // past the largest class: plain operator new
+  pad[100] = 7;
+  co_await sim.delay(1);
+  sink.push_back(pad[100]);
+}
+
+TEST(FramePool, NestedAndOversizedFramesRoundTrip) {
+  Simulation sim;
+  std::vector<char> sink;
+  for (int round = 0; round < 3; ++round) {
+    sim.spawn(frame_of_size(sink, 40));
+    sim.spawn(big_frame(sink, sim));
+    sim.run();
+  }
+  ASSERT_EQ(sink.size(), 3u * 42u);
+  EXPECT_EQ(sink[0], 0);
+  EXPECT_EQ(sink[40], 40);
+  EXPECT_EQ(sink[41], 7);
 }
 
 }  // namespace

@@ -9,13 +9,17 @@ candidate set against a baseline set:
     tools/bench_compare.py bench/baseline out/ [--tolerance 2.0]
 
 Exit status is non-zero when any shared metric moved in the worse direction
-by more than the tolerance (percent).  Metrics present on only one side are
-reported but never fatal (new benches appear, old ones retire).  The
-simulator is deterministic, so the default tolerance is tight; it exists
-for intentional model retunes, not for noise.
+by more than the tolerance (percent), and when a baseline report or a
+baseline metric is missing from the candidate: a bench that stops reporting
+must not pass the gate.  A candidate given as one file is compared against
+that bench's baseline only.  Reports and metrics that only the candidate
+has are listed as new, never fatal.  The simulator is deterministic, so
+the default tolerance is tight; it exists for intentional model retunes,
+not for noise.
 
-`--self-test` runs the comparator against synthetic reports (including an
-injected regression) and exits non-zero if the verdicts are wrong.
+`--self-test` runs the comparator against synthetic reports (an injected
+regression, a missing report, a missing metric) and exits non-zero if the
+verdicts are wrong.
 """
 
 import argparse
@@ -57,7 +61,8 @@ def compare(baseline, candidate, tolerance):
     regressions = 0
     for bench in sorted(set(baseline) | set(candidate)):
         if bench not in candidate:
-            lines.append(f"[gone] {bench}: present only in baseline")
+            lines.append(f"[GONE] {bench}: baseline report missing from candidate")
+            regressions += 1
             continue
         if bench not in baseline:
             lines.append(f"[new]  {bench}: present only in candidate")
@@ -66,7 +71,8 @@ def compare(baseline, candidate, tolerance):
         cand_m = metric_map(candidate[bench])
         for name in sorted(set(base_m) | set(cand_m)):
             if name not in cand_m:
-                lines.append(f"[gone] {bench}.{name}")
+                lines.append(f"[GONE] {bench}.{name}: baseline metric missing from candidate")
+                regressions += 1
                 continue
             if name not in base_m:
                 lines.append(f"[new]  {bench}.{name} = {cand_m[name]['value']}")
@@ -117,9 +123,20 @@ def self_test():
     # Within tolerance: clean.
     _, n = compare(base, {"b": report("b", 99.0, "higher")}, 2.0)
     assert n == 0, "1% wiggle inside tolerance must pass"
-    # Missing metric on one side: reported, not fatal.
+    # Baseline metric missing from the candidate report: fatal.
     _, n = compare(base, {"b": {"schema": SCHEMA, "bench": "b", "metrics": []}}, 2.0)
-    assert n == 0, "missing metrics are informational"
+    assert n == 1, "a metric that drops out of a report must be flagged"
+    # Baseline report missing from the candidate set: fatal.
+    two = {"a": report("a", 5.0, "lower"), "b": report("b", 100.0, "higher")}
+    _, n = compare(two, {"b": report("b", 100.0, "higher")}, 2.0)
+    assert n == 1, "a report missing from the candidate must be flagged"
+    _, n = compare(two, {}, 2.0)
+    assert n == 2, "an empty candidate set must fail for every baseline report"
+    # New report or metric only in the candidate: informational.
+    extra = report("b", 100.0, "higher")
+    extra["metrics"].append({"name": "new", "value": 1.0, "better": "lower"})
+    _, n = compare(base, {"b": extra, "c": report("c", 1.0, "higher")}, 2.0)
+    assert n == 0, "new reports and metrics are informational"
     print("bench_compare self-test: OK")
     return 0
 
@@ -143,11 +160,14 @@ def main():
     candidate = load_reports(args.candidate)
     if not baseline:
         raise SystemExit(f"no BENCH_*.json reports under {args.baseline}")
+    if os.path.isfile(args.candidate):
+        baseline = {k: v for k, v in baseline.items() if k in candidate}
     lines, regressions = compare(baseline, candidate, args.tolerance)
     for line in lines:
         print(line)
     if regressions:
-        print(f"\n{regressions} regression(s) beyond {args.tolerance}% tolerance")
+        print(f"\n{regressions} failure(s): a metric worse by more than "
+              f"{args.tolerance}%, or a baseline report or metric missing")
         return 1
     print("\nno regressions")
     return 0
