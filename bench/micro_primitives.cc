@@ -4,6 +4,7 @@
 // executes millions of events per simulated second of a busy host).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -89,6 +90,42 @@ void BM_MailboxMultiWaiter(benchmark::State& state) {
 }
 BENCHMARK(BM_MailboxMultiWaiter);
 
+// One request of ShmChannel::call's pattern: the caller builds a
+// completion mailbox in its frame, parks on it, and the server answers
+// through it; the mailbox dies with the request.
+sim::Task per_request_caller(sim::Simulation& sim, sim::Mailbox<int>& requests,
+                             sim::Mailbox<std::uint64_t>** reply_to, int n) {
+  for (int i = 0; i < n; ++i) {
+    sim::Mailbox<std::uint64_t> reply(sim);
+    *reply_to = &reply;
+    requests.send(i);
+    std::uint64_t v = co_await reply.recv();
+    benchmark::DoNotOptimize(v);
+  }
+}
+
+sim::Task per_request_server(sim::Mailbox<int>& requests,
+                             sim::Mailbox<std::uint64_t>** reply_to, int n) {
+  for (int i = 0; i < n; ++i) {
+    const int id = co_await requests.recv();
+    (*reply_to)->send(static_cast<std::uint64_t>(id));
+  }
+}
+
+void BM_MailboxPerRequest(benchmark::State& state) {
+  const int kRequests = 1000;
+  for (auto _ : state) {
+    sim::Simulation sim;
+    sim::Mailbox<int> requests(sim);
+    sim::Mailbox<std::uint64_t>* reply_to = nullptr;
+    sim.spawn(per_request_server(requests, &reply_to, kRequests));
+    sim.spawn(per_request_caller(sim, requests, &reply_to, kRequests));
+    sim.run();
+  }
+  state.SetItemsProcessed(state.iterations() * kRequests);
+}
+BENCHMARK(BM_MailboxPerRequest);
+
 sim::Task sem_contender(sim::Semaphore& sem, int n) {
   for (int i = 0; i < n; ++i) {
     co_await sem.acquire();
@@ -144,6 +181,21 @@ void BM_PageCacheMissTrack(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 65536);
 }
 BENCHMARK(BM_PageCacheMissTrack);
+
+// A 1 MiB cache (256 pages) fed 64 KiB windows at advancing offsets:
+// once warm, every fill evicts 16 pages.
+void BM_PageCacheEvictingFill(benchmark::State& state) {
+  mem::PageCache cache(1ULL << 20);
+  std::uint64_t off = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.miss_bytes(1, off, 65536));
+    cache.fill(1, off, 65536);
+    off += 65536;
+  }
+  benchmark::DoNotOptimize(cache.evictions());
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 65536);
+}
+BENCHMARK(BM_PageCacheEvictingFill);
 
 void BM_SimFsSequentialRead(benchmark::State& state) {
   auto img = std::make_shared<fs::DiskImage>(64ULL << 20);

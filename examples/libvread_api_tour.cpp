@@ -25,7 +25,7 @@ sim::Task tour(core::LibVread& lib, std::string block, std::uint64_t block_bytes
   // vRead_open: obtain a descriptor for (block, datanode).
   std::uint64_t vfd = 0;
   Status st;
-  co_await lib.vread_open(block, "datanode1", vfd, st);
+  co_await lib.vread_open(sim::Name(block), "datanode1", vfd, st);
   check(st.ok() && vfd != 0, "vRead_open returns a descriptor for a visible block");
 
   // vRead_read: sequential reads advance the descriptor's offset.

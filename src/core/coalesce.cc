@@ -19,12 +19,11 @@ CoalesceMap::CoalesceMap(sim::Simulation& sim, const std::string& host)
       batch_h_(metrics_.histogram("vread_coalesce_batch_requests", {{"host", host}},
                                   "Fill reads per sealed disk submission batch")) {}
 
-CoalesceMap::FillPtr CoalesceMap::attach(const std::string& dn_id,
-                                         const std::string& block, std::uint64_t offset,
-                                         std::uint64_t len, const std::string& tenant) {
-  auto it = inflight_.find({dn_id, block});
-  if (it == inflight_.end()) return nullptr;
-  for (const FillPtr& f : it->second) {
+CoalesceMap::FillPtr CoalesceMap::attach(sim::Name dn_id, sim::Name block,
+                                         std::uint64_t offset, std::uint64_t len,
+                                         sim::Name tenant) {
+  for (const FillPtr& f : inflight_) {
+    if (f->dn_id != dn_id || f->block_name != block) continue;
     // Only full coverage qualifies: a partially-overlapping window would
     // force the waiter to issue a second read for the remainder, which
     // costs more than leading its own fill (the page cache already merges
@@ -39,9 +38,9 @@ CoalesceMap::FillPtr CoalesceMap::attach(const std::string& dn_id,
   return nullptr;
 }
 
-CoalesceMap::FillPtr CoalesceMap::begin(const std::string& dn_id,
-                                        const std::string& block, std::uint64_t offset,
-                                        std::uint64_t len, const std::string& tenant) {
+CoalesceMap::FillPtr CoalesceMap::begin(sim::Name dn_id, sim::Name block,
+                                        std::uint64_t offset, std::uint64_t len,
+                                        sim::Name tenant) {
   misses_.inc();
   auto fill = std::make_shared<Fill>(sim_);
   fill->dn_id = dn_id;
@@ -49,7 +48,7 @@ CoalesceMap::FillPtr CoalesceMap::begin(const std::string& dn_id,
   fill->offset = offset;
   fill->len = len;
   fill->tenants.push_back(tenant);
-  inflight_[{dn_id, block}].push_back(fill);
+  inflight_.push_back(fill);
   return fill;
 }
 
@@ -58,16 +57,11 @@ void CoalesceMap::complete(const FillPtr& fill, mem::Buffer data, Status status,
   // Out of the table FIRST: once complete, the window must not accrete new
   // waiters — a failed fill is retried single-flight by whichever request
   // arrives next, and a succeeded one is served by the block cache.
-  auto it = inflight_.find({fill->dn_id, fill->block_name});
-  if (it != inflight_.end()) {
-    auto& fills = it->second;
-    for (auto f = fills.begin(); f != fills.end(); ++f) {
-      if (*f == fill) {
-        fills.erase(f);
-        break;
-      }
+  for (auto f = inflight_.begin(); f != inflight_.end(); ++f) {
+    if (*f == fill) {
+      inflight_.erase(f);
+      break;
     }
-    if (fills.empty()) inflight_.erase(it);
   }
   fill->complete = true;
   fill->status = std::move(status);

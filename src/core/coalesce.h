@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,6 +37,7 @@
 #include "fault/status.h"
 #include "mem/buffer.h"
 #include "metrics/registry.h"
+#include "sim/name.h"
 #include "sim/simulation.h"
 #include "sim/sync.h"
 
@@ -47,8 +47,8 @@ class CoalesceMap {
  public:
   struct Fill {
     explicit Fill(sim::Simulation& sim) : done(sim) {}
-    std::string dn_id;
-    std::string block_name;
+    sim::Name dn_id;
+    sim::Name block_name;
     std::uint64_t offset = 0;  // window this fill will deliver
     std::uint64_t len = 0;
     sim::Event done;           // broadcast on completion (success or failure)
@@ -56,7 +56,7 @@ class CoalesceMap {
     mem::Buffer data;          // the window's bytes; empty unless ok + waiters
     Status status;             // what every waiter sees
     std::uint64_t fill_bytes = 0;     // bytes the backing store actually served
-    std::vector<std::string> tenants; // leader first, then each waiter
+    std::vector<sim::Name> tenants;   // leader first, then each waiter
     std::size_t waiters = 0;          // attached requests (leader excluded)
   };
   using FillPtr = std::shared_ptr<Fill>;
@@ -71,12 +71,12 @@ class CoalesceMap {
   // the fill is returned: co_await fill->done.wait(), then slice
   // fill->data. Returns nullptr when no covering fill is in flight — the
   // caller must lead one via begin().
-  FillPtr attach(const std::string& dn_id, const std::string& block,
-                 std::uint64_t offset, std::uint64_t len, const std::string& tenant);
+  FillPtr attach(sim::Name dn_id, sim::Name block, std::uint64_t offset, std::uint64_t len,
+                 sim::Name tenant);
 
   // Publishes a new in-flight fill for the window, led by `tenant`.
-  FillPtr begin(const std::string& dn_id, const std::string& block,
-                std::uint64_t offset, std::uint64_t len, const std::string& tenant);
+  FillPtr begin(sim::Name dn_id, sim::Name block, std::uint64_t offset, std::uint64_t len,
+                sim::Name tenant);
 
   // Completes a fill: on ok, `data` holds the window's bytes (stored only
   // if someone is waiting — the leader already has its copy); on failure
@@ -103,9 +103,11 @@ class CoalesceMap {
 
  private:
   sim::Simulation& sim_;
-  // (datanode, block) -> fills currently in flight. A vector, not a single
-  // slot: two non-overlapping windows of one block may fill concurrently.
-  std::map<std::pair<std::string, std::string>, std::vector<FillPtr>> inflight_;
+  // Fills currently in flight, in begin order. Two non-overlapping windows
+  // of one block may fill concurrently. The set is as small as the
+  // daemon's concurrency, so a scan comparing interned names beats a
+  // table and, once the vector has grown, allocates nothing.
+  std::vector<FillPtr> inflight_;
 
   metrics::MetricGroup metrics_;
   metrics::Counter& hits_;

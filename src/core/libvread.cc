@@ -31,8 +31,8 @@ sim::Task LibVread::call(ShmRequest req, ShmResponse& resp, trace::Ctx ctx) {
   }
 }
 
-sim::Task LibVread::open(const std::string& block_name, const std::string& datanode_id,
-                         std::uint64_t& vfd, Status& status, trace::Ctx ctx) {
+sim::Task LibVread::open(sim::Name block_name, sim::Name datanode_id, std::uint64_t& vfd,
+                         Status& status, trace::Ctx ctx) {
   auto& tr = trace::tracer();
   const trace::SpanId sp =
       tr.begin(ctx, trace::SpanKind::kStage, "vread-open", static_cast<int>(vm_.vcpu_tid()));
@@ -46,7 +46,9 @@ sim::Task LibVread::open(const std::string& block_name, const std::string& datan
   req.datanode_id = datanode_id;
   ShmResponse resp;
   co_await call(std::move(req), resp, ctx);
-  status = Status::from_wire(resp.status, block_name + "@" + datanode_id);
+  status = resp.status >= 0 ? Status::Ok()
+                            : Status::from_wire(resp.status,
+                                                block_name.str() + "@" + datanode_id.str());
   vfd = status.ok() ? resp.vfd : 0;
   tr.end(sp);
 }
@@ -90,7 +92,7 @@ sim::Task LibVread::close(std::uint64_t vfd) {
   offsets_.erase(vfd);
 }
 
-sim::Task LibVread::update(const std::string& datanode_id) {
+sim::Task LibVread::update(sim::Name datanode_id) {
   ShmRequest req;
   req.op = static_cast<int>(VReadOp::kUpdate);
   req.datanode_id = datanode_id;
@@ -98,9 +100,8 @@ sim::Task LibVread::update(const std::string& datanode_id) {
   co_await call(std::move(req), resp);
 }
 
-sim::Task LibVread::vread_open(const std::string& block_name,
-                               const std::string& datanode_id, std::uint64_t& vfd,
-                               Status& status) {
+sim::Task LibVread::vread_open(sim::Name block_name, sim::Name datanode_id,
+                               std::uint64_t& vfd, Status& status) {
   co_await open(block_name, datanode_id, vfd, status);
   if (status.ok()) offsets_[vfd] = 0;
 }

@@ -45,21 +45,21 @@ class LibVread : public hdfs::BlockReader {
                                      "Simulated time spent backing off between retries")) {}
 
   // ---- hdfs::BlockReader (offset-explicit, used by DFSClient) ----
-  sim::Task open(const std::string& block_name, const std::string& datanode_id,
-                 std::uint64_t& vfd, Status& status, trace::Ctx ctx = {}) override;
+  sim::Task open(sim::Name block_name, sim::Name datanode_id, std::uint64_t& vfd,
+                 Status& status, trace::Ctx ctx = {}) override;
   // Struct-form read (hdfs::ReadRequest carries tenant + coalesce/readahead
   // hints; they are stamped straight onto the shm request slot). The
   // positional overload from the base class stays visible as a shim.
   sim::Task read(const hdfs::ReadRequest& req, hdfs::ReadResult& res) override;
   using hdfs::BlockReader::read;
   sim::Task close(std::uint64_t vfd) override;
-  sim::Task update(const std::string& datanode_id) override;
+  sim::Task update(sim::Name datanode_id) override;
 
   // ---- Table 1 API (descriptor carries a file offset, like a POSIX fd) ----
   // Obtains the descriptor in `vfd` (0 on failure, matching "vRead
   // descriptor" semantics where HDFS falls back when none is obtained).
-  sim::Task vread_open(const std::string& block_name, const std::string& datanode_id,
-                       std::uint64_t& vfd, Status& status);
+  sim::Task vread_open(sim::Name block_name, sim::Name datanode_id, std::uint64_t& vfd,
+                       Status& status);
   // Reads up to `len` bytes at the descriptor's current offset; on ok the
   // bytes are in `out` and the offset advances by out.size().
   sim::Task vread_read(std::uint64_t vfd, std::uint64_t len, mem::Buffer& out,
@@ -74,8 +74,8 @@ class LibVread : public hdfs::BlockReader {
 
   // QoS accounting identity stamped on every request (defaults to the
   // client VM's name); override to attribute a stream to another tenant.
-  void set_tenant(std::string tenant) { tenant_ = std::move(tenant); }
-  const std::string& tenant() const { return tenant_; }
+  void set_tenant(sim::Name tenant) { tenant_ = tenant; }
+  sim::Name tenant() const { return tenant_; }
 
   // Degradation counters: shm calls re-issued after a retryable failure,
   // and calls that exhausted the retry budget without success.
@@ -92,7 +92,7 @@ class LibVread : public hdfs::BlockReader {
   virt::Vm& vm_;
   virt::ShmChannel& channel_;
   RetryPolicy retry_;
-  std::string tenant_{vm_.name()};
+  sim::Name tenant_{vm_.name()};
   std::unordered_map<std::uint64_t, std::uint64_t> offsets_;  // vfd -> file offset
   std::uint64_t next_req_ = 1;
   metrics::MetricGroup metrics_;

@@ -22,12 +22,12 @@ QosScheduler::QosScheduler(sim::Simulation& sim, QosConfig config, std::string h
   }
 }
 
-QosScheduler::Tenant& QosScheduler::tenant(const std::string& name) {
-  auto it = tenants_.find(name);
-  if (it != tenants_.end()) return *it->second;
+QosScheduler::Tenant& QosScheduler::tenant(sim::Name name) {
+  if (auto it = index_.find(name); it != index_.end()) return *it->second;
   auto t = std::make_unique<Tenant>();
   t->name = name;
   t->weight = config_.weight(name);
+  t->queue_cap = config_.queue_cap(name);
   const metrics::Labels labels{{"host", host_}, {"tenant", name}};
   t->requests = &metrics_.counter("vread_tenant_requests_total", labels,
                                   "Requests admitted to the QoS queue, by tenant");
@@ -45,6 +45,7 @@ QosScheduler::Tenant& QosScheduler::tenant(const std::string& name) {
                              "Requests queued for a worker (high = deepest)");
   Tenant& ref = *t;
   tenants_[name] = std::move(t);
+  index_.emplace(name, &ref);
   return ref;
 }
 
@@ -54,9 +55,9 @@ std::uint64_t QosScheduler::cost(const virt::ShmRequest& req) const {
   return std::max(req.len, config_.min_request_cost);
 }
 
-bool QosScheduler::submit(const std::string& tenant_name, Item item) {
+bool QosScheduler::submit(sim::Name tenant_name, Item item) {
   Tenant& t = tenant(tenant_name);
-  const std::size_t cap = config_.queue_cap(tenant_name);
+  const std::size_t cap = t.queue_cap;
   if ((cap > 0 && t.queue.size() >= cap) ||
       fault::registry().should_fire(fault::points::kAdmissionShed)) {
     t.shed->inc();
@@ -138,15 +139,15 @@ sim::Task QosScheduler::next(Item& out) {
   }
 }
 
-void QosScheduler::account_bytes(const std::string& tenant_name, std::uint64_t n) {
+void QosScheduler::account_bytes(sim::Name tenant_name, std::uint64_t n) {
   tenant(tenant_name).bytes->inc(n);
 }
 
-void QosScheduler::uncharge_bytes(const std::string& tenant_name, std::uint64_t n) {
+void QosScheduler::uncharge_bytes(sim::Name tenant_name, std::uint64_t n) {
   tenant(tenant_name).uncharged->inc(n);
 }
 
-void QosScheduler::charge_fill(const std::string& tenant_name, std::uint64_t n) {
+void QosScheduler::charge_fill(sim::Name tenant_name, std::uint64_t n) {
   tenant(tenant_name).fill_bytes->inc(n);
 }
 

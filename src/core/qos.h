@@ -27,10 +27,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "metrics/registry.h"
 #include "obs/flight_recorder.h"
+#include "sim/name.h"
 #include "sim/sync.h"
 #include "virt/shm_channel.h"
 
@@ -121,7 +123,7 @@ class QosScheduler {
   // (or the core.daemon.admission_shed fault fires): the item is dropped,
   // vread_tenant_shed_total increments, and the caller answers the client
   // with kOverloaded. FIFO within a tenant.
-  bool submit(const std::string& tenant, Item item);
+  bool submit(sim::Name tenant, Item item);
 
   // Dequeues the next item in weighted-DRR order; suspends until one is
   // queued. Any number of workers may wait concurrently (FIFO wakeups).
@@ -129,14 +131,14 @@ class QosScheduler {
 
   // Payload bytes delivered for `tenant` (called by the daemon's stream
   // paths as chunks land in the ring).
-  void account_bytes(const std::string& tenant, std::uint64_t n);
+  void account_bytes(sim::Name tenant, std::uint64_t n);
 
   // Un-charges payload bytes a cancelled hedge leg had already delivered
   // (DESIGN.md §16): the winner's bytes are the read's true cost, so the
   // loser's partial stream must not count against the tenant's share. The
   // charge and un-charge are separate monotonic counters — effective
   // usage is bytes(t) - uncharged(t) — so both sides stay auditable.
-  void uncharge_bytes(const std::string& tenant, std::uint64_t n);
+  void uncharge_bytes(sim::Name tenant, std::uint64_t n);
 
   // Backing-store cost of a merged fill, attributed to `tenant`. The
   // coalescing leader splits the fill's disk/wire bytes across every
@@ -144,7 +146,7 @@ class QosScheduler {
   // charges always sum to the bytes the backing store actually served —
   // fairness is preserved under merging instead of billing the leader
   // for everybody's fill.
-  void charge_fill(const std::string& tenant, std::uint64_t n);
+  void charge_fill(sim::Name tenant, std::uint64_t n);
 
   // Observability (DESIGN.md §14): sheds are recorded as flight events
   // (tenant, queue depth at rejection) when a recorder is wired. Passive.
@@ -164,8 +166,9 @@ class QosScheduler {
 
  private:
   struct Tenant {
-    std::string name;
+    sim::Name name;
     double weight = 1.0;
+    std::size_t queue_cap = 0;  // config().queue_cap(name), cached
     std::uint64_t deficit = 0;
     bool in_active = false;
     std::deque<Item> queue;
@@ -177,7 +180,7 @@ class QosScheduler {
     metrics::Gauge* depth = nullptr;
   };
 
-  Tenant& tenant(const std::string& name);
+  Tenant& tenant(sim::Name name);
   std::uint64_t cost(const virt::ShmRequest& req) const;
 
   QosConfig config_;
@@ -186,6 +189,9 @@ class QosScheduler {
   // Stable addresses: the active ring and in-flight dispatches hold
   // Tenant pointers across lazy tenant creation.
   std::map<std::string, std::unique_ptr<Tenant>> tenants_;
+  // The same tenants by interned name: the per-request lookup. Pointer-
+  // hashed and never iterated (stats() walks tenants_ in name order).
+  std::unordered_map<sim::Name, Tenant*, sim::Name::Hash> index_;
   std::deque<Tenant*> active_;  // tenants with queued work, DRR ring order
   sim::Semaphore ready_;        // counts queued items across all tenants
   metrics::MetricGroup metrics_;

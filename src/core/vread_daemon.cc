@@ -401,7 +401,7 @@ void VReadDaemon::subscribe(hdfs::NameNode& nn) {
 
 virt::ShmChannel& VReadDaemon::attach_client(virt::Vm& client_vm) {
   auto port = std::make_unique<ClientPort>();
-  port->tenant = client_vm.name();
+  port->tenant = sim::Name(client_vm.name());
   // Per-tenant shm pipeline depth override (QoS isolation of the slot
   // budget); the channel's own semaphore enforces it.
   std::size_t outstanding = config_.shm_max_outstanding;
@@ -465,7 +465,7 @@ sim::Task VReadDaemon::pump(ClientPort& port) {
     const std::uint64_t rid = req.id;
     const std::uint64_t vfd = req.vfd;
     const trace::Ctx ctx = req.ctx;
-    const std::string tenant = req.tenant;
+    const sim::Name tenant = req.tenant;
     QosScheduler::Item item{std::move(req), port.channel.get()};
     if (!qos_->submit(tenant, std::move(item))) {
       // Shed: answer immediately with a typed retryable status. Spawned so
@@ -627,15 +627,14 @@ sim::Task VReadDaemon::handle(virt::ShmChannel& channel, hw::ThreadId tid,
   co_await channel.respond(tid, std::move(resp), /*charge_copy=*/true, ctx);
 }
 
-sim::Task VReadDaemon::local_open(hw::ThreadId tid, const std::string& dn_id,
-                                  const std::string& block_name, std::uint64_t& vfd,
-                                  Status& status, trace::Ctx ctx) {
+sim::Task VReadDaemon::local_open(hw::ThreadId tid, sim::Name dn_id, sim::Name block_name,
+                                  std::uint64_t& vfd, Status& status, trace::Ctx ctx) {
   const hw::CostModel& cm = host_.costs();
   co_await host_.cpu().consume(tid, cm.vread_open_daemon, CycleCategory::kOther, ctx);
   const LocalMount& lm = local_mounts_.at(dn_id);
   std::shared_ptr<fs::LoopMount> mount_ptr = lm.mount;
   fs::LoopMount& mount = *mount_ptr;
-  const std::string path = lm.dir + "/" + block_name;
+  const std::string path = lm.dir + "/" + block_name.str();
   std::optional<fs::Inode> ino = mount.lookup(path);
   if (ino) {
     mount_lookup_hits_.inc();
@@ -908,7 +907,7 @@ sim::Task VReadDaemon::probe_cache(hw::ThreadId tid, const std::string& dn,
 }
 
 sim::Task VReadDaemon::join_fill(hw::ThreadId tid, const Descriptor& d, std::uint64_t off,
-                                 std::uint64_t n, const std::string& tenant, trace::Ctx ctx,
+                                 std::uint64_t n, sim::Name tenant, trace::Ctx ctx,
                                  const char* site, bool& joined, Chunk& c) {
   CoalesceMap::FillPtr f = coalesce_->attach(d.dn_id, d.block_name, off, n, tenant);
   if (!f) co_return;
@@ -947,7 +946,7 @@ void VReadDaemon::finish_fill(hw::ThreadId tid, trace::Ctx ctx,
 }
 
 void VReadDaemon::cache_if_current(const Descriptor& d, std::uint64_t off,
-                                   const mem::Buffer& data, const std::string& tenant,
+                                   const mem::Buffer& data, sim::Name tenant,
                                    std::uint64_t epoch) {
   if (!peer_dir_->publish_if_current(this, d.dn_id, d.block_name, epoch)) return;
   if (cache_.insert(d.dn_id, d.block_name, off, data, tenant)) {
@@ -1119,10 +1118,9 @@ sim::Task VReadDaemon::peer_fetch(hw::ThreadId tid, const std::string& dn,
   peer_fallbacks_.inc();
 }
 
-sim::Task VReadDaemon::remote_open(hw::ThreadId tid, VReadDaemon* peer,
-                                   const std::string& dn_id,
-                                   const std::string& block_name,
-                                   std::uint64_t& peer_vfd, std::uint64_t& size_out,
+sim::Task VReadDaemon::remote_open(hw::ThreadId tid, VReadDaemon* peer, sim::Name dn_id,
+                                   sim::Name block_name, std::uint64_t& peer_vfd,
+                                   std::uint64_t& size_out,
                                    Status& status, trace::Ctx ctx) {
   auto& tr = trace::tracer();
   const RetryPolicy& policy = config_.remote_retry;
@@ -1331,7 +1329,7 @@ sim::Task VReadDaemon::stream_remote_read(virt::ShmChannel& channel, hw::ThreadI
   const std::uint64_t len = req.len;
   // The peer-side cache insert is attributed to the requesting tenant (its
   // identity crosses the wire in the control message).
-  const std::string tenant = req.tenant;
+  const sim::Name tenant = req.tenant;
   // Per-request hints cross the wire in the control message: the peer's
   // local path honors the same coalesce/readahead intent as a local read.
   const bool coalesce_hint = req.coalesce;

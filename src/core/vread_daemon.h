@@ -353,8 +353,8 @@ class VReadDaemon {
   };
 
   struct Descriptor {
-    std::string dn_id;
-    std::string block_name;
+    sim::Name dn_id;
+    sim::Name block_name;
     bool remote = false;
     // Local: the snapshot inode held open (like an fd holding an inode);
     // shared ownership keeps in-flight descriptors valid across a
@@ -384,7 +384,7 @@ class VReadDaemon {
     std::unique_ptr<virt::ShmChannel> channel;
     // Default tenant identity for requests on this channel (the client
     // VM's name); requests may carry their own via ShmRequest::tenant.
-    std::string tenant;
+    sim::Name tenant;
     // The per-VM daemon worker threads serving this channel (the paper's
     // per-VM worker, times DaemonConfig::workers). With QoS enabled the
     // same threads join the daemon-wide shared pool instead.
@@ -417,7 +417,7 @@ class VReadDaemon {
   // (ReadRequest on the guest side), or from the control message of a
   // remote read on the owner side.
   struct ReadHints {
-    const std::string& tenant;  // QoS identity the cache insert is charged to
+    sim::Name tenant;       // QoS identity the cache insert is charged to
     trace::Ctx ctx;
     bool coalesce = true;   // may join or lead a merged fill (§12)
     bool readahead = true;  // may use the mount's sequential readahead
@@ -485,8 +485,8 @@ class VReadDaemon {
   // into `c` (or takes its failure). Returns at once otherwise, and the
   // caller leads a fill itself. `site` labels the flight-recorder merge.
   sim::Task join_fill(hw::ThreadId tid, const Descriptor& d, std::uint64_t off,
-                      std::uint64_t n, const std::string& tenant, trace::Ctx ctx,
-                      const char* site, bool& joined, Chunk& c);
+                      std::uint64_t n, sim::Name tenant, trace::Ctx ctx, const char* site,
+                      bool& joined, Chunk& c);
   // Completes a led fill with the chunk's outcome: marks the fan-out,
   // wakes every waiter and splits the backing-store bytes across tenants.
   void finish_fill(hw::ThreadId tid, trace::Ctx ctx, const CoalesceMap::FillPtr& fill,
@@ -496,7 +496,7 @@ class VReadDaemon {
   // reader (they were valid at `epoch` — read-time semantics) but neither
   // cached nor advertised.
   void cache_if_current(const Descriptor& d, std::uint64_t off, const mem::Buffer& data,
-                        const std::string& tenant, std::uint64_t epoch);
+                        sim::Name tenant, std::uint64_t epoch);
   // One device read of `bytes`, recorded as a disk span. `batched` joins
   // the coalescing submission window; direct-mode reads bypass it.
   sim::Task disk_read(std::uint64_t bytes, bool batched, trace::Ctx ctx);
@@ -527,17 +527,16 @@ class VReadDaemon {
                             std::uint64_t delivered);
 
   // --- local operations (run on `tid`, a daemon-side thread) ---
-  sim::Task local_open(hw::ThreadId tid, const std::string& dn_id,
-                       const std::string& block_name, std::uint64_t& vfd,
-                       Status& status, trace::Ctx ctx = {});
+  sim::Task local_open(hw::ThreadId tid, sim::Name dn_id, sim::Name block_name,
+                       std::uint64_t& vfd, Status& status, trace::Ctx ctx = {});
   sim::Task local_refresh(hw::ThreadId tid, const std::string& dn_id);
 
   // --- remote (daemon-to-daemon) operations, called on a local worker ---
   // `size_out` reports the peer inode's snapshot size (riding the existing
   // reply message), so the requester can chop remote streams at the same
   // points the peer's local path caches at.
-  sim::Task remote_open(hw::ThreadId tid, VReadDaemon* peer, const std::string& dn_id,
-                        const std::string& block_name, std::uint64_t& peer_vfd,
+  sim::Task remote_open(hw::ThreadId tid, VReadDaemon* peer, sim::Name dn_id,
+                        sim::Name block_name, std::uint64_t& peer_vfd,
                         std::uint64_t& size_out, Status& status, trace::Ctx ctx = {});
 
   // Peer-cache fetch (§15): directory lookup, then up to

@@ -16,6 +16,7 @@
 #include "fault/status.h"
 #include "hdfs/read_request.h"
 #include "mem/buffer.h"
+#include "sim/name.h"
 #include "sim/task.h"
 #include "trace/tracer.h"
 
@@ -31,8 +32,10 @@ class BlockReader {
   // socket path; `vfd` is 0 in that case.
   // `ctx` carries the caller's trace context through the shortcut (all
   // implementations must propagate it; {} = untraced).
-  virtual sim::Task open(const std::string& block_name, const std::string& datanode_id,
-                         std::uint64_t& vfd, Status& status, trace::Ctx ctx = {}) = 0;
+  // Names are interned (sim::Name) where the block and datanode first
+  // appear, so opening never builds one from a string.
+  virtual sim::Task open(sim::Name block_name, sim::Name datanode_id, std::uint64_t& vfd,
+                         Status& status, trace::Ctx ctx = {}) = 0;
 
   // vRead_read: reads up to `req.len` bytes at `req.offset` of the block
   // file named by `req.vfd`. On ok, `res.data` holds the bytes (possibly
@@ -63,7 +66,7 @@ class BlockReader {
 
   // vRead_update: refreshes the daemon's view of a datanode's filesystem
   // after a block create/delete/rename (called from the write path).
-  virtual sim::Task update(const std::string& datanode_id) = 0;
+  virtual sim::Task update(sim::Name datanode_id) = 0;
 };
 
 }  // namespace vread::hdfs

@@ -18,7 +18,8 @@ sim::Task DfsClient::write_block(const std::string& path,
   co_await nn_.rpc_from(vm_);
   BlockInfo& blk = nn_.add_block(path, pipeline);
   const std::uint64_t block_id = blk.id;
-  const std::string block_name = blk.name;
+  const sim::Name block_name = blk.name;
+  const std::vector<sim::Name> replicas = blk.locations;
   const std::uint64_t n = data.size();
 
   // Head-of-pipeline write: stream the block to the first datanode.
@@ -50,7 +51,7 @@ sim::Task DfsClient::write_block(const std::string& path,
   // vRead_update at the end of the standard append path (paper §4): the
   // daemon's mount of every replica holder is refreshed.
   if (reader_ != nullptr) {
-    for (const std::string& dn : pipeline) co_await reader_->update(dn);
+    for (const sim::Name dn : replicas) co_await reader_->update(dn);
   }
 }
 
@@ -154,17 +155,17 @@ sim::Task DfsClient::open(const std::string& path, std::unique_ptr<DfsInputStrea
 sim::Task DfsClient::remove(const std::string& path) {
   co_await nn_.rpc_from(vm_);
   // Collect replica holders before the metadata disappears.
-  std::vector<std::string> holders;
+  std::vector<sim::Name> holders;
   for (const BlockInfo& b : nn_.all_blocks(path)) {
-    for (const std::string& dn : b.locations) holders.push_back(dn);
+    holders.insert(holders.end(), b.locations.begin(), b.locations.end());
   }
   nn_.remove_file(path);
   if (reader_ != nullptr) {
-    for (const std::string& dn : holders) co_await reader_->update(dn);
+    for (const sim::Name dn : holders) co_await reader_->update(dn);
   }
 }
 
-cluster::PathTier DfsClient::replica_tier(const std::string& dn) {
+cluster::PathTier DfsClient::replica_tier(sim::Name dn) {
   virt::Vm* dn_vm = net_.find_vm(dn);
   if (dn_vm == nullptr) return cluster::PathTier::kCrossRack;
   if (&dn_vm->host() == &vm_.host()) return cluster::PathTier::kSameHost;
@@ -174,9 +175,9 @@ cluster::PathTier DfsClient::replica_tier(const std::string& dn) {
              : cluster::PathTier::kCrossRack;
 }
 
-const std::string& DfsClient::choose_replica(const BlockInfo& blk) {
+sim::Name DfsClient::choose_replica(const BlockInfo& blk) {
   if (selector_ == nullptr) {
-    for (const std::string& dn : blk.locations) {
+    for (const sim::Name dn : blk.locations) {
       virt::Vm* dn_vm = net_.find_vm(dn);
       if (dn_vm != nullptr && &dn_vm->host() == &vm_.host()) return dn;
     }
@@ -184,8 +185,8 @@ const std::string& DfsClient::choose_replica(const BlockInfo& blk) {
   }
   std::vector<cluster::ReplicaSelector::Candidate> cands;
   cands.reserve(blk.locations.size());
-  for (const std::string& dn : blk.locations) {
-    cands.push_back({&dn, replica_tier(dn)});
+  for (const sim::Name dn : blk.locations) {
+    cands.push_back({&dn.str(), replica_tier(dn)});
   }
   const std::size_t pick = selector_->choose(vm_.host().sim().now(), cands);
   if (selector_->last_avoided_overload()) route_overload_avoided_.inc();
@@ -203,7 +204,7 @@ const std::string& DfsClient::choose_replica(const BlockInfo& blk) {
   return blk.locations[pick];
 }
 
-void DfsClient::route_feedback(const std::string& dn, std::uint64_t bytes) {
+void DfsClient::route_feedback(sim::Name dn, std::uint64_t bytes) {
   if (selector_ == nullptr) return;
   if (replica_tier(dn) == cluster::PathTier::kCrossRack) {
     route_cross_rack_bytes_.inc(bytes);
@@ -214,7 +215,7 @@ void DfsClient::route_feedback(const std::string& dn, std::uint64_t bytes) {
   }
 }
 
-void DfsClient::route_overload(const std::string& dn) {
+void DfsClient::route_overload(sim::Name dn) {
   if (selector_ == nullptr) return;
   selector_->report_overload(vm_.host().sim().now(), dn);
   route_feedback_.inc();
@@ -256,7 +257,7 @@ sim::Task DfsClient::fetch_block_range(const BlockInfo& blk,
   const std::int64_t actual = r.i64();
   if (actual < 0) {
     cc.mutex->release();
-    throw HdfsError("datanode " + datanode_id + " missing " + blk.name);
+    throw HdfsError("datanode " + datanode_id + " missing " + blk.name.str());
   }
   co_await conn.recv_exact(static_cast<std::uint64_t>(actual), out,
                            CycleCategory::kClientApp, ctx);
@@ -267,7 +268,7 @@ sim::Task DfsClient::fetch_block_range(const BlockInfo& blk,
   cc.mutex->release();
 }
 
-metrics::Histogram& DfsClient::hedge_route_latency(const std::string& dn) {
+metrics::Histogram& DfsClient::hedge_route_latency(sim::Name dn) {
   auto it = hedge_lat_.find(dn);
   if (it != hedge_lat_.end()) return *it->second;
   metrics::Histogram& h = metrics_.histogram(
@@ -277,20 +278,20 @@ metrics::Histogram& DfsClient::hedge_route_latency(const std::string& dn) {
   return h;
 }
 
-sim::SimTime DfsClient::hedge_delay(const std::string& dn) {
+sim::SimTime DfsClient::hedge_delay(sim::Name dn) {
   const metrics::Histogram& h = hedge_route_latency(dn);
   if (h.count() < hedge_.warmup) return hedge_.max_delay;
   const auto q = static_cast<sim::SimTime>(h.percentile(hedge_.quantile));
   return std::clamp(q, hedge_.min_delay, hedge_.max_delay);
 }
 
-std::string DfsClient::hedge_replica(const BlockInfo& blk, const std::string& primary) {
+sim::Name DfsClient::hedge_replica(const BlockInfo& blk, sim::Name primary) {
   // Cheapest-tier non-primary location, ties broken by pipeline order.
   // Deliberately selector-free: consulting ReplicaSelector::choose() here
   // would advance its rng and counters, perturbing primary routing.
-  std::string best;
+  sim::Name best;
   int best_tier = std::numeric_limits<int>::max();
-  for (const std::string& loc : blk.locations) {
+  for (const sim::Name loc : blk.locations) {
     if (loc == primary) continue;
     const int t = static_cast<int>(replica_tier(loc));
     if (t < best_tier) {
@@ -365,7 +366,7 @@ sim::Task DfsInputStream::read_positional(const ReadRequest& req, ReadResult& re
   std::vector<BlockInfo> range =
       client_.nn_.get_block_locations(path_, position, len);
   struct Part {
-    BlockInfo blk;
+    const BlockInfo* blk;  // into `range`, which outlives every part
     std::uint64_t off;
     std::uint64_t n;
   };
@@ -376,7 +377,7 @@ sim::Task DfsInputStream::read_positional(const ReadRequest& req, ReadResult& re
     if (remaining == 0) break;
     const std::uint64_t start = pos - blk.offset_in_file;
     const std::uint64_t bytes_to_read = std::min(remaining, blk.size - start);
-    parts.push_back(Part{blk, start, bytes_to_read});
+    parts.push_back(Part{&blk, start, bytes_to_read});
     remaining -= bytes_to_read;
     pos += bytes_to_read;
   }
@@ -392,7 +393,7 @@ sim::Task DfsInputStream::read_positional(const ReadRequest& req, ReadResult& re
       for (int attempt = 1;; ++attempt) {
         part = mem::Buffer();
         try {
-          co_await read_block_range(p.blk, p.off, p.n, part, /*sequential=*/false, req);
+          co_await read_block_range(*p.blk, p.off, p.n, part, /*sequential=*/false, req);
           break;
         } catch (...) {
           if (attempt >= kPreadPartAttempts) throw;
@@ -419,7 +420,7 @@ sim::Task DfsInputStream::read_positional(const ReadRequest& req, ReadResult& re
     co_await gate.acquire();
     // `req` lives in our caller's frame, which stays alive until the latch
     // releases us — safe to hand the legs a pointer.
-    sim.spawn(pread_part(parts[i].blk, parts[i].off, parts[i].n, &req, &bufs[i],
+    sim.spawn(pread_part(*parts[i].blk, parts[i].off, parts[i].n, &req, &bufs[i],
                          &errs[i], &gate, &latch));
   }
   co_await latch.wait();
@@ -454,7 +455,7 @@ sim::Task DfsInputStream::read_block_range_impl(const BlockInfo& blk, std::uint6
                                                 bool sequential, const ReadRequest& opts,
                                                 const LegOpts* leg) {
   DfsClient& c = client_;
-  const std::string dn =
+  const sim::Name dn =
       leg != nullptr && !leg->dn.empty() ? leg->dn : c.choose_replica(blk);
   auto& tr = trace::tracer();
   const int app_tid = static_cast<int>(c.vm().vcpu_tid());
@@ -466,7 +467,7 @@ sim::Task DfsInputStream::read_block_range_impl(const BlockInfo& blk, std::uint6
   // HDFS Short-Circuit Local Read: replica in this very VM -> read the
   // block file straight off the local filesystem.
   if (c.short_circuit_) {
-    for (const std::string& loc : blk.locations) {
+    for (const sim::Name loc : blk.locations) {
       if (loc == c.vm().name()) {
         auto ino = c.vm().fs().lookup(DataNode::block_path(blk.name));
         if (ino.has_value()) {
@@ -589,8 +590,8 @@ sim::Task DfsInputStream::read_block_range_impl(const BlockInfo& blk, std::uint6
   const trace::SpanId sock_sp =
       tr.begin(ctx, trace::SpanKind::kStage, "socket-read", app_tid);
   const trace::Ctx sctx = sock_sp != 0 ? ctx.under(sock_sp) : ctx;
-  std::vector<std::string> candidates{dn};
-  for (const std::string& loc : blk.locations) {
+  std::vector<sim::Name> candidates{dn};
+  for (const sim::Name loc : blk.locations) {
     if (loc != dn) candidates.push_back(loc);
   }
   for (std::size_t i = 0; i < candidates.size(); ++i) {
@@ -628,7 +629,7 @@ sim::Task DfsInputStream::read_block_range(const BlockInfo& blk, std::uint64_t o
   if (hedged && c.short_circuit_) {
     // A replica in this very VM short-circuits to a local file read —
     // nothing to hedge against.
-    for (const std::string& loc : blk.locations) {
+    for (const sim::Name loc : blk.locations) {
       if (loc == c.vm().name()) {
         hedged = false;
         break;
@@ -640,8 +641,8 @@ sim::Task DfsInputStream::read_block_range(const BlockInfo& blk, std::uint64_t o
     co_return;
   }
 
-  const std::string primary = c.choose_replica(blk);
-  const std::string alt = c.hedge_replica(blk, primary);
+  const sim::Name primary = c.choose_replica(blk);
+  const sim::Name alt = c.hedge_replica(blk, primary);
   if (alt.empty() || alt == primary) {
     LegOpts lo;
     lo.dn = primary;
@@ -650,9 +651,9 @@ sim::Task DfsInputStream::read_block_range(const BlockInfo& blk, std::uint64_t o
   }
 
   sim::Simulation& sim = c.vm().host().sim();
-  auto race = std::make_shared<HedgeRace>(sim);
+  auto race = std::make_shared<HedgeRace>(sim, blk);
   ReadRequest legopts = opts;
-  legopts.cancel = race->cancel;
+  legopts.cancel = std::shared_ptr<const bool>(race, &race->cancel);
   const sim::SimTime t0 = sim.now();
   // hedge-both-slow: force the hedge to fire immediately, so both legs
   // run the full read concurrently (the soak's worst-case overlap arm).
@@ -662,8 +663,8 @@ sim::Task DfsInputStream::read_block_range(const BlockInfo& blk, std::uint64_t o
           : c.hedge_delay(primary);
   if (!hedge_drain_) hedge_drain_ = std::make_unique<sim::Semaphore>(sim, 0);
   hedge_inflight_ += 2;  // the primary leg and the timer
-  sim.spawn(hedge_primary_leg(blk, off, len, legopts, primary, race));
-  sim.spawn(hedge_timer(blk, off, len, legopts, alt, delay, race));
+  sim.spawn(hedge_primary_leg(off, len, legopts, primary, race));
+  sim.spawn(hedge_timer(off, len, legopts, alt, delay, race));
 
   for (;;) {
     co_await race->sem.acquire();
@@ -682,13 +683,13 @@ sim::Task DfsInputStream::read_block_range(const BlockInfo& blk, std::uint64_t o
   }
   // Ring the doorbell either way: a still-running loser must stop
   // delivering (and charging) bytes nobody will use.
-  *race->cancel = true;
+  race->cancel = true;
 
   if (race->winner < 0) {
     // Total failure: surface the primary's error — its failover list was
     // the full location set, so this matches the unhedged failure exactly.
     if (race->err[0]) std::rethrow_exception(race->err[0]);
-    throw HdfsError("hedged read of " + blk.name + " failed on all legs");
+    throw HdfsError("hedged read of " + blk.name.str() + " failed on all legs");
   }
 
   out = std::move(race->buf[race->winner]);
@@ -707,9 +708,9 @@ sim::Task DfsInputStream::read_block_range(const BlockInfo& blk, std::uint64_t o
   }
 }
 
-sim::Task DfsInputStream::hedge_primary_leg(BlockInfo blk, std::uint64_t off,
-                                            std::uint64_t len, ReadRequest opts,
-                                            std::string dn, HedgeRacePtr race) {
+sim::Task DfsInputStream::hedge_primary_leg(std::uint64_t off, std::uint64_t len,
+                                            ReadRequest opts, sim::Name dn,
+                                            HedgeRacePtr race) {
   DfsClient& c = client_;
   bool cancelled = false;
   LegOpts lo;
@@ -718,8 +719,8 @@ sim::Task DfsInputStream::hedge_primary_leg(BlockInfo blk, std::uint64_t off,
   try {
     // Forced positional: a racing leg must not share the sequential
     // stream_ cursor with its sibling.
-    co_await read_block_range_impl(blk, off, len, race->buf[0], /*sequential=*/false,
-                                   opts, &lo);
+    co_await read_block_range_impl(race->blk, off, len, race->buf[0],
+                                   /*sequential=*/false, opts, &lo);
     race->ok[0] = !cancelled;
   } catch (...) {
     race->err[0] = std::current_exception();
@@ -734,9 +735,9 @@ sim::Task DfsInputStream::hedge_primary_leg(BlockInfo blk, std::uint64_t off,
   hedge_drain_->release();
 }
 
-sim::Task DfsInputStream::hedge_second_leg(BlockInfo blk, std::uint64_t off,
-                                           std::uint64_t len, ReadRequest opts,
-                                           std::string dn, HedgeRacePtr race) {
+sim::Task DfsInputStream::hedge_second_leg(std::uint64_t off, std::uint64_t len,
+                                           ReadRequest opts, sim::Name dn,
+                                           HedgeRacePtr race) {
   DfsClient& c = client_;
   BlockReader* reader = c.reader_;
   auto& tr = trace::tracer();
@@ -750,7 +751,7 @@ sim::Task DfsInputStream::hedge_second_leg(BlockInfo blk, std::uint64_t off,
   // exactly the unhedged ones.
   std::uint64_t vfd = 0;
   Status st;
-  co_await reader->open(blk.name, dn, vfd, st, ctx);
+  co_await reader->open(race->blk.name, dn, vfd, st, ctx);
   if (st.ok()) {
     ReadRequest rr = opts;
     rr.vfd = vfd;
@@ -782,12 +783,12 @@ sim::Task DfsInputStream::hedge_second_leg(BlockInfo blk, std::uint64_t off,
   hedge_drain_->release();
 }
 
-sim::Task DfsInputStream::hedge_timer(BlockInfo blk, std::uint64_t off, std::uint64_t len,
-                                      ReadRequest opts, std::string dn,
-                                      sim::SimTime delay, HedgeRacePtr race) {
+sim::Task DfsInputStream::hedge_timer(std::uint64_t off, std::uint64_t len,
+                                      ReadRequest opts, sim::Name dn, sim::SimTime delay,
+                                      HedgeRacePtr race) {
   DfsClient& c = client_;
   co_await c.vm().host().sim().delay(delay);
-  if (race->finished[0] || *race->cancel ||
+  if (race->finished[0] || race->cancel ||
       fault::registry().should_fire(fault::points::kHedgeLegLost)) {
     // Either the primary already finished (the common, hedge-averted
     // case) or the injected hedge-leg-lost fault ate the second request.
@@ -798,7 +799,7 @@ sim::Task DfsInputStream::hedge_timer(BlockInfo blk, std::uint64_t off, std::uin
     race->hedge_state = HedgeRace::kLaunched;
     c.hedge_launched_.inc();
     ++hedge_inflight_;
-    c.vm().host().sim().spawn(hedge_second_leg(blk, off, len, opts, dn, race));
+    c.vm().host().sim().spawn(hedge_second_leg(off, len, opts, dn, race));
     race->sem.release();
   }
   --hedge_inflight_;
@@ -825,7 +826,7 @@ sim::Task DfsInputStream::read_from_stream(const BlockInfo& blk, const std::stri
     co_await recv_frame(conn, resp, CycleCategory::kClientApp, ctx);
     wire::Reader r(resp);
     const std::int64_t actual = r.i64();
-    if (actual < 0) throw HdfsError("datanode missing block " + blk.name);
+    if (actual < 0) throw HdfsError("datanode missing block " + blk.name.str());
     stream_.sock = conn;
     stream_.block_id = blk.id;
     stream_.next_offset = off;

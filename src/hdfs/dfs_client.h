@@ -220,7 +220,7 @@ class DfsClient {
   void set_load_probe(LoadProbe probe) { load_probe_ = std::move(probe); }
 
   // Path-cost tier of replica `dn` relative to this client's host.
-  cluster::PathTier replica_tier(const std::string& dn);
+  cluster::PathTier replica_tier(sim::Name dn);
 
   // Hedged-read policy (off by default; see HedgeConfig).
   void set_hedge(HedgeConfig hc) { hedge_ = hc; }
@@ -233,7 +233,7 @@ class DfsClient {
 
   // Picks the replica to read. Without a selector: co-located datanode VM
   // first, else the first location. With one: the selector's policy.
-  const std::string& choose_replica(const BlockInfo& blk);
+  sim::Name choose_replica(const BlockInfo& blk);
 
   // Vanilla path: one-shot block-range fetch over a fresh connection
   // (Algorithm 2's fetchBlocks).
@@ -267,7 +267,8 @@ class DfsClient {
 
   // The libvread descriptor hash (block name -> vfd), shared by all
   // streams of this client as in the prototype's user-level library.
-  std::unordered_map<std::string, std::uint64_t> vfd_hash_;
+  // Pointer-hashed by interned name; looked up, never iterated.
+  std::unordered_map<sim::Name, std::uint64_t, sim::Name::Hash> vfd_hash_;
 
   // Cached datanode connections for positional reads (one per datanode,
   // serialized: the data-transfer protocol is one request at a time).
@@ -279,16 +280,17 @@ class DfsClient {
 
   // Reports a read completion (and any overload observation) to the
   // installed selector; no-op without one.
-  void route_feedback(const std::string& dn, std::uint64_t bytes);
-  void route_overload(const std::string& dn);
+  void route_feedback(sim::Name dn, std::uint64_t bytes);
+  void route_overload(sim::Name dn);
 
   // Hedging internals (DESIGN.md §16). The per-route latency histogram
   // feeds the adaptive delay; the alternate replica is the cheapest-tier
   // non-primary location (chosen WITHOUT consulting the route selector, so
   // hedging never perturbs the selector's rng/feedback state).
-  metrics::Histogram& hedge_route_latency(const std::string& dn);
-  sim::SimTime hedge_delay(const std::string& dn);
-  std::string hedge_replica(const BlockInfo& blk, const std::string& primary);
+  metrics::Histogram& hedge_route_latency(sim::Name dn);
+  sim::SimTime hedge_delay(sim::Name dn);
+  // The empty name when no other location exists.
+  sim::Name hedge_replica(const BlockInfo& blk, sim::Name primary);
 
   virt::Vm& vm_;
   NameNode& nn_;
@@ -306,7 +308,7 @@ class DfsClient {
   // Hedging state: policy plus the per-route latency histogram cache
   // (pointers into metrics_, registered lazily per datanode route).
   HedgeConfig hedge_{};
-  std::unordered_map<std::string, metrics::Histogram*> hedge_lat_;
+  std::unordered_map<sim::Name, metrics::Histogram*, sim::Name::Hash> hedge_lat_;
 
   // Registry-backed instruments (labels carry the client VM's name).
   metrics::MetricGroup metrics_;
@@ -435,7 +437,7 @@ class DfsInputStream {
 
   // Per-leg restrictions a hedged race puts on the shared read path.
   struct LegOpts {
-    std::string dn;             // replica to read (the wrapper already chose)
+    sim::Name dn;               // replica to read (the wrapper already chose)
     bool* cancelled = nullptr;  // set when the daemon aborted on the cancel flag
   };
 
@@ -448,11 +450,13 @@ class DfsInputStream {
                                   const ReadRequest& opts, const LegOpts* leg);
 
   // Shared state of one hedged race. Heap-allocated and shared_ptr-held
-  // by every leg: the losing leg outlives the wrapper's frame.
+  // by every leg: the losing leg outlives the wrapper's frame, so the race
+  // also keeps the block the legs read.
   struct HedgeRace {
-    explicit HedgeRace(sim::Simulation& sim) : sem(sim, 0) {}
+    HedgeRace(sim::Simulation& sim, const BlockInfo& b) : sem(sim, 0), blk(b) {}
     sim::Semaphore sem;  // released once per leg completion + once by the timer
-    std::shared_ptr<bool> cancel = std::make_shared<bool>(false);
+    BlockInfo blk;
+    bool cancel = false;  // the legs' ReadRequest::cancel points here
     enum HedgeState { kPending, kSkipped, kLaunched };
     HedgeState hedge_state = kPending;
     bool finished[2] = {false, false};   // slot 0 = primary, 1 = hedge
@@ -464,13 +468,12 @@ class DfsInputStream {
   };
   using HedgeRacePtr = std::shared_ptr<HedgeRace>;
 
-  sim::Task hedge_primary_leg(BlockInfo blk, std::uint64_t off, std::uint64_t len,
-                              ReadRequest opts, std::string dn, HedgeRacePtr race);
-  sim::Task hedge_second_leg(BlockInfo blk, std::uint64_t off, std::uint64_t len,
-                             ReadRequest opts, std::string dn, HedgeRacePtr race);
-  sim::Task hedge_timer(BlockInfo blk, std::uint64_t off, std::uint64_t len,
-                        ReadRequest opts, std::string dn, sim::SimTime delay,
-                        HedgeRacePtr race);
+  sim::Task hedge_primary_leg(std::uint64_t off, std::uint64_t len, ReadRequest opts,
+                              sim::Name dn, HedgeRacePtr race);
+  sim::Task hedge_second_leg(std::uint64_t off, std::uint64_t len, ReadRequest opts,
+                             sim::Name dn, HedgeRacePtr race);
+  sim::Task hedge_timer(std::uint64_t off, std::uint64_t len, ReadRequest opts,
+                        sim::Name dn, sim::SimTime delay, HedgeRacePtr race);
 
   // One spawned leg of a fanned-out pread. Takes the block by value (the
   // spawning loop's locals die before the leg finishes) and joins through

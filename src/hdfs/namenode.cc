@@ -20,10 +20,11 @@ BlockInfo& NameNode::add_block(const std::string& path,
   }
   BlockInfo blk;
   blk.id = next_block_id_++;
-  blk.name = "blk_" + std::to_string(blk.id);
+  blk.name = sim::Name("blk_" + std::to_string(blk.id));
   blk.offset_in_file =
       fm.blocks.empty() ? 0 : fm.blocks.back().offset_in_file + fm.blocks.back().size;
-  blk.locations = std::move(datanodes);
+  blk.locations.reserve(datanodes.size());
+  for (const std::string& dn : datanodes) blk.locations.emplace_back(dn);
   fm.blocks.push_back(std::move(blk));
   return fm.blocks.back();
 }
@@ -37,7 +38,7 @@ void NameNode::complete_block(const std::string& path, std::uint64_t block_id,
       if (b.complete) throw HdfsError("block already finalized (write-once)");
       b.size = size;
       b.complete = true;
-      for (const std::string& dn : b.locations) {
+      for (const sim::Name dn : b.locations) {
         notify(BlockEvent{BlockEvent::Kind::kComplete, dn, b.name});
       }
       return;
@@ -50,11 +51,13 @@ std::vector<BlockInfo> NameNode::get_block_locations(const std::string& path,
                                                      std::uint64_t offset,
                                                      std::uint64_t len) const {
   ++const_cast<NameNode*>(this)->rpc_count_;
+  // Saturated: offset + len may run past 2^64 for a read to EOF.
+  const std::uint64_t end = len > UINT64_MAX - offset ? UINT64_MAX : offset + len;
   std::vector<BlockInfo> out;
   for (const BlockInfo& b : meta(path).blocks) {
     if (!b.complete) continue;
     const std::uint64_t b_end = b.offset_in_file + b.size;
-    if (b.offset_in_file < offset + len && b_end > offset) out.push_back(b);
+    if (b.offset_in_file < end && b_end > offset) out.push_back(b);
   }
   return out;
 }
@@ -87,7 +90,7 @@ void NameNode::remove_file(const std::string& path) {
   auto it = files_.find(path);
   if (it == files_.end()) throw HdfsError("no such file: " + path);
   for (const BlockInfo& b : it->second.blocks) {
-    for (const std::string& dn : b.locations) {
+    for (const sim::Name dn : b.locations) {
       notify(BlockEvent{BlockEvent::Kind::kDelete, dn, b.name});
     }
   }

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "hw/cost_model.h"
+#include "sim/name.h"
 #include "sim/task.h"
 #include "virt/vm.h"
 
@@ -29,11 +30,11 @@ constexpr std::uint64_t kDefaultBlockSize = 64ULL * 1024 * 1024;  // HDFS defaul
 
 struct BlockInfo {
   std::uint64_t id = 0;
-  std::string name;                     // "blk_<id>", the on-disk file name
+  sim::Name name;                       // "blk_<id>", the on-disk file name
   std::uint64_t size = 0;               // bytes written so far
   std::uint64_t offset_in_file = 0;     // logical start within the HDFS file
   bool complete = false;
-  std::vector<std::string> locations;   // datanode ids holding a replica
+  std::vector<sim::Name> locations;     // datanode ids holding a replica
 };
 
 class NameNode {
@@ -67,13 +68,15 @@ class NameNode {
   bool exists(const std::string& path) const { return files_.count(path) != 0; }
 
   // Allocates the next block of `path` on the given datanodes (pipeline
-  // order). Returns the new block's info.
+  // order). Returns the new block's info. The block's name and its
+  // locations are interned here (sim::Name), once per block.
   BlockInfo& add_block(const std::string& path, std::vector<std::string> datanodes);
 
   // Marks a block finalized with its final size and fires listeners.
   void complete_block(const std::string& path, std::uint64_t block_id, std::uint64_t size);
 
-  // Blocks overlapping [offset, offset+len).
+  // Blocks overlapping [offset, offset+len); a range running past the
+  // end of the address space ("read to EOF") ends at the last block.
   std::vector<BlockInfo> get_block_locations(const std::string& path, std::uint64_t offset,
                                              std::uint64_t len) const;
   const std::vector<BlockInfo>& all_blocks(const std::string& path) const;

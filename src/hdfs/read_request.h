@@ -19,6 +19,7 @@
 
 #include "fault/status.h"
 #include "mem/buffer.h"
+#include "sim/name.h"
 #include "sim/time.h"
 #include "trace/tracer.h"
 
@@ -34,7 +35,7 @@ struct ReadRequest {
   std::uint64_t offset = kCurrentPos;
   std::uint64_t len = 0;
 
-  std::string tenant;          // QoS identity; empty = the reader's default
+  sim::Name tenant;            // QoS identity; empty = the reader's default
   sim::SimTime deadline = 0;   // absolute sim deadline; 0 = none. The
                                // daemon's QoS EDF lane (DESIGN.md §16)
                                // orders on it within the tenant's share

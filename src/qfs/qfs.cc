@@ -28,7 +28,8 @@ ChunkInfo& MetaServer::allocate_chunk(const std::string& path,
   if (it == files_.end()) throw QfsError("no such file: " + path);
   ChunkInfo c;
   c.id = next_chunk_++;
-  c.server = server;
+  c.server = sim::Name(server);
+  c.file = sim::Name("chunk_" + std::to_string(c.id));
   c.offset_in_file = it->second.chunks.empty()
                          ? 0
                          : it->second.chunks.back().offset_in_file +
@@ -177,6 +178,7 @@ sim::Task QfsClient::write_file(const std::string& path, const mem::Buffer& data
     co_await meta_.rpc_from(vm_);
     ChunkInfo& chunk = meta_.allocate_chunk(path, server);
     const std::uint64_t chunk_id = chunk.id;
+    const sim::Name chunk_server = chunk.server;
 
     TcpSocket conn;
     co_await net_.connect(vm_, server, ChunkServer::kPort, conn);
@@ -200,7 +202,7 @@ sim::Task QfsClient::write_file(const std::string& path, const mem::Buffer& data
     co_await meta_.rpc_from(vm_);
     meta_.complete_chunk(path, chunk_id, n);
     // vRead_update for the chunkserver that grew a new chunk file.
-    if (reader_ != nullptr) co_await reader_->update(server);
+    if (reader_ != nullptr) co_await reader_->update(chunk_server);
     offset += n;
     ++index;
   }
@@ -268,7 +270,7 @@ sim::Task QfsClient::read_chunk_range(const ChunkInfo& chunk, std::uint64_t off,
   co_await recv_frame(conn, resp, CycleCategory::kClientApp);
   hdfs::wire::Reader r(resp);
   const std::int64_t actual = r.i64();
-  if (actual < 0) throw QfsError("chunkserver missing " + chunk.name());
+  if (actual < 0) throw QfsError("chunkserver missing " + chunk.name().str());
   co_await conn.recv_exact(static_cast<std::uint64_t>(actual), out,
                            CycleCategory::kClientApp);
   co_await vm_.run_vcpu(cm.per_byte(static_cast<std::uint64_t>(actual),

@@ -40,11 +40,13 @@ struct ChunkInfo {
   std::uint64_t id = 0;
   std::uint64_t size = 0;
   std::uint64_t offset_in_file = 0;
-  std::string server;  // chunkserver holding this chunk
+  sim::Name server;  // chunkserver holding this chunk
   bool complete = false;
+  // The on-disk chunk file name ("/chunks/<name>" on the chunkserver),
+  // interned when the chunk is allocated.
+  sim::Name file;
 
-  // The on-disk chunk file name ("/chunks/<name>" on the chunkserver).
-  std::string name() const { return "chunk_" + std::to_string(id); }
+  sim::Name name() const { return file; }
 };
 
 // Metadata service (QFS metaserver / GFS master): file -> chunk layout.
@@ -112,7 +114,7 @@ class ChunkServer {
   std::uint64_t bytes_served() const { return bytes_served_; }
 
   static std::string chunk_path(const ChunkInfo& c) {
-    return std::string(kChunkDir) + "/" + c.name();
+    return std::string(kChunkDir) + "/" + c.name().str();
   }
 
  private:
@@ -165,7 +167,8 @@ class QfsClient {
   virt::VirtualNetwork& net_;
   hdfs::BlockReader* reader_ = nullptr;
   std::unordered_map<std::string, std::vector<ChunkInfo>> layout_cache_;
-  std::unordered_map<std::string, std::uint64_t> vfd_hash_;  // chunk name -> vfd
+  // Chunk name -> vfd; pointer-hashed, looked up and never iterated.
+  std::unordered_map<sim::Name, std::uint64_t, sim::Name::Hash> vfd_hash_;
 };
 
 }  // namespace vread::qfs

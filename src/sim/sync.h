@@ -6,7 +6,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -48,6 +48,88 @@ class Event {
   std::vector<std::coroutine_handle<>> waiters_;
 };
 
+namespace detail {
+
+// Intrusive FIFO of suspended awaiters. Each awaiter lives in its
+// coroutine's frame, which does not move while suspended, and carries its
+// own `next` link, so queueing a waiter allocates nothing.
+template <typename W>
+class WaitList {
+ public:
+  bool empty() const { return head_ == nullptr; }
+  std::size_t size() const { return size_; }
+  W* front() const { return head_; }
+  void push_back(W* w) {
+    w->next = nullptr;
+    (tail_ != nullptr ? tail_->next : head_) = w;
+    tail_ = w;
+    ++size_;
+  }
+  W* pop_front() {
+    W* w = head_;
+    head_ = w->next;
+    if (head_ == nullptr) tail_ = nullptr;
+    --size_;
+    return w;
+  }
+
+ private:
+  W* head_ = nullptr;
+  W* tail_ = nullptr;
+  std::size_t size_ = 0;
+};
+
+// FIFO ring of values with power-of-two capacity. Allocates on the first
+// push (an empty ring owns no storage) and doubles when full.
+template <typename T>
+class Ring {
+ public:
+  Ring() = default;
+  Ring(const Ring&) = delete;
+  Ring& operator=(const Ring&) = delete;
+  ~Ring() {
+    while (size_ > 0) pop_front();
+    std::allocator<T>().deallocate(buf_, cap_);
+  }
+
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+  T& front() { return buf_[head_]; }
+
+  void push_back(T value) {
+    if (size_ == cap_) grow();
+    std::construct_at(buf_ + ((head_ + size_) & (cap_ - 1)), std::move(value));
+    ++size_;
+  }
+  void pop_front() {
+    std::destroy_at(buf_ + head_);
+    head_ = (head_ + 1) & (cap_ - 1);
+    --size_;
+  }
+
+ private:
+  void grow() {
+    const std::size_t cap = cap_ == 0 ? 4 : cap_ * 2;
+    T* buf = std::allocator<T>().allocate(cap);
+    for (std::size_t i = 0; i < size_; ++i) {
+      T* from = buf_ + ((head_ + i) & (cap_ - 1));
+      std::construct_at(buf + i, std::move(*from));
+      std::destroy_at(from);
+    }
+    std::allocator<T>().deallocate(buf_, cap_);
+    buf_ = buf;
+    cap_ = cap;
+    head_ = 0;
+  }
+
+  T* buf_ = nullptr;
+  std::size_t cap_ = 0;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
+}  // namespace detail
+
 // Unbounded FIFO channel. send() never blocks; recv() suspends until an item
 // is available. Items are delivered in send order; waiting receivers are
 // served in arrival order.
@@ -60,8 +142,7 @@ class Mailbox {
 
   void send(T value) {
     if (!waiters_.empty()) {
-      RecvAwaiter* w = waiters_.front();
-      waiters_.pop_front();
+      RecvAwaiter* w = waiters_.pop_front();
       w->value.emplace(std::move(value));
       sim_.resume_at(sim_.now(), w->handle);
     } else {
@@ -73,6 +154,7 @@ class Mailbox {
     Mailbox& mb;
     std::optional<T> value{};
     std::coroutine_handle<> handle{};
+    RecvAwaiter* next = nullptr;
 
     bool await_ready() {
       if (!mb.items_.empty()) {
@@ -96,8 +178,8 @@ class Mailbox {
  private:
   friend struct RecvAwaiter;
   Simulation& sim_;
-  std::deque<T> items_;
-  std::deque<RecvAwaiter*> waiters_;
+  detail::Ring<T> items_;
+  detail::WaitList<RecvAwaiter> waiters_;
 };
 
 // Counting semaphore with FIFO waiters. acquire(n) suspends until n units
@@ -114,6 +196,7 @@ class Semaphore {
     Semaphore& sem;
     std::uint64_t need;
     std::coroutine_handle<> handle{};
+    AcquireAwaiter* next = nullptr;
 
     bool await_ready() { return sem.try_acquire(need); }
     void await_suspend(std::coroutine_handle<> h) {
@@ -137,8 +220,7 @@ class Semaphore {
   void release(std::uint64_t n = 1) {
     count_ += n;
     while (!waiters_.empty() && waiters_.front()->need <= count_) {
-      AcquireAwaiter* w = waiters_.front();
-      waiters_.pop_front();
+      AcquireAwaiter* w = waiters_.pop_front();
       count_ -= w->need;
       sim_.resume_at(sim_.now(), w->handle);
     }
@@ -151,7 +233,7 @@ class Semaphore {
   friend struct AcquireAwaiter;
   Simulation& sim_;
   std::uint64_t count_;
-  std::deque<AcquireAwaiter*> waiters_;
+  detail::WaitList<AcquireAwaiter> waiters_;
 };
 
 // Completion latch: wait() suspends until count_down() has been called

@@ -18,13 +18,15 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "fault/fault.h"
 #include "fault/status.h"
 #include "hw/cost_model.h"
 #include "mem/buffer.h"
 #include "metrics/registry.h"
+#include "sim/name.h"
 #include "sim/sync.h"
 #include "virt/host.h"
 #include "virt/vm.h"
@@ -34,12 +36,12 @@ namespace vread::virt {
 struct ShmRequest {
   std::uint64_t id = 0;
   int op = 0;                // opcode namespace owned by the vRead core
-  std::string block_name;    // HDFS block file name
-  std::string datanode_id;   // target datanode
+  sim::Name block_name;      // HDFS block file name
+  sim::Name datanode_id;     // target datanode
   std::uint64_t vfd = 0;
   std::uint64_t offset = 0;
   std::uint64_t len = 0;
-  std::string tenant;        // QoS accounting identity; libvread stamps the
+  sim::Name tenant;          // QoS accounting identity; libvread stamps the
                              // client VM's name (streams may override), the
                              // daemon falls back to the channel's VM
   // Read hints carried from hdfs::ReadRequest (DESIGN.md §12). The daemon
@@ -139,12 +141,13 @@ class ShmChannel {
       co_return;
     }
     const std::uint64_t rid = req.id;
-    auto mbox = std::make_unique<sim::Mailbox<Chunk>>(guest_.host().sim());
-    pending_[rid] = mbox.get();
+    // Lives in this call's frame, which stays put until the last chunk.
+    sim::Mailbox<Chunk> mbox(guest_.host().sim());
+    pending_.emplace_back(rid, &mbox);
     requests_.send(std::move(req));
     out = ShmResponse{};
     for (;;) {
-      Chunk c = co_await mbox->recv();
+      Chunk c = co_await mbox.recv();
       out.id = c.req_id;
       out.status = c.status;
       out.vfd = c.vfd;
@@ -171,7 +174,13 @@ class ShmChannel {
       }
       if (c.last) break;
     }
-    pending_.erase(rid);
+    for (auto& p : pending_) {
+      if (p.first == rid) {
+        p = pending_.back();
+        pending_.pop_back();
+        break;
+      }
+    }
     // Injected response corruption: the payload landed but fails the
     // library's validation; callers treat it like any retryable failure.
     if (fault::registry().should_fire(fault::points::kShmCorrupt)) {
@@ -285,10 +294,11 @@ class ShmChannel {
   // answers. A chunk for an id nobody waits on (the caller timed out and
   // wrote the request off) frees its ring slots so the ring cannot leak.
   void deliver(Chunk c) {
-    auto it = pending_.find(c.req_id);
-    if (it != pending_.end()) {
-      it->second->send(std::move(c));
-      return;
+    for (const auto& [id, mbox] : pending_) {
+      if (id == c.req_id) {
+        mbox->send(std::move(c));
+        return;
+      }
     }
     if (!c.data.empty()) {
       slots_.release(slots_for(c.data.size()));
@@ -310,9 +320,11 @@ class ShmChannel {
   sim::Mailbox<ShmRequest> requests_;
   sim::Semaphore slots_;
   sim::Semaphore outstanding_;
-  // Request-id -> the issuing call()'s completion mailbox (owned by the
-  // call frame; erased before the frame returns).
-  std::unordered_map<std::uint64_t, sim::Mailbox<Chunk>*> pending_;
+  // Request id -> the issuing call()'s completion mailbox (owned by the
+  // call frame; removed before the frame returns). At most
+  // max_outstanding entries, so a scan beats a hash table and allocates
+  // nothing once the vector has grown.
+  std::vector<std::pair<std::uint64_t, sim::Mailbox<Chunk>*>> pending_;
   metrics::MetricGroup metrics_;
   metrics::Counter& timeouts_;
   metrics::Counter& corruptions_;

@@ -19,11 +19,13 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "hw/cost_model.h"
 #include "hw/network.h"
 #include "mem/buffer.h"
+#include "sim/name.h"
 #include "sim/sync.h"
 #include "virt/host.h"
 #include "virt/vm.h"
@@ -146,7 +148,10 @@ class VirtualNetwork {
   VirtualNetwork& operator=(const VirtualNetwork&) = delete;
 
   // Makes a VM addressable by name (its "IP").
-  void register_vm(Vm& vm) { vms_[vm.name()] = &vm; }
+  void register_vm(Vm& vm) {
+    vms_[vm.name()] = &vm;
+    vm_index_[sim::Name(vm.name())] = &vm;
+  }
 
   // Opens a listening socket on (vm, port).
   void listen(Vm& vm, std::uint16_t port);
@@ -163,6 +168,11 @@ class VirtualNetwork {
   Vm* find_vm(const std::string& name) {
     auto it = vms_.find(name);
     return it == vms_.end() ? nullptr : it->second;
+  }
+  // Per-read lookup (replica choice and tiering) by interned name.
+  Vm* find_vm(sim::Name name) {
+    auto it = vm_index_.find(name);
+    return it == vm_index_.end() ? nullptr : it->second;
   }
 
   sim::Simulation& sim() { return sim_; }
@@ -196,6 +206,7 @@ class VirtualNetwork {
   hw::Lan& lan_;
   const hw::CostModel& costs_;
   std::map<std::string, Vm*> vms_;
+  std::unordered_map<sim::Name, Vm*, sim::Name::Hash> vm_index_;  // lookups only
   std::map<std::pair<std::string, std::uint16_t>, std::unique_ptr<Listener>> listeners_;
   std::vector<std::unique_ptr<TcpConn>> conns_;
   std::uint64_t default_window_ = 512 * 1024;  // Hadoop-era socket buffers

@@ -366,7 +366,7 @@ sim::Task tenant_random_reader(hdfs::DfsClient* client, TenantProbe* p,
     hdfs::ReadRequest req;
     req.offset = off;
     req.len = len;
-    req.tenant = p->tenant;
+    req.tenant = sim::Name(p->tenant);
     req.readahead = false;  // every fill reads exactly its window
     hdfs::ReadResult res;
     co_await in->read(req, res);

@@ -158,7 +158,7 @@ TEST(ShmOrdering, QueuedRequestsServeFifo) {
                  std::vector<std::uint64_t>* out) -> sim::Task {
     std::uint64_t vfd = 0;
     Status st;
-    co_await l->vread_open(name, "datanode1", vfd, st);
+    co_await l->vread_open(sim::Name(name), "datanode1", vfd, st);
     for (int i = 0; i < 16; ++i) {
       mem::Buffer b;
       co_await l->vread_read(vfd, 64 << 10, b, st);

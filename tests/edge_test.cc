@@ -134,7 +134,7 @@ TEST(VReadEdge, ReadPastSnapshotSizeFailsCleanly) {
                  vread::Status* res) -> sim::Task {
     std::uint64_t vfd = 0;
     vread::Status st;
-    co_await l->open(name, "datanode1", vfd, st);
+    co_await l->open(sim::Name(name), "datanode1", vfd, st);
     if (!st.ok()) throw std::runtime_error("open failed");
     mem::Buffer out;
     co_await l->read(vfd, 2'000'000, 100, out, *res);  // past the snapshot
@@ -188,7 +188,7 @@ TEST(ShmEdge, ConcurrentCallersSerializeWithoutInterleaving) {
                    bool* flag) -> sim::Task {
     std::uint64_t vfd = 0;
     vread::Status st;
-    co_await l->open(name, "datanode1", vfd, st);
+    co_await l->open(sim::Name(name), "datanode1", vfd, st);
     for (int i = 0; i < 8; ++i) {
       mem::Buffer out;
       vread::Status res;

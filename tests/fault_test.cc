@@ -331,7 +331,7 @@ TEST(FaultShmTimeout, BoundedRetriesExhaustThenClientFallsBack) {
   Status st;
   std::uint64_t vfd = 99;
   auto probe = [](core::LibVread* l, std::string b, std::uint64_t* fd,
-                  Status* s) -> sim::Task { co_await l->open(b, "datanode1", *fd, *s); };
+                  Status* s) -> sim::Task { co_await l->open(sim::Name(b), "datanode1", *fd, *s); };
   c->run_job(probe(lib, blk, &vfd, &st));
   EXPECT_EQ(st.code(), StatusCode::kTimeout);
   EXPECT_TRUE(st.is_retryable());
@@ -390,7 +390,7 @@ TEST(FaultDaemonCrash, StaleVfdReportsBadFdAndStreamStaysByteIdentical) {
   Buffer buf;
   auto drill = [](Cluster* cl, core::LibVread* l, std::string b, std::uint64_t* fd,
                   Status* os, Status* rs, Buffer* out) -> sim::Task {
-    co_await l->open(b, "datanode1", *fd, *os);
+    co_await l->open(sim::Name(b), "datanode1", *fd, *os);
     cl->daemon("host1")->restart();
     co_await l->read(*fd, 0, 1024, *out, *rs);
   };

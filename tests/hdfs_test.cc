@@ -3,9 +3,14 @@
 // pipeline, and replica selection.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "apps/cluster.h"
+#include "core/vread_daemon.h"
 #include "hdfs/dfs_client.h"
 #include "mem/buffer.h"
+#include "sim/name.h"
+#include "sim/random.h"
 
 namespace vread::hdfs {
 namespace {
@@ -84,6 +89,22 @@ TEST(NameNodeMeta, RangeQueriesReturnOverlappingBlocks) {
   EXPECT_EQ(nn.get_block_locations("/f", 99, 2).size(), 2u);
 }
 
+TEST(NameNodeMeta, RangeRunningPastTheAddressSpaceEndsAtTheLastBlock) {
+  ColocatedBed bed;
+  NameNode& nn = bed.cluster.namenode();
+  nn.create_file("/f", 100);
+  for (int i = 0; i < 3; ++i) {
+    BlockInfo& b = nn.add_block("/f", {"datanode1"});
+    nn.complete_block("/f", b.id, 100);
+  }
+  // offset + len wraps past 2^64: a "read to EOF" must not lose blocks.
+  EXPECT_EQ(nn.get_block_locations("/f", 150, UINT64_MAX - 100).size(), 2u);
+  EXPECT_EQ(nn.get_block_locations("/f", 0, UINT64_MAX).size(), 3u);
+  EXPECT_EQ(nn.get_block_locations("/f", 299, UINT64_MAX).size(), 1u);
+  EXPECT_EQ(nn.get_block_locations("/f", 300, UINT64_MAX).size(), 0u);
+  EXPECT_EQ(nn.get_block_locations("/f", UINT64_MAX, UINT64_MAX).size(), 0u);
+}
+
 sim::Task dfsio_read_all(DfsClient& client, std::string path,
                          std::uint64_t buf_size, Buffer& out) {
   std::unique_ptr<DfsInputStream> in;
@@ -145,6 +166,25 @@ TEST(DfsRead, PositionalReadAcrossBlockBoundary) {
   EXPECT_EQ(got, Buffer::deterministic(9, pos, len));
 }
 
+TEST(DfsRead, PositionalReadToEndOfAddressSpaceStopsAtEof) {
+  // len = UINT64_MAX - 10 makes offset + len wrap; the read must still
+  // return every byte from `pos` to the end of the file, on the socket
+  // path and on the vRead path.
+  for (const bool vread : {false, true}) {
+    ColocatedBed bed;
+    const std::uint64_t size = 12 * 1024 * 1024;
+    bed.cluster.preload_file("/data", size, 9, {{"datanode1"}});
+    if (vread) bed.cluster.enable_vread();
+    DfsClient* client = bed.cluster.client("client");
+    const std::uint64_t pos = 4 * 1024 * 1024 - 1000;
+    Buffer got;
+    bed.cluster.sim().spawn(pread_proc(*client, "/data", pos, UINT64_MAX - 10, got));
+    bed.cluster.sim().run();
+    EXPECT_EQ(got.size(), 8'389'608u) << "vread=" << vread;
+    EXPECT_EQ(got, Buffer::deterministic(9, pos, size - pos)) << "vread=" << vread;
+  }
+}
+
 TEST(DfsRead, SeekInvalidatesStreamButKeepsCorrectness) {
   ColocatedBed bed;
   const std::uint64_t size = 8 * 1024 * 1024;
@@ -163,6 +203,64 @@ TEST(DfsRead, SeekInvalidatesStreamButKeepsCorrectness) {
   bed.cluster.sim().run();
   EXPECT_EQ(a, Buffer::deterministic(10, 0, 100'000));
   EXPECT_EQ(b, Buffer::deterministic(10, 6 * 1024 * 1024, 100'000));
+}
+
+// 8 KiB preads at seeded offsets through the hedged vRead path (QoS with
+// the EDF lane, coalescing, a local primary and a remote hedge replica).
+// The counters are sampled after `warmup` reads.
+sim::Task interning_reader(DfsClient* client, int warmup, int reads, std::size_t* calls,
+                           std::size_t* names, std::uint64_t* bad) {
+  std::unique_ptr<DfsInputStream> in;
+  co_await client->open("/data", in);
+  sim::Rng rng(5);
+  for (int i = 0; i < warmup + reads; ++i) {
+    if (i == warmup) {
+      *calls = sim::Name::intern_calls();
+      *names = sim::Name::interned_count();
+    }
+    ReadRequest req;
+    req.offset = rng.next() % (in->size() / 8192) * 8192;
+    req.len = 8192;
+    req.deadline = client->vm().host().sim().now() + sim::ms(25);
+    ReadResult res;
+    co_await in->read(req, res);
+    if (res.data != Buffer::deterministic(31, req.offset, req.len)) ++*bad;
+  }
+  co_await in->close();
+}
+
+// The interning rule (sim/name.h): names are built where they first
+// appear, so once a stream is warm its reads build no Name at all — the
+// intern table neither grows nor is consulted.
+TEST(DfsRead, WarmPreadsBuildNoNames) {
+  Cluster cluster(small_blocks());
+  cluster.add_host("host1");
+  cluster.add_host("host2");
+  cluster.add_vm("host1", "client");
+  cluster.create_namenode("client");
+  cluster.add_datanode("host1", "datanode1");
+  cluster.add_datanode("host2", "datanode2");
+  DfsClient& client = cluster.add_client("client");
+  cluster.preload_file("/data", 12 * 1024 * 1024, 31, {{"datanode1", "datanode2"}});
+  core::DaemonConfig dc;
+  dc.workers = 2;
+  dc.qos.edf = true;
+  cluster.enable_vread(dc);
+  HedgeConfig hc;
+  hc.enabled = true;
+  hc.min_delay = sim::us(20);
+  hc.max_delay = sim::us(40);
+  hc.warmup = 1u << 30;  // every read hedges after max_delay
+  client.set_hedge(hc);
+  std::size_t calls = 0;
+  std::size_t names = 0;
+  std::uint64_t bad = 0;
+  cluster.run_job(interning_reader(&client, 100, 1000, &calls, &names, &bad));
+  EXPECT_EQ(bad, 0u);
+  EXPECT_GT(client.vread_path_reads(), 1000u);
+  EXPECT_GT(client.hedge_launched(), 0u);
+  EXPECT_EQ(sim::Name::interned_count(), names);
+  EXPECT_EQ(sim::Name::intern_calls(), calls);
 }
 
 TEST(DfsWrite, PipelineReplicatesToAllDatanodes) {

@@ -7,6 +7,7 @@
 //  - determinism across configurations.
 #include <gtest/gtest.h>
 
+#include <list>
 #include <map>
 #include <tuple>
 #include <type_traits>
@@ -296,6 +297,122 @@ TEST_P(PageCacheFuzz, MissAccountingMatchesReferenceSet) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PageCacheFuzz, ::testing::Values(7, 8, 9));
+
+// Reference LRU for the evicting model test: a std::list in recency order
+// plus a map from page to list node (the page cache's former layout).
+class ReferenceLru {
+ public:
+  using Key = std::pair<std::uint64_t, std::uint64_t>;
+  explicit ReferenceLru(std::uint64_t capacity_pages) : cap_(capacity_pages) {}
+
+  void insert(std::uint64_t obj, std::uint64_t page) {
+    if (cap_ == 0) return;
+    const Key k{obj, page};
+    if (auto it = map_.find(k); it != map_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return;
+    }
+    lru_.push_front(k);
+    map_[k] = lru_.begin();
+    if (map_.size() > cap_) {
+      map_.erase(lru_.back());
+      lru_.pop_back();
+      ++evictions;
+    }
+  }
+  std::uint64_t miss_bytes(std::uint64_t obj, std::uint64_t off, std::uint64_t len) {
+    if (len == 0) return 0;
+    if (cap_ == 0) return len;
+    std::uint64_t missing = 0;
+    for (std::uint64_t p = off / 4096; p <= (off + len - 1) / 4096; ++p) {
+      const std::uint64_t lo = std::max(off, p * 4096);
+      const std::uint64_t hi = std::min(off + len, (p + 1) * 4096);
+      if (auto it = map_.find({obj, p}); it == map_.end()) {
+        missing += hi - lo;
+        ++misses;
+      } else {
+        lru_.splice(lru_.begin(), lru_, it->second);
+        ++hits;
+      }
+    }
+    return missing;
+  }
+  void fill(std::uint64_t obj, std::uint64_t off, std::uint64_t len) {
+    if (len == 0 || cap_ == 0) return;
+    for (std::uint64_t p = off / 4096; p <= (off + len - 1) / 4096; ++p) insert(obj, p);
+  }
+  void invalidate_object(std::uint64_t obj) {
+    for (auto it = lru_.begin(); it != lru_.end();) {
+      if (it->first == obj) {
+        map_.erase(*it);
+        it = lru_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  void clear() {
+    map_.clear();
+    lru_.clear();
+  }
+  const std::list<Key>& lru() const { return lru_; }
+
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t evictions = 0;
+
+ private:
+  std::uint64_t cap_;
+  std::list<Key> lru_;
+  std::map<Key, std::list<Key>::iterator> map_;
+};
+
+class PageCacheEvictingModel : public ::testing::TestWithParam<std::uint64_t> {};
+
+// A capacity of a few dozen pages against a working set several times
+// larger: nearly every fill evicts, and the small open-addressed index
+// sees long probe runs, so backward-shift deletion is exercised on every
+// eviction. After each operation the cache must agree with the reference
+// on miss bytes, counters and the exact resident set.
+TEST_P(PageCacheEvictingModel, MatchesAReferenceLruAfterEveryOperation) {
+  sim::Rng rng(GetParam());
+  const std::uint64_t cap_pages = rng.uniform(1, 48);
+  mem::PageCache cache(cap_pages * 4096 + rng.uniform(0, 4095));
+  ReferenceLru ref(cap_pages);
+  for (int step = 0; step < 6000; ++step) {
+    const std::uint64_t obj = rng.uniform(1, 4);
+    const std::uint64_t off = rng.uniform(0, 160 * 4096);
+    const std::uint64_t len = rng.uniform(0, 6 * 4096);
+    const double op = rng.uniform01();
+    if (op < 0.35) {
+      ASSERT_EQ(cache.miss_bytes(obj, off, len), ref.miss_bytes(obj, off, len))
+          << "step " << step;
+    } else if (op < 0.75) {
+      cache.fill(obj, off, len);
+      ref.fill(obj, off, len);
+    } else if (op < 0.97) {
+      const std::uint64_t page = off / 4096;
+      cache.insert(obj, page);
+      ref.insert(obj, page);
+    } else if (op < 0.995) {
+      cache.invalidate_object(obj);
+      ref.invalidate_object(obj);
+    } else {
+      cache.clear();
+      ref.clear();
+    }
+    ASSERT_EQ(cache.hits(), ref.hits) << "step " << step;
+    ASSERT_EQ(cache.misses(), ref.misses) << "step " << step;
+    ASSERT_EQ(cache.evictions(), ref.evictions) << "step " << step;
+    ASSERT_EQ(cache.resident_pages(), ref.lru().size()) << "step " << step;
+    for (const auto& [o, p] : ref.lru()) {
+      ASSERT_TRUE(cache.contains(o, p)) << "step " << step << " page " << o << ":" << p;
+    }
+  }
+  EXPECT_GT(cache.evictions(), 1000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PageCacheEvictingModel, ::testing::Values(1, 2, 3, 4, 5));
 
 // ---------------------------------------------------------------------------
 // Determinism across configurations.

@@ -128,7 +128,7 @@ sim::Task cancelled_leg(Cluster* c, LibVread* lib, std::string block, std::strin
                         sim::SimTime cancel_at, Status* result) {
   std::uint64_t vfd = 0;
   Status st;
-  co_await lib->open(block, dn, vfd, st);
+  co_await lib->open(sim::Name(block), sim::Name(dn), vfd, st);
   if (!st.ok()) {
     *result = st;
     co_return;

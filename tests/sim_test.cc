@@ -4,12 +4,15 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "sim/name.h"
 #include "sim/random.h"
 #include "sim/simulation.h"
 #include "sim/sync.h"
@@ -658,6 +661,186 @@ TEST(FramePool, NestedAndOversizedFramesRoundTrip) {
   EXPECT_EQ(sink[0], 0);
   EXPECT_EQ(sink[40], 40);
   EXPECT_EQ(sink[41], 7);
+}
+
+// ---------------------------------------------------------------------------
+// Interned names.
+// ---------------------------------------------------------------------------
+
+TEST(Name, EqualStringsInternToTheSamePointer) {
+  const std::size_t before = Name::interned_count();
+  const Name a("name-test-datanode-x");
+  const Name b(std::string("name-test-datanode-") + "x");
+  const Name c("name-test-other");
+  EXPECT_EQ(&a.str(), &b.str());
+  EXPECT_TRUE(a == b);
+  EXPECT_FALSE(a == c);
+  EXPECT_EQ(a, "name-test-datanode-x");
+  EXPECT_EQ(a, std::string("name-test-datanode-x"));
+  EXPECT_EQ(Name::Hash()(a), Name::Hash()(b));
+  EXPECT_EQ(Name::interned_count(), before + 2);
+  const Name again(std::string_view("name-test-other"));
+  EXPECT_EQ(&again.str(), &c.str());
+  EXPECT_EQ(Name::interned_count(), before + 2);
+}
+
+TEST(Name, OrderIsTheStringOrderAndMapsIterateAlike) {
+  const std::vector<std::string> words = {"datanode10", "datanode2", "b",   "a",  "",
+                                          "datanode1",  "B",         "aa",  "ab", "blk_1001",
+                                          "blk_999",    "tenant",    "ten", "z"};
+  std::vector<Name> names;
+  std::map<Name, int> by_name;
+  std::map<std::string, int> by_string;
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    names.emplace_back(words[i]);
+    by_name[names.back()] = static_cast<int>(i);
+    by_string[words[i]] = static_cast<int>(i);
+  }
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    for (std::size_t j = 0; j < words.size(); ++j) {
+      EXPECT_EQ(names[i] < names[j], words[i] < words[j]) << words[i] << " vs " << words[j];
+    }
+  }
+  ASSERT_EQ(by_name.size(), by_string.size());
+  auto n = by_name.begin();
+  for (auto s = by_string.begin(); s != by_string.end(); ++s, ++n) {
+    EXPECT_EQ(n->first.str(), s->first);
+    EXPECT_EQ(n->second, s->second);
+  }
+}
+
+TEST(Name, EmptyNameIsTheDefaultAndInternsNothing) {
+  const Name d;
+  EXPECT_TRUE(d.empty());
+  EXPECT_EQ(d.str(), "");
+  EXPECT_FALSE(Name("a").empty());
+  EXPECT_TRUE(d < Name("a"));
+  EXPECT_FALSE(Name("a") < d);
+  EXPECT_FALSE(d < d);
+  const std::size_t before = Name::interned_count();
+  EXPECT_EQ(d, Name(""));
+  EXPECT_EQ(d, Name(std::string()));
+  EXPECT_EQ(&d.str(), &Name(std::string_view()).str());
+  EXPECT_EQ(Name::interned_count(), before);
+}
+
+TEST(Name, TwoThreadsInterningTheSameNamesGetIdenticalPointers) {
+  constexpr int kNames = 2000;
+  std::vector<const std::string*> got[2];
+  auto intern_all = [](std::vector<const std::string*>& out, bool reverse) {
+    out.assign(kNames, nullptr);
+    for (int k = 0; k < kNames; ++k) {
+      const int i = reverse ? kNames - 1 - k : k;
+      out[static_cast<std::size_t>(i)] = &Name("two-threads-" + std::to_string(i)).str();
+    }
+  };
+  std::thread a([&] { intern_all(got[0], false); });
+  std::thread b([&] { intern_all(got[1], true); });
+  a.join();
+  b.join();
+  for (int i = 0; i < kNames; ++i) {
+    const std::string* p = got[0][static_cast<std::size_t>(i)];
+    ASSERT_EQ(p, got[1][static_cast<std::size_t>(i)]) << i;
+    EXPECT_EQ(*p, "two-threads-" + std::to_string(i));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Intrusive wait queues and the mailbox ring.
+// ---------------------------------------------------------------------------
+
+TEST(Semaphore, LaterSmallWaiterDoesNotJumpAheadOfALargerHead) {
+  Simulation sim;
+  Semaphore sem(sim, 0);
+  std::vector<int> order;
+  auto taker = [](Semaphore& s, std::uint64_t n, int id, std::vector<int>& o) -> Task {
+    co_await s.acquire(n);
+    o.push_back(id);
+  };
+  sim.spawn(taker(sem, 3, 1, order));
+  sim.spawn(taker(sem, 1, 2, order));
+  sim.spawn(taker(sem, 2, 3, order));
+  sim.run();
+  EXPECT_EQ(sem.waiter_count(), 3u);
+  sem.release(1);  // enough for waiter 2, but waiter 1 is ahead
+  sim.run();
+  EXPECT_TRUE(order.empty());
+  EXPECT_FALSE(sem.try_acquire(1));  // no barging past queued waiters
+  sem.release(2);  // 3 available: waiter 1 only
+  sim.run();
+  EXPECT_EQ(order, std::vector<int>{1});
+  EXPECT_EQ(sem.available(), 0u);
+  sem.release(3);  // waiters 2 and 3, in order
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sem.waiter_count(), 0u);
+  EXPECT_EQ(sem.available(), 0u);
+}
+
+TEST(Mailbox, ItemsSentBeforeAnyReceiverArriveInSendOrder) {
+  Simulation sim;
+  Mailbox<int> mb(sim);
+  for (int i = 0; i < 10; ++i) mb.send(i);
+  std::vector<int> got;
+  sim.spawn(consumer(sim, mb, 10, got));
+  sim.run();
+  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_TRUE(mb.empty());
+}
+
+TEST(Mailbox, ReceiversWaitingBeforeItemsAreServedInArrivalOrder) {
+  Simulation sim;
+  Mailbox<int> mb(sim);
+  std::vector<std::pair<int, int>> got;  // (receiver, item)
+  auto receiver = [](Mailbox<int>& box, int id, std::vector<std::pair<int, int>>& out) -> Task {
+    for (int k = 0; k < 2; ++k) out.emplace_back(id, co_await box.recv());
+  };
+  for (int id = 0; id < 3; ++id) sim.spawn(receiver(mb, id, got));
+  for (int batch = 0; batch < 2; ++batch) {
+    sim.run();  // all three park
+    EXPECT_TRUE(mb.empty());
+    for (int i = 0; i < 3; ++i) mb.send(100 + 3 * batch + i);
+  }
+  sim.run();
+  EXPECT_EQ(got, (std::vector<std::pair<int, int>>{
+                     {0, 100}, {1, 101}, {2, 102}, {0, 103}, {1, 104}, {2, 105}}));
+}
+
+TEST(Mailbox, RingGrowsCorrectlyAcrossWraparound) {
+  // Sends and receives interleave so the ring's head has moved when it
+  // grows: every growth copies a wrapped run back into send order.
+  Simulation sim;
+  Mailbox<std::unique_ptr<int>> mb(sim);
+  std::vector<int> got;
+  auto drain = [](Mailbox<std::unique_ptr<int>>& box, int n, std::vector<int>& out) -> Task {
+    for (int k = 0; k < n; ++k) out.push_back(*co_await box.recv());
+  };
+  int next = 0;
+  int expected_size = 0;
+  for (int round = 1; round <= 12; ++round) {
+    for (int k = 0; k < round * 3; ++k) mb.send(std::make_unique<int>(next++));
+    expected_size += round * 3;
+    const int take = round * 2;
+    sim.spawn(drain(mb, take, got));
+    sim.run();
+    expected_size -= take;
+    ASSERT_EQ(mb.size(), static_cast<std::size_t>(expected_size));
+  }
+  sim.spawn(drain(mb, expected_size, got));
+  sim.run();
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(next));
+  for (int i = 0; i < next; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
+}
+
+TEST(Mailbox, UnreceivedItemsAreDestroyedWithTheMailbox) {
+  auto item = std::make_shared<int>(7);
+  {
+    Simulation sim;
+    Mailbox<std::shared_ptr<int>> mb(sim);
+    for (int i = 0; i < 5; ++i) mb.send(item);  // grows 4 -> 8 on the fifth
+    EXPECT_EQ(item.use_count(), 6);
+  }
+  EXPECT_EQ(item.use_count(), 1);
 }
 
 }  // namespace

@@ -204,7 +204,7 @@ TEST(VReadApi, Table1FunctionsWorkDirectly) {
                  vread::Status& seek_status, vread::Status& close_status) -> sim::Task {
     std::uint64_t vfd = 0;
     vread::Status st;
-    co_await l.vread_open(name, "datanode1", vfd, st);
+    co_await l.vread_open(sim::Name(name), "datanode1", vfd, st);
     co_await l.vread_read(vfd, 1000, out1, st);          // offset 0..1000
     co_await l.vread_seek(vfd, 500'000, seek_status);    // jump
     co_await l.vread_read(vfd, 1000, out2, st);          // offset 500k..

@@ -1,25 +1,25 @@
 #!/usr/bin/env python3
-"""Compare two sets of BENCH_*.json telemetry files and flag regressions.
+"""Compare two sets of BENCH_*.json telemetry files; any moved value fails.
 
 Every bench binary accepts `--json FILE` and writes a schema-versioned
 report ("vread-bench/1") listing its headline metrics, each tagged with the
 direction that counts as better ("higher" / "lower").  This tool diffs a
 candidate set against a baseline set:
 
-    tools/bench_compare.py bench/baseline out/ [--tolerance 2.0]
+    tools/bench_compare.py bench/baseline out/
 
-Exit status is non-zero when any shared metric moved in the worse direction
-by more than the tolerance (percent), and when a baseline report or a
-baseline metric is missing from the candidate: a bench that stops reporting
-must not pass the gate.  A candidate given as one file is compared against
-that bench's baseline only.  Reports and metrics that only the candidate
-has are listed as new, never fatal.  The simulator is deterministic, so
-the default tolerance is tight; it exists for intentional model retunes,
-not for noise.
+The simulator is deterministic, so the gate is exact: exit status is
+non-zero when any shared metric differs from its baseline value in either
+direction (an improvement too: a change that moves a modeled number
+re-baselines it and lists the per-metric diff in CHANGES.md), and when a
+baseline report or a baseline metric is missing from the candidate: a bench
+that stops reporting must not pass the gate.  A candidate given as one file
+is compared against that bench's baseline only.  Reports and metrics that
+only the candidate has are listed as new, never fatal.
 
-`--self-test` runs the comparator against synthetic reports (an injected
-regression, a missing report, a missing metric) and exits non-zero if the
-verdicts are wrong.
+`--self-test` runs the comparator against synthetic reports (a small move
+each way, a regression, an improvement, a missing report, a missing metric)
+and exits non-zero if the verdicts are wrong.
 """
 
 import argparse
@@ -55,14 +55,14 @@ def metric_map(report):
     return {m["name"]: m for m in report.get("metrics", [])}
 
 
-def compare(baseline, candidate, tolerance):
-    """Returns (lines, regressions): human-readable rows and fatal count."""
+def compare(baseline, candidate):
+    """Returns (lines, failures): human-readable rows and fatal count."""
     lines = []
-    regressions = 0
+    failures = 0
     for bench in sorted(set(baseline) | set(candidate)):
         if bench not in candidate:
             lines.append(f"[GONE] {bench}: baseline report missing from candidate")
-            regressions += 1
+            failures += 1
             continue
         if bench not in baseline:
             lines.append(f"[new]  {bench}: present only in candidate")
@@ -72,7 +72,7 @@ def compare(baseline, candidate, tolerance):
         for name in sorted(set(base_m) | set(cand_m)):
             if name not in cand_m:
                 lines.append(f"[GONE] {bench}.{name}: baseline metric missing from candidate")
-                regressions += 1
+                failures += 1
                 continue
             if name not in base_m:
                 lines.append(f"[new]  {bench}.{name} = {cand_m[name]['value']}")
@@ -81,19 +81,20 @@ def compare(baseline, candidate, tolerance):
             bv, cv = float(b["value"]), float(c["value"])
             better = b.get("better", "higher")
             unit = b.get("unit", "")
+            if cv == bv:
+                lines.append(f"[ok]   {bench}.{name}: {bv:g} {unit}")
+                continue
+            failures += 1
             if bv == 0.0:
-                delta_pct = 0.0 if cv == 0.0 else float("inf")
+                delta_pct = float("inf") if cv > 0.0 else float("-inf")
             else:
                 delta_pct = (cv - bv) / abs(bv) * 100.0
-            worse = delta_pct < -tolerance if better == "higher" else delta_pct > tolerance
-            tag = "REGR" if worse else "ok"
-            if worse:
-                regressions += 1
+            improved = cv > bv if better == "higher" else cv < bv
             lines.append(
-                f"[{tag:4}] {bench}.{name}: {bv:g} -> {cv:g} {unit} "
-                f"({delta_pct:+.2f}%, better={better}, tol={tolerance}%)"
+                f"[MOVE] {bench}.{name}: {bv:g} -> {cv:g} {unit} "
+                f"({delta_pct:+.2f}%, {'better' if improved else 'worse'}, better={better})"
             )
-    return lines, regressions
+    return lines, failures
 
 
 def self_test():
@@ -108,34 +109,42 @@ def self_test():
 
     # Identical sets: clean.
     base = {"b": report("b", 100.0, "higher")}
-    _, n = compare(base, {"b": report("b", 100.0, "higher")}, 2.0)
-    assert n == 0, "identical sets must not regress"
-    # Injected regression on a higher-is-better metric: fatal.
-    _, n = compare(base, {"b": report("b", 80.0, "higher")}, 2.0)
+    _, n = compare(base, {"b": report("b", 100.0, "higher")})
+    assert n == 0, "identical sets must pass"
+    # Regression on a higher-is-better metric: fatal.
+    _, n = compare(base, {"b": report("b", 80.0, "higher")})
     assert n == 1, "20% throughput drop must be flagged"
-    # Improvement: clean.
-    _, n = compare(base, {"b": report("b", 120.0, "higher")}, 2.0)
-    assert n == 0, "improvement must not be flagged"
-    # Lower-is-better metric moving up: fatal.
+    # A small move either way: fatal (the gate is exact).
+    _, n = compare(base, {"b": report("b", 100.5, "higher")})
+    assert n == 1, "a +0.5% move must be flagged"
+    _, n = compare(base, {"b": report("b", 99.5, "higher")})
+    assert n == 1, "a -0.5% move must be flagged"
+    # Improvement: fatal too, until the baseline is refreshed.
+    _, n = compare(base, {"b": report("b", 120.0, "higher")})
+    assert n == 1, "an improvement must be flagged"
     lat = {"b": report("b", 10.0, "lower")}
-    _, n = compare(lat, {"b": report("b", 12.0, "lower")}, 2.0)
+    _, n = compare(lat, {"b": report("b", 9.0, "lower")})
+    assert n == 1, "a latency improvement must be flagged"
+    # Lower-is-better metric moving up: fatal.
+    _, n = compare(lat, {"b": report("b", 12.0, "lower")})
     assert n == 1, "20% latency increase must be flagged"
-    # Within tolerance: clean.
-    _, n = compare(base, {"b": report("b", 99.0, "higher")}, 2.0)
-    assert n == 0, "1% wiggle inside tolerance must pass"
+    # A zero baseline that moves: fatal.
+    zero = {"b": report("b", 0.0, "lower")}
+    _, n = compare(zero, {"b": report("b", 1e-9, "lower")})
+    assert n == 1, "a zero baseline that moves must be flagged"
     # Baseline metric missing from the candidate report: fatal.
-    _, n = compare(base, {"b": {"schema": SCHEMA, "bench": "b", "metrics": []}}, 2.0)
+    _, n = compare(base, {"b": {"schema": SCHEMA, "bench": "b", "metrics": []}})
     assert n == 1, "a metric that drops out of a report must be flagged"
     # Baseline report missing from the candidate set: fatal.
     two = {"a": report("a", 5.0, "lower"), "b": report("b", 100.0, "higher")}
-    _, n = compare(two, {"b": report("b", 100.0, "higher")}, 2.0)
+    _, n = compare(two, {"b": report("b", 100.0, "higher")})
     assert n == 1, "a report missing from the candidate must be flagged"
-    _, n = compare(two, {}, 2.0)
+    _, n = compare(two, {})
     assert n == 2, "an empty candidate set must fail for every baseline report"
     # New report or metric only in the candidate: informational.
     extra = report("b", 100.0, "higher")
     extra["metrics"].append({"name": "new", "value": 1.0, "better": "lower"})
-    _, n = compare(base, {"b": extra, "c": report("c", 1.0, "higher")}, 2.0)
+    _, n = compare(base, {"b": extra, "c": report("c", 1.0, "higher")})
     assert n == 0, "new reports and metrics are informational"
     print("bench_compare self-test: OK")
     return 0
@@ -145,8 +154,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("baseline", nargs="?", help="baseline dir or BENCH_*.json file")
     ap.add_argument("candidate", nargs="?", help="candidate dir or BENCH_*.json file")
-    ap.add_argument("--tolerance", type=float, default=2.0,
-                    help="allowed movement in the worse direction, percent (default 2)")
     ap.add_argument("--self-test", action="store_true",
                     help="verify the comparator's own verdicts and exit")
     args = ap.parse_args()
@@ -162,14 +169,14 @@ def main():
         raise SystemExit(f"no BENCH_*.json reports under {args.baseline}")
     if os.path.isfile(args.candidate):
         baseline = {k: v for k, v in baseline.items() if k in candidate}
-    lines, regressions = compare(baseline, candidate, args.tolerance)
+    lines, failures = compare(baseline, candidate)
     for line in lines:
         print(line)
-    if regressions:
-        print(f"\n{regressions} failure(s): a metric worse by more than "
-              f"{args.tolerance}%, or a baseline report or metric missing")
+    if failures:
+        print(f"\n{failures} failure(s): a metric moved from its baseline value, "
+              f"or a baseline report or metric is missing")
         return 1
-    print("\nno regressions")
+    print("\nevery baseline metric reproduced exactly")
     return 0
 
 
