@@ -6,6 +6,7 @@
 // the client side and the datanode side, using the paper's bar labels.
 #pragma once
 
+#include <cctype>
 #include <cstdint>
 #include <iostream>
 #include <map>
@@ -116,8 +117,9 @@ inline CpuFigureResult run_cpu_breakdown(Scenario scenario, bool vread,
 // Traced re-run of the same workload: prints the measured per-read span
 // decomposition (copy count, sync wait, disk/transport time) and the
 // copy-site table — Fig. 2's arrows and Fig. 3's delays, per actual read.
-inline void print_traced_decomposition(Scenario scenario, bool vread,
-                                       core::VReadDaemon::Transport transport) {
+// Returns the measured copies per delivered byte.
+inline double print_traced_decomposition(Scenario scenario, bool vread,
+                                         core::VReadDaemon::Transport transport) {
   constexpr std::uint64_t kBytes = 64ULL * 1024 * 1024;
   PaperSetup s = make_paper_setup(2.0, /*four_vms=*/false, vread, scenario, kBytes,
                                   4242, transport);
@@ -133,6 +135,7 @@ inline void print_traced_decomposition(Scenario scenario, bool vread,
   trace::print_read_table(std::cout, sum, /*max_rows=*/4);
   trace::print_copy_sites(std::cout, sum);
   tr.disable();
+  return sum.total.copies();
 }
 
 inline void print_cpu_panels(const std::string& what, const CpuFigureResult& vr,
@@ -162,12 +165,40 @@ inline void print_cpu_panels(const std::string& what, const CpuFigureResult& vr,
             << "\n";
 }
 
-// Headline telemetry for the Fig. 6/7/8 reports: total CPU time per side
-// plus the paper's savings percentages as the gated metrics.
+// A breakdown row's label as a metric-name part: "data copy(vRead-buffer)"
+// becomes "data_copy_vread_buffer".
+inline std::string row_slug(const std::string& label) {
+  std::string slug;
+  for (char ch : label) {
+    if (std::isalnum(static_cast<unsigned char>(ch))) {
+      slug += static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
+    } else if (!slug.empty() && slug.back() != '_') {
+      slug += '_';
+    }
+  }
+  if (!slug.empty() && slug.back() == '_') slug.pop_back();
+  return slug;
+}
+
+// Telemetry for the Fig. 6/7/8 reports: total CPU time per side, the
+// paper's savings percentages, and every bar of both panels
+// (`<side>_pct_<row>_<mode>`, % of one core), all gated.
 inline void report_cpu_metrics(BenchReport& report, const CpuFigureResult& vr,
                                const CpuFigureResult& vanilla,
                                double client_saving_expected,
                                double datanode_saving_expected) {
+  const auto bars = [&report](const std::string& side, const SideUtil& u,
+                              const std::string& mode) {
+    for (const auto& [label, cats] : breakdown_rows()) {
+      (void)cats;
+      report.metric(side + "_pct_" + row_slug(label) + "_" + mode, u.pct.at(label), "%",
+                    "lower");
+    }
+  };
+  bars("client", vr.client, "vread");
+  bars("client", vanilla.client, "vanilla");
+  bars("datanode", vr.datanode_side, "vread");
+  bars("datanode", vanilla.datanode_side, "vanilla");
   report.metric("client_cpu_ms_vread", vr.client.cpu_ms, "ms", "lower")
       .metric("client_cpu_ms_vanilla", vanilla.client.cpu_ms, "ms", "lower")
       .metric("datanode_cpu_ms_vread", vr.datanode_side.cpu_ms, "ms", "lower")

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common.h"
+#include "core/block_cache.h"
 #include "fs/disk_image.h"
 #include "fs/simfs.h"
 #include "hw/cpu.h"
@@ -219,6 +220,40 @@ void BM_BufferChecksum(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * (1 << 20));
 }
 BENCHMARK(BM_BufferChecksum);
+
+// A block-cache insert of one 256 KiB window of a 4 MiB image run, in a
+// cache with room for one window: every insert evicts the other key's
+// entry and re-inserts the same view.
+void BM_BlockCacheReinsertSameView(benchmark::State& state) {
+  constexpr std::size_t kWindow = 256 * 1024;
+  const mem::Buffer run = mem::Buffer::deterministic(11, 0, 4 << 20);
+  const mem::Buffer view = run.slice(kWindow, kWindow);
+  core::BlockCache cache(kWindow, "micro");
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.insert("dn", (i++ & 1) ? "blk_a" : "blk_b", 0, view));
+  }
+  benchmark::DoNotOptimize(cache.evictions());
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * kWindow);
+}
+BENCHMARK(BM_BlockCacheReinsertSameView);
+
+// The same insert, but of a window of a fresh slab each time (built
+// outside the timed region), so no digest was ever taken of it.
+void BM_BlockCacheInsertFreshView(benchmark::State& state) {
+  constexpr std::size_t kWindow = 256 * 1024;
+  const mem::Buffer source = mem::Buffer::deterministic(12, 0, kWindow);
+  core::BlockCache cache(kWindow, "micro");
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const mem::Buffer fresh(source.data(), kWindow);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(cache.insert("dn", (i++ & 1) ? "blk_a" : "blk_b", 0, fresh));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * kWindow);
+}
+BENCHMARK(BM_BlockCacheInsertFreshView);
 
 void BM_DeterministicPayload(benchmark::State& state) {
   for (auto _ : state) {

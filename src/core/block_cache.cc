@@ -67,22 +67,27 @@ bool BlockCache::insert(const std::string& dn, const std::string& block,
   if (!enabled() || data.empty() || data.size() > capacity_) return false;
   const Key key{dn, block, offset};
   auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    // Same chop point re-read (write-once blocks: contents are identical);
-    // just refresh recency.
+  if (it != entries_.end() && data.size() <= it->second.data.size()) {
+    // Same chop point re-read (write-once blocks: the entry already covers
+    // these bytes); just refresh recency.
     lru_.splice(lru_.end(), lru_, it->second.lru);
     return true;
   }
-  if (!tenant.empty()) {
-    if (auto cap_it = tenant_caps_.find(tenant); cap_it != tenant_caps_.end()) {
-      if (data.size() > cap_it->second) return false;  // never fits this tenant
-      evict_tenant_to_fit(tenant, data.size(), cap_it->second);
-    }
+  auto cap_it = tenant.empty() ? tenant_caps_.end() : tenant_caps_.find(tenant);
+  if (cap_it != tenant_caps_.end() && data.size() > cap_it->second) {
+    return false;  // never fits this tenant
   }
+  // A longer payload at a cached offset replaces the shorter entry, which
+  // could not serve the longer range. The block stays cached, so the
+  // removal is not reported.
+  if (it != entries_.end()) erase(it, /*notify=*/false);
+  if (cap_it != tenant_caps_.end()) evict_tenant_to_fit(tenant, data.size(), cap_it->second);
   evict_to_fit(data.size());
   Entry e;
   e.data = data;
-  e.checksum = e.data.checksum();
+  // Establishing the reference digest may reuse one the slab remembers for
+  // this window; lookup() always hashes the cached bytes again.
+  e.checksum = e.data.remembered_checksum();
   e.tenant = tenant;
   e.lru = lru_.insert(lru_.end(), key);
   bytes_ += data.size();
@@ -160,7 +165,7 @@ void BlockCache::clear() {
   bytes_g_.set(0);
 }
 
-void BlockCache::erase(std::map<Key, Entry>::iterator it) {
+void BlockCache::erase(std::map<Key, Entry>::iterator it, bool notify) {
   bytes_ -= it->second.data.size();
   if (!it->second.tenant.empty()) {
     tenant_bytes_[it->second.tenant] -= it->second.data.size();
@@ -170,7 +175,7 @@ void BlockCache::erase(std::map<Key, Entry>::iterator it) {
   const std::string block = it->first.block;
   it = entries_.erase(it);
   bytes_g_.set(static_cast<std::int64_t>(bytes_));
-  if (removal_observer_) {
+  if (notify && removal_observer_) {
     // `it` now points past the erased key; the previous neighbor (if any)
     // tells us whether other entries of the same (dn, block) survive.
     bool last = true;

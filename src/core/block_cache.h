@@ -12,9 +12,12 @@
 // exactly the events that refresh a mount: vRead_update (block create/
 // delete/rename reported by the namenode), datanode unregistration and VM
 // migration. Every entry stores the mem::Hasher digest of its payload,
-// taken at insert; each hit hashes the cached bytes again and compares. A
-// mismatch drops the entry and reports a miss (integrity never depends on
-// the cache being right).
+// established at insert; each hit hashes the cached bytes again and
+// compares. A mismatch drops the entry and reports a miss (integrity never
+// depends on the cache being right). The insert-time digest comes from
+// Buffer::remembered_checksum(): a window of a slab that was digested
+// before (a re-read of the same image run) is not hashed again. The hit
+// side never uses it.
 //
 // Entries hold the caller's mem::Buffer view as is, so neither an insert
 // nor a hit copies bytes. A block read off the mount is a view of a disk
@@ -60,8 +63,9 @@ class BlockCache {
   // entries to stay within capacity. Oversized payloads are not cached.
   // `tenant` attributes the residency for per-tenant caps (§11); empty
   // means unattributed (counts toward no cap). Returns true when the
-  // bytes are resident afterwards (fresh insert or same-chop refresh) —
-  // the peer tier publishes a copyset entry only for resident bytes.
+  // bytes are resident afterwards (fresh insert, same-chop refresh, or a
+  // longer payload replacing a shorter entry at the same offset) — the
+  // peer tier publishes a copyset entry only for resident bytes.
   bool insert(const std::string& dn, const std::string& block, std::uint64_t offset,
               const mem::Buffer& data, const std::string& tenant = {});
 
@@ -119,7 +123,8 @@ class BlockCache {
     std::list<Key>::iterator lru;
   };
 
-  void erase(std::map<Key, Entry>::iterator it);
+  // `notify` false skips the removal observer, for an entry being replaced.
+  void erase(std::map<Key, Entry>::iterator it, bool notify = true);
   void evict_to_fit(std::uint64_t incoming);
   void evict_tenant_to_fit(const std::string& tenant, std::uint64_t incoming,
                            std::uint64_t cap);

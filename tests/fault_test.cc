@@ -314,6 +314,47 @@ TEST(FaultCacheCorrupt, RehashOnHitDropsRottedEntryAndReadStaysByteIdentical) {
   EXPECT_EQ(cache.lookup("datanode1", blk, 0, 4096), Buffer::deterministic(79, 0, 4096));
 }
 
+// An insert's reference digest may come from the slab's memo; the hit
+// still hashes the bytes it serves. Both ways a flip can land are caught:
+// in place in a slab the entry owns alone (which drops the memo), and
+// copy-on-write away from a slab still shared with the image run.
+TEST(FaultCacheCorrupt, MemoisedInsertDigestIsStillVerifiedOnEveryHit) {
+  RegistryGuard guard;
+  core::BlockCache cache(1 << 20, "memo-corrupt");
+  const Buffer run = Buffer::deterministic(80, 0, 1 << 18);
+  const Buffer shared = run.slice(65536, 65536);
+  Buffer alone = Buffer::deterministic(81, 0, 65536);
+  // Digest both windows first, so the inserts take them from the memo.
+  const std::uint64_t shared_digest = run.slice(65536, 65536).remembered_checksum();
+  const std::uint64_t alone_digest = alone.remembered_checksum();
+  ASSERT_TRUE(cache.insert("dn", "shared", 0, shared));
+  ASSERT_TRUE(cache.insert("dn", "alone", 0, alone));
+  alone = Buffer();  // the entry now owns its slab alone
+  EXPECT_EQ(cache.lookup("dn", "alone", 0, 65536).checksum(), alone_digest);
+  EXPECT_EQ(cache.lookup("dn", "shared", 0, 65536).checksum(), shared_digest);
+  EXPECT_EQ(cache.integrity_failures(), 0u);
+
+  fault::registry().arm(fault::points::kCacheCorrupt, {.every = 1, .max_fires = 2});
+  EXPECT_TRUE(cache.lookup("dn", "alone", 0, 65536).empty());
+  EXPECT_TRUE(cache.lookup("dn", "shared", 0, 65536).empty());
+  EXPECT_EQ(fault::registry().fires(fault::points::kCacheCorrupt), 2u);
+  EXPECT_EQ(cache.integrity_failures(), 2u);
+  EXPECT_EQ(cache.bytes(), 0u);
+  EXPECT_EQ(run, Buffer::deterministic(80, 0, 1 << 18));  // the run kept its bytes
+  // Re-inserting the run's window establishes its digest again, correctly.
+  ASSERT_TRUE(cache.insert("dn", "shared", 0, run.slice(65536, 65536)));
+  EXPECT_EQ(cache.lookup("dn", "shared", 0, 65536), Buffer::deterministic(80, 65536, 65536));
+  EXPECT_EQ(cache.integrity_failures(), 2u);
+
+  // Rot that no write path sees (a raw write standing in for a memory
+  // fault) leaves the slab's memo stale. The hit hashes the bytes anyway.
+  const Buffer rotting = Buffer::deterministic(82, 0, 65536);
+  ASSERT_TRUE(cache.insert("dn", "rot", 0, rotting));
+  const_cast<std::uint8_t*>(rotting.data())[4096] ^= 0x10;
+  EXPECT_TRUE(cache.lookup("dn", "rot", 0, 65536).empty());
+  EXPECT_EQ(cache.integrity_failures(), 3u);
+}
+
 // --- virt.shm.timeout: requests vanish; the library's bounded retry ---
 
 TEST(FaultShmTimeout, BoundedRetriesExhaustThenClientFallsBack) {

@@ -272,6 +272,97 @@ TEST(Buffer, SlabBytesAllocatedCountsMaterialisedBytesOnly) {
   EXPECT_EQ(filled.data()[63], 7);
 }
 
+// ---- remembered window digests (DESIGN.md §17) ----
+
+TEST(BufferMemo, RememberedChecksumEqualsTheHashOfRandomWindows) {
+  const Buffer whole = Buffer::deterministic(23, 0, 1 << 16);
+  sim::Rng rng(23);
+  for (int i = 0; i < 200; ++i) {
+    const std::size_t off = rng.uniform(0, whole.size() - 1);
+    const std::size_t len = rng.uniform(1, whole.size() - off);
+    const std::uint64_t want = Hasher::hash(whole.data() + off, len);
+    EXPECT_EQ(whole.slice(off, len).remembered_checksum(), want) << off << "+" << len;
+    // Asked again through another view of the same window: same answer.
+    EXPECT_EQ(whole.slice(off, len).remembered_checksum(), want) << off << "+" << len;
+  }
+  EXPECT_EQ(Buffer().remembered_checksum(), Buffer().checksum());
+}
+
+TEST(BufferMemo, WritingThroughDataOrIndexDropsTheMemo) {
+  Buffer via_data = Buffer::deterministic(24, 0, 4096);  // sole owner: writes in place
+  Buffer via_index = Buffer::deterministic(24, 0, 4096);
+  const std::uint64_t before = via_data.remembered_checksum();
+  ASSERT_EQ(via_index.remembered_checksum(), before);
+  const std::uint8_t* slab = std::as_const(via_data).data();
+  via_data.data()[100] ^= 0x01;
+  via_index[100] ^= 0x01;
+  EXPECT_EQ(std::as_const(via_data).data(), slab);  // no copy: the slab itself changed
+  for (const Buffer* b : {&via_data, &via_index}) {
+    // checksum() re-hashes the bytes; the memo was dropped, not reused.
+    EXPECT_NE(b->checksum(), before);
+    EXPECT_EQ(b->checksum(), Hasher::hash(b->data(), b->size()));
+    EXPECT_EQ(b->remembered_checksum(), b->checksum());
+  }
+}
+
+TEST(BufferMemo, InPlaceAppendOverADigestedWindowDropsTheMemo) {
+  Buffer whole = Buffer::deterministic(25, 0, 1024);
+  const std::uint64_t old_tail = whole.slice(512, 512).remembered_checksum();
+  // Keep only a prefix view: it owns the slab alone, so an append writes
+  // the bytes the digested window covered, in place.
+  Buffer head = whole.slice(0, 512);
+  whole = Buffer();
+  const std::uint8_t* slab = std::as_const(head).data();
+  const Buffer other = Buffer::deterministic(99, 0, 512);
+  head.append(other.data(), other.size());
+  ASSERT_EQ(std::as_const(head).data(), slab);  // grown in place
+  const Buffer tail = head.slice(512, 512);
+  EXPECT_EQ(tail, other);
+  EXPECT_NE(tail.checksum(), old_tail);
+  EXPECT_EQ(tail.remembered_checksum(), other.checksum());
+  EXPECT_EQ(head.remembered_checksum(), head.checksum());
+}
+
+TEST(BufferMemo, ManyDistinctWindowsStayCorrectAndTheMemoStaysBounded) {
+  const Buffer whole = Buffer::deterministic(26, 0, 1 << 14);
+  for (std::size_t i = 0; i < 1000; ++i) {
+    const std::size_t off = (i * 13) % 4096;
+    const std::size_t len = 1 + (i * 7919) % 8192;
+    ASSERT_EQ(whole.slice(off, len).remembered_checksum(),
+              Hasher::hash(whole.data() + off, len))
+        << i;
+  }
+  // The memo itself: at most kEntries windows, the oldest replaced first.
+  detail::DigestMemo memo;
+  constexpr std::size_t kN = detail::DigestMemo::kEntries;
+  for (std::size_t i = 0; i < 1000; ++i) memo.remember(i, 1, i * 3);
+  EXPECT_EQ(memo.used, kN);
+  for (std::size_t i = 0; i < 1000; ++i) {
+    const std::uint64_t* d = memo.find(i, 1);
+    if (i < 1000 - kN) {
+      EXPECT_EQ(d, nullptr) << i;
+    } else {
+      ASSERT_NE(d, nullptr) << i;
+      EXPECT_EQ(*d, i * 3);
+    }
+  }
+  EXPECT_EQ(memo.find(999, 2), nullptr);  // keyed by offset and length
+}
+
+TEST(BufferMemo, TheMemoKeepsNoSlabAlive) {
+  const std::uint64_t live = Buffer::slabs_live();
+  const std::uint64_t allocated = Buffer::slab_bytes_allocated();
+  {
+    const Buffer whole = Buffer::deterministic(27, 0, 1 << 16);
+    for (std::size_t off = 0; off < whole.size(); off += 4096) {
+      whole.slice(off, 4096).remembered_checksum();
+    }
+    EXPECT_EQ(Buffer::slabs_live(), live + 1);
+    EXPECT_EQ(Buffer::slab_bytes_allocated(), allocated + (1 << 16));  // payload only
+  }
+  EXPECT_EQ(Buffer::slabs_live(), live);
+}
+
 TEST(PageCache, MissThenHit) {
   PageCache cache(1 << 20);  // 256 pages
   EXPECT_EQ(cache.miss_bytes(1, 0, 8192), 8192u);

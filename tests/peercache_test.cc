@@ -145,6 +145,39 @@ TEST(BlockCacheObserver, InsertReportsResidency) {
   EXPECT_FALSE(off.insert("dn", "blk", 0, Buffer::deterministic(3, 0, 4096)));
 }
 
+TEST(BlockCacheObserver, LongerPayloadAtACachedOffsetReplacesTheEntry) {
+  BlockCache cache(16384, "longer-host");
+  int removals = 0;
+  cache.set_removal_observer([&](const std::string&, const std::string&) { ++removals; });
+  ASSERT_TRUE(cache.insert("dn", "blk", 0, Buffer::deterministic(3, 0, 4096), "t1"));
+  ASSERT_TRUE(cache.insert("dn", "other", 0, Buffer::deterministic(4, 0, 8192)));
+  // Resident means servable: the longer range must hit afterwards.
+  EXPECT_TRUE(cache.insert("dn", "blk", 0, Buffer::deterministic(3, 0, 8192), "t2"));
+  EXPECT_EQ(cache.lookup("dn", "blk", 0, 8192), Buffer::deterministic(3, 0, 8192));
+  EXPECT_EQ(cache.bytes(), 16384u);
+  EXPECT_EQ(cache.tenant_bytes("t1"), 0u);
+  EXPECT_EQ(cache.tenant_bytes("t2"), 8192u);
+  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_EQ(removals, 0);  // the block never left the cache
+  // A shorter re-insert keeps the longer entry.
+  EXPECT_TRUE(cache.insert("dn", "blk", 0, Buffer::deterministic(3, 0, 2048)));
+  EXPECT_EQ(cache.lookup("dn", "blk", 0, 8192), Buffer::deterministic(3, 0, 8192));
+  EXPECT_EQ(cache.tenant_bytes("t2"), 8192u);
+  // Growing past the capacity left evicts the LRU victim, reported once.
+  EXPECT_TRUE(cache.insert("dn", "blk", 0, Buffer::deterministic(3, 0, 12288)));
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(removals, 1);  // "other"
+  EXPECT_EQ(cache.bytes(), 12288u);
+  EXPECT_EQ(cache.tenant_bytes("t2"), 0u);
+  EXPECT_EQ(cache.lookup("dn", "blk", 0, 12288), Buffer::deterministic(3, 0, 12288));
+  // A longer payload its tenant's cap can never hold is refused, and the
+  // shorter entry stays.
+  cache.set_tenant_cap("capped", 12288);
+  EXPECT_FALSE(cache.insert("dn", "blk", 0, Buffer::deterministic(3, 0, 16384), "capped"));
+  EXPECT_EQ(cache.lookup("dn", "blk", 0, 12288), Buffer::deterministic(3, 0, 12288));
+  EXPECT_EQ(removals, 1);
+}
+
 // ---- owner directory epoch/copyset unit semantics ----
 
 // A real (tiny) cluster supplies daemons the directory can point at; the
