@@ -387,16 +387,59 @@ TEST(QosOverload, DisabledQosRestoresPerClientServeLoops) {
 // ---- pread fan-out partial-failure regression (satellite fix) ----
 
 TEST(QosPreadFanout, FailedLegRetriesAloneWithoutDuplicateBytes) {
-  RegistryGuard guard;
-  // Vanilla cluster, single replica: when one block's datanode read
-  // transiently answers "missing" mid-fan-out, replica failover has
-  // nowhere to go, so the leg itself must retry — and only that leg.
-  auto c = testutil::local_bed(12 * 1024 * 1024, 75);  // 3 blocks of 4 MB
-  bool ok = true;
-  fault::registry().arm(fault::points::kDatanodeReadFail, {.after = 1, .max_fires = 1});
-  c->run_job(pread_whole(c.get(), 1, 12 * 1024 * 1024, 75, &ok));
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(fault::registry().fires(fault::points::kDatanodeReadFail), 1u);
+  // Serial (fan-out 1) and fanned-out parts run the same retry loop.
+  for (const std::size_t fanout : {1, 4}) {
+    SCOPED_TRACE("fanout " + std::to_string(fanout));
+    RegistryGuard guard;
+    // Vanilla cluster, single replica: when one block's datanode read
+    // transiently answers "missing" mid-pread, replica failover has
+    // nowhere to go, so the part itself must retry — and only that part.
+    auto c = testutil::local_bed(12 * 1024 * 1024, 75);  // 3 blocks of 4 MB
+    c->client("client")->set_pread_parallelism(fanout);
+    bool ok = true;
+    fault::registry().arm(fault::points::kDatanodeReadFail, {.after = 1, .max_fires = 1});
+    c->run_job(pread_whole(c.get(), 1, 12 * 1024 * 1024, 75, &ok));
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(fault::registry().fires(fault::points::kDatanodeReadFail), 1u);
+  }
+}
+
+// One pread of [offset, offset + len) that must fail; the error lands in
+// `error`.
+sim::Task pread_error(Cluster* c, std::uint64_t offset, std::uint64_t len,
+                      std::string* error) {
+  std::unique_ptr<hdfs::DfsInputStream> in;
+  co_await c->client("client")->open("/f", in);
+  mem::Buffer out;
+  try {
+    co_await in->pread(offset, len, out);
+  } catch (const hdfs::HdfsError& e) {
+    *error = e.what();
+  }
+  co_await in->close();
+}
+
+TEST(QosPreadFanout, PartFailingBothAttemptsSurfacesFirstInBlockOrder) {
+  constexpr std::uint64_t kBlock = 4 * 1024 * 1024;
+  for (const std::size_t fanout : {1, 4}) {
+    SCOPED_TRACE("fanout " + std::to_string(fanout));
+    RegistryGuard guard;
+    testutil::Bed bed;
+    Cluster& c = bed.cluster;
+    // Block 1 lives only on the remote datanode2 and block 2 only on the
+    // co-located datanode1, so in the fan-out block 2 fails first.
+    c.preload_file("/f", 3 * kBlock, 77, {{"datanode1"}, {"datanode2"}, {"datanode1"}});
+    c.client("client")->set_pread_parallelism(fanout);
+    fault::registry().arm(fault::points::kDatanodeReadFail, {.every = 1});
+    std::string error;
+    c.run_job(pread_error(&c, kBlock, 2 * kBlock, &error));
+    const std::vector<hdfs::BlockInfo> blocks = c.namenode().all_blocks("/f");
+    EXPECT_EQ(error, "datanode datanode2 missing " + blocks[1].name.str());
+    // Serially the second part never starts; fanned out, both parts
+    // spend both attempts.
+    EXPECT_EQ(fault::registry().fires(fault::points::kDatanodeReadFail),
+              fanout == 1 ? 2u : 4u);
+  }
 }
 
 TEST(QosPreadFanout, ShedMidFanoutStaysByteIdentical) {

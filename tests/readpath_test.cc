@@ -1,4 +1,6 @@
-// Exactness guard for the daemon's read-serving paths (DESIGN.md §10).
+// Exactness guard for the daemon's read-serving paths (DESIGN.md §10) and
+// the HDFS client's read pipeline (Algorithms 1 and 2 plus hedging,
+// DESIGN.md §16).
 //
 // Each case drives one serve path end to end and pins four values: the
 // payload checksum, the final simulated time, the dispatch digest (a hash
@@ -13,6 +15,7 @@
 // values) and says so in its description.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <ostream>
@@ -24,6 +27,7 @@
 #include "apps/dfsio.h"
 #include "core/libvread.h"
 #include "core/vread_daemon.h"
+#include "fault/fault.h"
 #include "hdfs/dfs_client.h"
 #include "hdfs/read_request.h"
 #include "mem/buffer.h"
@@ -350,6 +354,347 @@ TEST(ReadPathDigest, HedgeCancelMidStreamOnPeerTierLoop) {
   EXPECT_GT(uncharged(*d), 0u);
   expect_pinned(observe(*c, uncharged(*d)),
                 Pinned{262144u, 6371818, 6260405295878330513u, 102u});
+}
+
+
+// ---- client read pipeline (DfsInputStream) ----
+
+// `len` bytes from `start` through the stream cursor (read1), `chunk` bytes
+// per call.
+sim::Task sequential_checksum(hdfs::DfsClient* client, std::string path,
+                              std::uint64_t start, std::uint64_t len, std::uint64_t chunk,
+                              std::uint64_t* checksum) {
+  std::unique_ptr<hdfs::DfsInputStream> in;
+  co_await client->open(path, in);
+  in->seek(start);
+  Buffer all;
+  while (all.size() < len) {
+    Buffer part;
+    co_await in->read(std::min(chunk, len - all.size()), part);
+    if (part.empty()) break;
+    all.append(part);
+  }
+  *checksum = all.size() == len ? all.checksum() : 0;
+  co_await in->close();
+}
+
+// One positional read (read2) with an explicit fan-out, started after
+// `start_at`. An HdfsError lands in `error` instead of escaping.
+sim::Task positional(hdfs::DfsClient* client, std::string path, std::uint64_t offset,
+                     std::uint64_t len, std::size_t fanout, sim::SimTime start_at,
+                     std::uint64_t* checksum, std::string* error, sim::Latch* done) {
+  if (start_at > 0) co_await client->vm().host().sim().delay(start_at);
+  std::unique_ptr<hdfs::DfsInputStream> in;
+  co_await client->open(path, in);
+  hdfs::ReadRequest req;
+  req.offset = offset;
+  req.len = len;
+  req.fanout = fanout;
+  hdfs::ReadResult res;
+  try {
+    co_await in->read(req, res);
+    *checksum = res.data.size() == len ? res.data.checksum() : 0;
+  } catch (const hdfs::HdfsError& e) {
+    *error = e.what();
+  }
+  co_await in->close();
+  if (done != nullptr) done->count_down();
+}
+
+std::uint64_t pread_fanout(Cluster& c, const std::string& client_vm, std::uint64_t offset,
+                           std::uint64_t len, std::size_t fanout,
+                           std::string* error = nullptr) {
+  std::uint64_t sum = 0;
+  std::string err;
+  c.run_job(positional(c.client(client_vm), "/f", offset, len, fanout, 0, &sum, &err,
+                       nullptr));
+  if (error != nullptr) *error = err;
+  return sum;
+}
+
+std::uint64_t expected(std::uint64_t offset, std::uint64_t len) {
+  return Buffer::deterministic(kSeed, offset, len).checksum();
+}
+
+// Hedge policy that fires after 200us: `warmup` is out of reach, so
+// `max_delay` is used verbatim.
+hdfs::HedgeConfig eager_hedge() {
+  hdfs::HedgeConfig hc;
+  hc.enabled = true;
+  hc.min_delay = sim::us(100);
+  hc.max_delay = sim::us(200);
+  hc.warmup = 1u << 30;
+  return hc;
+}
+
+// Three racked hosts, "/f" (three 4 MB blocks) replicated on `replicas`,
+// vRead with four daemon workers.
+std::unique_ptr<Cluster> hedge_bed(std::vector<std::string> replicas,
+                                   DaemonConfig dc = peer_tier(Transport::kRdma)) {
+  dc.peer_cache.enabled = false;
+  auto c = testutil::racked_bed(3, 3, 0, 0);
+  c->preload_file("/f", 3 * kBlockBytes, kSeed, {std::move(replicas)});
+  c->enable_vread(testutil::validated(dc));
+  return c;
+}
+
+TEST(ReadPathDigest, ClientSequentialReadAcrossBlockBoundary) {
+  RegistryGuard guard;
+  auto c = testutil::local_bed(kFileBytes, kSeed);
+  c->enable_vread();
+  c->drop_all_caches();
+  c->sim().enable_dispatch_digest();
+  // 768 KB calls from 1 MB before the boundary: the second call spans it,
+  // so one read1 call issues two block-range reads.
+  const std::uint64_t start = kBlockBytes - (1 << 20);
+  std::uint64_t sum = 0;
+  c->run_job(
+      sequential_checksum(c->client("client"), "/f", start, 2 << 20, 768 << 10, &sum));
+  EXPECT_EQ(sum, expected(start, 2 << 20));
+  hdfs::DfsClient* client = c->client("client");
+  EXPECT_EQ(client->vread_path_reads(), 4u);
+  EXPECT_EQ(client->socket_path_reads(), 0u);
+  EXPECT_EQ(client->vfd_cache_hits(), 2u);
+  expect_pinned(observe(*c, sum),
+                Pinned{8371993297784441209u, 22196548, 6822644890936079911u, 244u});
+}
+
+TEST(ReadPathDigest, ClientPositionalSerialAcrossBlockBoundary) {
+  RegistryGuard guard;
+  auto c = testutil::local_bed(kFileBytes, kSeed);
+  c->enable_vread();
+  c->drop_all_caches();
+  c->sim().enable_dispatch_digest();
+  const std::uint64_t start = kBlockBytes - (1 << 20);
+  const std::uint64_t sum = pread_fanout(*c, "client", start, 2 << 20, 1);
+  EXPECT_EQ(sum, expected(start, 2 << 20));
+  EXPECT_EQ(c->client("client")->vread_path_reads(), 2u);
+  EXPECT_EQ(c->client("client")->socket_path_reads(), 0u);
+  expect_pinned(observe(*c, sum),
+                Pinned{8371993297784441209u, 21065090, 14322760147217296681u, 230u});
+}
+
+TEST(ReadPathDigest, ClientPositionalFanoutOverThreeBlocks) {
+  RegistryGuard guard;
+  auto c = testutil::local_bed(3 * kBlockBytes, kSeed);
+  DaemonConfig dc;
+  dc.workers = 4;
+  c->enable_vread(testutil::validated(dc));
+  c->drop_all_caches();
+  c->sim().enable_dispatch_digest();
+  const std::uint64_t start = 1 << 20;
+  const std::uint64_t len = 3 * kBlockBytes - (2 << 20);
+  const std::uint64_t sum = pread_fanout(*c, "client", start, len, 4);
+  EXPECT_EQ(sum, expected(start, len));
+  EXPECT_EQ(c->client("client")->vread_path_reads(), 3u);
+  EXPECT_EQ(c->client("client")->vfd_cache_misses(), 3u);
+  expect_pinned(observe(*c, sum),
+                Pinned{3529949871636552581u, 72190571, 11903428090627050807u, 925u});
+}
+
+// Vanilla fan-out: the three parts share the one cached datanode
+// connection, serialized by its mutex.
+TEST(ReadPathDigest, ClientSocketPositionalFanoutOverThreeBlocks) {
+  RegistryGuard guard;
+  auto c = testutil::local_bed(3 * kBlockBytes, kSeed);
+  c->drop_all_caches();
+  c->sim().enable_dispatch_digest();
+  const std::uint64_t start = 1 << 20;
+  const std::uint64_t len = 3 * kBlockBytes - (2 << 20);
+  const std::uint64_t sum = pread_fanout(*c, "client", start, len, 4);
+  EXPECT_EQ(sum, expected(start, len));
+  EXPECT_EQ(c->client("client")->socket_path_reads(), 3u);
+  expect_pinned(observe(*c, sum),
+                Pinned{3529949871636552581u, 123478949, 12105177295597440652u, 3058u});
+}
+
+TEST(ReadPathDigest, ClientHedgeAvertedWhenPrimaryWins) {
+  RegistryGuard guard;
+  auto c = hedge_bed({"datanode1", "datanode2", "datanode3"});
+  hdfs::HedgeConfig hc;
+  hc.enabled = true;  // the 20 ms default delay outlasts a 512 KB local read
+  hc.warmup = 1u << 30;
+  c->client("client1")->set_hedge(hc);
+  c->drop_all_caches();
+  c->sim().enable_dispatch_digest();
+  const std::uint64_t sum = pread_fanout(*c, "client1", 0, 512 << 10, 4);
+  EXPECT_EQ(sum, expected(0, 512 << 10));
+  EXPECT_EQ(c->client("client1")->hedge_averted(), 1u);
+  EXPECT_EQ(c->client("client1")->hedge_launched(), 0u);
+  expect_pinned(observe(*c, sum),
+                Pinned{18416522852793289551u, 20027750, 8538929498593354335u, 107u});
+}
+
+TEST(ReadPathDigest, ClientHedgeSecondLegWins) {
+  RegistryGuard guard;
+  DaemonConfig dc = peer_tier(Transport::kRdma);
+  dc.cache_bytes = 0;  // every read reaches the device, where GC lives
+  dc.disk.enabled = true;
+  dc.disk.seed = 21;
+  dc.disk.gc_period = sim::ms(10);
+  dc.disk.gc_duration = sim::ms(8);
+  dc.disk.gc_jitter = 1.0;
+  auto c = hedge_bed({"datanode2", "datanode3"}, dc);
+  c->client("client1")->set_hedge(eager_hedge());
+  // A zero hedge delay: both legs run the whole read side by side.
+  fault::registry().arm(fault::points::kHedgeBothSlow, {.every = 1});
+  c->drop_all_caches();
+  c->sim().enable_dispatch_digest();
+  std::uint64_t sum = 0;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    sum = pread_fanout(*c, "client1", i * (512 << 10), 256 << 10, 4);
+    EXPECT_EQ(sum, expected(i * (512 << 10), 256 << 10));
+  }
+  EXPECT_EQ(c->client("client1")->hedge_launched(), 4u);
+  EXPECT_GT(c->client("client1")->hedge_wins(), 0u);
+  expect_pinned(observe(*c, sum),
+                Pinned{8031802932297719289u, 32339720, 2005115990318583491u, 671u});
+}
+
+TEST(ReadPathDigest, ClientHedgeAllLegsFailSurfacesPrimaryError) {
+  RegistryGuard guard;
+  auto c = hedge_bed({"datanode2", "datanode3"});
+  c->client("client1")->set_hedge(eager_hedge());
+  // Every vRead submit is shed and every datanode answers "missing": the
+  // hedge leg fails to open, and the primary fails on vRead and then on
+  // both replicas' sockets.
+  fault::registry().arm(fault::points::kAdmissionShed, {.every = 1});
+  fault::registry().arm(fault::points::kDatanodeReadFail, {.every = 1});
+  c->drop_all_caches();
+  c->sim().enable_dispatch_digest();
+  std::string error;
+  const std::uint64_t sum = pread_fanout(*c, "client1", 0, 256 << 10, 4, &error);
+  EXPECT_EQ(sum, 0u);
+  const std::string block = c->namenode().all_blocks("/f").front().name;
+  EXPECT_EQ(error, "datanode datanode3 missing " + block);
+  EXPECT_GT(c->client("client1")->hedge_launched(), 0u);
+  EXPECT_EQ(c->client("client1")->hedge_wins(), 0u);
+  EXPECT_GT(c->client("client1")->vread_fallback_reads(), 0u);
+  expect_pinned(observe(*c, error.size()),
+                Pinned{35u, 1443262, 15601228298504683983u, 337u});
+}
+
+TEST(ReadPathDigest, ClientVreadFallbackCooldownThenReprobe) {
+  RegistryGuard guard;
+  auto c = testutil::local_bed(kFileBytes, kSeed);
+  c->enable_vread();
+  c->drop_all_caches();
+  c->sim().enable_dispatch_digest();
+  // The open passes; the first read is shed through the library's whole
+  // retry budget, so the descriptor is dropped, a cooldown starts and the
+  // rest of the file comes over the socket.
+  fault::registry().arm(fault::points::kAdmissionShed, {.after = 1, .max_fires = 3});
+  ASSERT_EQ(dfsio_read(*c, "client"), expected_file());
+  hdfs::DfsClient* client = c->client("client");
+  EXPECT_EQ(client->vread_overloaded(), 1u);
+  EXPECT_EQ(client->vread_cooldowns(), 1u);
+  EXPECT_EQ(client->vread_fallback_reads(), 1u);
+  EXPECT_GT(client->vread_suppressed(), 0u);
+  // Past the cooldown the next open re-probes, and vRead serves again.
+  c->run_job(testutil::idle(c.get(), client->vread_fallback_cooldown()));
+  const std::uint64_t reads_before = client->vread_path_reads();
+  const std::uint64_t sum = pread_fanout(*c, "client", 0, kChunk, 4);
+  EXPECT_EQ(sum, expected(0, kChunk));
+  EXPECT_EQ(client->vread_reprobes(), 1u);
+  EXPECT_EQ(client->vread_path_reads(), reads_before + 1);
+  expect_pinned(observe(*c, sum),
+                Pinned{11295043679626050557u, 129345470, 4067785927650191976u, 2300u});
+}
+
+// The client VM hosts a replica of every block: reads come straight off
+// its own filesystem. Hedging stands down for the same reason.
+TEST(ReadPathDigest, ClientShortCircuitLocalRead) {
+  RegistryGuard guard;
+  auto c = std::make_unique<Cluster>(testutil::small_blocks());
+  c->add_host("host1");
+  c->add_host("host2");
+  c->add_vm("host1", "client");
+  c->create_namenode("client");
+  c->add_datanode_in_vm("client");
+  c->add_datanode("host2", "datanode2");
+  c->add_client("client");
+  c->preload_file("/f", kFileBytes, kSeed, {{"client", "datanode2"}});
+  c->enable_vread();
+  hdfs::DfsClient* client = c->client("client");
+  client->set_short_circuit(true);
+  client->set_hedge(eager_hedge());
+  c->drop_all_caches();
+  c->sim().enable_dispatch_digest();
+  const std::uint64_t sum = dfsio_read(*c, "client");
+  EXPECT_EQ(sum, expected_file());
+  EXPECT_EQ(client->short_circuit_reads(), 8u);
+  EXPECT_EQ(client->vfd_cache_misses(), 0u);
+  EXPECT_EQ(client->hedge_launched() + client->hedge_averted(), 0u);
+  expect_pinned(observe(*c, sum),
+                Pinned{11579688884377281248u, 70124484, 12334600594410345909u, 189u});
+}
+
+// Vanilla sequential reads: the co-located replica's stream answers
+// "missing" once, and the read fails over to the remote replica.
+TEST(ReadPathDigest, ClientSocketStreamReplicaFailover) {
+  RegistryGuard guard;
+  testutil::Bed bed;
+  Cluster& c = bed.cluster;
+  c.preload_file("/f", kFileBytes, kSeed, {{"datanode1", "datanode2"}});
+  c.drop_all_caches();
+  c.sim().enable_dispatch_digest();
+  fault::registry().arm(fault::points::kDatanodeReadFail, {.every = 1, .max_fires = 1});
+  const std::uint64_t sum = dfsio_read(c, "client");
+  EXPECT_EQ(sum, expected_file());
+  EXPECT_EQ(fault::registry().fires(fault::points::kDatanodeReadFail), 1u);
+  EXPECT_EQ(c.client("client")->socket_path_reads(), 8u);
+  EXPECT_GT(c.datanode("datanode2")->bytes_served(), 0u);
+  expect_pinned(observe(c, sum),
+                Pinned{11579688884377281248u, 71596650, 12645532083785138705u, 2928u});
+}
+
+// Staggered 8 KB preads of one block by separate streams of one client
+// VM: every other one ends at the block's end and so closes the shared
+// descriptor (Algorithm 1's close).
+sim::Task staggered_preads(Cluster* c, std::size_t n, sim::SimTime gap,
+                           std::vector<std::uint64_t>* sums,
+                           std::vector<std::string>* errs) {
+  sim::Latch done(c->sim(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t off = i % 2 == 0 ? kBlockBytes - (8 << 10) : i * (64 << 10);
+    c->sim().spawn(positional(c->client("client"), "/f", off, 8 << 10, 4,
+                              static_cast<sim::SimTime>(i) * gap, &(*sums)[i], &(*errs)[i],
+                              &done));
+  }
+  co_await done.wait();
+}
+
+// Found, not fixed (ROADMAP): the descriptor hash is shared by every
+// stream of a client VM, and a pread that ends at its block's end closes
+// the descriptor and only then erases it. A sibling pread that looked the
+// descriptor up during that close reads with a closed vfd, gets BAD_FD
+// (stale: no cooldown), closes it a second time and falls back to the
+// socket. This pins today's behaviour; a fix changes the event order.
+TEST(ReadPathDigest, ClientSharedDescriptorCloseRace) {
+  RegistryGuard guard;
+  auto c = testutil::local_bed(kFileBytes, kSeed);
+  DaemonConfig dc;
+  dc.workers = 4;
+  c->enable_vread(testutil::validated(dc));
+  c->drop_all_caches();
+  c->sim().enable_dispatch_digest();
+  constexpr std::size_t kReads = 12;
+  std::vector<std::uint64_t> sums(kReads);
+  std::vector<std::string> errs(kReads);
+  c->run_job(staggered_preads(c.get(), kReads, sim::us(30), &sums, &errs));
+  std::uint64_t folded = 0;
+  for (std::size_t i = 0; i < kReads; ++i) {
+    const std::uint64_t off = i % 2 == 0 ? kBlockBytes - (8 << 10) : i * (64 << 10);
+    EXPECT_EQ(sums[i], expected(off, 8 << 10)) << i << ": " << errs[i];
+    folded = folded * 31 + sums[i];
+  }
+  hdfs::DfsClient* client = c->client("client");
+  EXPECT_EQ(client->vread_fallback_reads(), 2u);
+  EXPECT_EQ(client->socket_path_reads(), 2u);
+  EXPECT_EQ(client->vread_cooldowns(), 0u);
+  EXPECT_EQ(client->vread_overloaded(), 0u);
+  expect_pinned(observe(*c, folded),
+                Pinned{9728726947246608993u, 2000289, 3218456632541124766u, 691u});
 }
 
 }  // namespace
