@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "fault/fault.h"
 #include "hdfs/wire.h"
@@ -215,17 +216,85 @@ void DfsClient::route_feedback(sim::Name dn, std::uint64_t bytes) {
   }
 }
 
-void DfsClient::route_overload(sim::Name dn) {
+void DfsClient::note_overload(const Status& st, sim::Name dn) {
+  if (st.code() != StatusCode::kOverloaded) return;
+  vread_overloaded_.inc();
   if (selector_ == nullptr) return;
   selector_->report_overload(vm_.host().sim().now(), dn);
   route_feedback_.inc();
+}
+
+void DfsClient::update_vfd(sim::Name blk, std::optional<std::uint64_t> vfd) {
+  if (vfd.has_value()) {
+    vfd_hash_.emplace(blk, *vfd);
+  } else {
+    vfd_hash_.erase(blk);
+  }
+  vfd_cache_g_.set(static_cast<std::int64_t>(vfd_hash_.size()));
+}
+
+bool DfsClient::short_circuits(const BlockInfo& blk) const {
+  if (!short_circuit_) return false;
+  for (const sim::Name loc : blk.locations) {
+    if (loc == vm_.name()) return true;
+  }
+  return false;
+}
+
+sim::Task DfsClient::lean_processing(std::uint64_t bytes, trace::Ctx ctx) {
+  const hw::CostModel& cm = vm_.host().costs();
+  return vm_.run_vcpu(cm.per_byte(bytes, cm.client_hdfs_vread_cycles_per_byte),
+                      CycleCategory::kClientApp, ctx);
+}
+
+sim::Task DfsClient::vread_leg(std::uint64_t vfd, std::uint64_t off, std::uint64_t len,
+                               const ReadRequest& opts, trace::Ctx ctx, mem::Buffer& out,
+                               Status& st) {
+  // Struct-form BlockReader read: the per-read options (tenant,
+  // coalesce/readahead hints, hedge cancel flag) ride along untouched; only
+  // the block coordinates are ours to fill in.
+  ReadRequest rr = opts;
+  rr.vfd = vfd;
+  rr.offset = off;
+  rr.len = len;
+  rr.ctx = ctx;
+  ReadResult rres;
+  co_await reader_->read(rr, rres);
+  st = std::move(rres.status);
+  out = std::move(rres.data);
+  if (st.ok()) co_await lean_processing(out.size(), ctx);
+}
+
+sim::Task DfsClient::request_block(TcpSocket conn, const BlockInfo& blk,
+                                   const std::string& dn, std::uint64_t offset,
+                                   std::uint64_t len, trace::Ctx ctx, std::uint64_t& actual) {
+  wire::Writer w;
+  w.u8(static_cast<std::uint8_t>(wire::Op::kReadBlock));
+  w.str(blk.name);
+  w.u64(offset);
+  w.u64(len);
+  co_await send_frame(conn, w.take(), CycleCategory::kClientApp, ctx);
+  mem::Buffer resp;
+  co_await recv_frame(conn, resp, CycleCategory::kClientApp, ctx);
+  wire::Reader r(resp);
+  const std::int64_t n = r.i64();
+  if (n < 0) throw HdfsError("datanode " + dn + " missing " + blk.name.str());
+  actual = static_cast<std::uint64_t>(n);
+}
+
+sim::Task DfsClient::recv_block_bytes(TcpSocket conn, std::uint64_t n, mem::Buffer& out,
+                                      trace::Ctx ctx) {
+  co_await conn.recv_exact(n, out, CycleCategory::kClientApp, ctx);
+  // Client-side stream processing + checksum verification.
+  const hw::CostModel& cm = vm_.host().costs();
+  co_await vm_.run_vcpu(cm.per_byte(n, cm.client_hdfs_cycles_per_byte),
+                        CycleCategory::kClientApp, ctx);
 }
 
 sim::Task DfsClient::fetch_block_range(const BlockInfo& blk,
                                        const std::string& datanode_id,
                                        std::uint64_t offset, std::uint64_t len,
                                        mem::Buffer& out, trace::Ctx ctx) {
-  const hw::CostModel& cm = vm_.host().costs();
   // Reuse (or establish) the cached per-datanode connection; requests on
   // it serialize. The mutex is created synchronously (no suspension between
   // the check and the store) so concurrent fan-out legs arriving before the
@@ -235,37 +304,14 @@ sim::Task DfsClient::fetch_block_range(const BlockInfo& blk,
   CachedConn& cc = pread_conns_[datanode_id];
   if (!cc.mutex) cc.mutex = std::make_unique<sim::Semaphore>(vm_.host().sim(), 1);
   co_await cc.mutex->acquire();
-  if (!cc.sock) {
-    try {
-      co_await net_.connect(vm_, datanode_id, DataNode::kPort, cc.sock);
-    } catch (...) {
-      cc.mutex->release();
-      throw;
-    }
-  }
-  TcpSocket conn = cc.sock;
-  wire::Writer w;
-  w.u8(static_cast<std::uint8_t>(wire::Op::kReadBlock));
-  w.str(blk.name);
-  w.u64(offset);
-  w.u64(len);
-  co_await send_frame(conn, w.take(), CycleCategory::kClientApp, ctx);
-
-  mem::Buffer resp;
-  co_await recv_frame(conn, resp, CycleCategory::kClientApp, ctx);
-  wire::Reader r(resp);
-  const std::int64_t actual = r.i64();
-  if (actual < 0) {
-    cc.mutex->release();
-    throw HdfsError("datanode " + datanode_id + " missing " + blk.name.str());
-  }
-  co_await conn.recv_exact(static_cast<std::uint64_t>(actual), out,
-                           CycleCategory::kClientApp, ctx);
-  // Client-side stream processing + checksum verification.
-  co_await vm_.run_vcpu(
-      cm.per_byte(static_cast<std::uint64_t>(actual), cm.client_hdfs_cycles_per_byte),
-      CycleCategory::kClientApp, ctx);
-  cc.mutex->release();
+  struct Unlock {  // on every exit, a throw included
+    sim::Semaphore& mutex;
+    ~Unlock() { mutex.release(); }
+  } unlock{*cc.mutex};
+  if (!cc.sock) co_await net_.connect(vm_, datanode_id, DataNode::kPort, cc.sock);
+  std::uint64_t actual = 0;
+  co_await request_block(cc.sock, blk, datanode_id, offset, len, ctx, actual);
+  co_await recv_block_bytes(cc.sock, actual, out, ctx);
 }
 
 metrics::Histogram& DfsClient::hedge_route_latency(sim::Name dn) {
@@ -328,6 +374,8 @@ void DfsInputStream::drop_stream() {
 }
 
 sim::Task DfsInputStream::read(const ReadRequest& req, ReadResult& res) {
+  res.data = mem::Buffer();
+  res.status = Status::Ok();
   if (req.offset == ReadRequest::kCurrentPos) {
     co_await read_sequential(req, res);
   } else {
@@ -336,8 +384,6 @@ sim::Task DfsInputStream::read(const ReadRequest& req, ReadResult& res) {
 }
 
 sim::Task DfsInputStream::read_sequential(const ReadRequest& req, ReadResult& res) {
-  res.data = mem::Buffer();
-  res.status = Status::Ok();
   while (res.data.size() < req.len && pos_ < size_) {
     const BlockInfo* blk = block_at(pos_);
     if (blk == nullptr) break;
@@ -356,8 +402,6 @@ sim::Task DfsInputStream::read_positional(const ReadRequest& req, ReadResult& re
   // (vRead descriptor if available, fetchBlocks otherwise). Reads of
   // distinct blocks are independent, so with a fan-out > 1 they are
   // issued concurrently and reassembled in block order.
-  res.data = mem::Buffer();
-  res.status = Status::Ok();
   const std::uint64_t position = req.offset;
   const std::uint64_t len = req.len;
   const std::size_t fanout =
@@ -369,6 +413,8 @@ sim::Task DfsInputStream::read_positional(const ReadRequest& req, ReadResult& re
     const BlockInfo* blk;  // into `range`, which outlives every part
     std::uint64_t off;
     std::uint64_t n;
+    mem::Buffer buf;
+    std::exception_ptr err;
   };
   std::vector<Part> parts;
   std::uint64_t remaining = len;
@@ -377,86 +423,66 @@ sim::Task DfsInputStream::read_positional(const ReadRequest& req, ReadResult& re
     if (remaining == 0) break;
     const std::uint64_t start = pos - blk.offset_in_file;
     const std::uint64_t bytes_to_read = std::min(remaining, blk.size - start);
-    parts.push_back(Part{&blk, start, bytes_to_read});
+    parts.push_back(Part{&blk, start, bytes_to_read, {}, nullptr});
     remaining -= bytes_to_read;
     pos += bytes_to_read;
   }
 
   if (parts.size() <= 1 || fanout <= 1) {
-    for (const Part& p : parts) {
-      // Same per-part retry budget as the fanned-out legs: a transient
-      // failure that slipped past every replica (e.g. chaos-injected
-      // "block missing" on both) gets one fresh attempt before the error
-      // surfaces, with the buffer reset so a retry can never double-
-      // deliver bytes.
-      mem::Buffer part;
-      for (int attempt = 1;; ++attempt) {
-        part = mem::Buffer();
-        try {
-          co_await read_block_range(*p.blk, p.off, p.n, part, /*sequential=*/false, req);
-          break;
-        } catch (...) {
-          if (attempt >= kPreadPartAttempts) throw;
-        }
-      }
-      res.data.append(part);
+    // The strictly sequential loop: each part runs inline, and the first
+    // failure ends it.
+    for (Part& p : parts) {
+      co_await read_part(*p.blk, p.off, p.n, req, p.buf, p.err, nullptr, nullptr);
+      if (p.err) break;
     }
-    co_return;
+  } else {
+    // Fan-out: bounded by the gate, joined by the latch, results landing
+    // in per-part slots so reassembly is in order regardless of completion
+    // order. Spawn order is deterministic and so are all wakeups (FIFO).
+    sim::Simulation& sim = client_.vm().host().sim();
+    sim::Semaphore gate(sim, fanout);
+    sim::Latch latch(sim, parts.size());
+    for (Part& p : parts) {
+      co_await gate.acquire();
+      // `range`, `req` (our caller's) and `parts` all outlive the latch.
+      sim.spawn(read_part(*p.blk, p.off, p.n, req, p.buf, p.err, &gate, &latch));
+    }
+    co_await latch.wait();
   }
-
-  // Fan-out: bounded by the gate, joined by the latch, results landing in
-  // per-part buffers so reassembly is in order regardless of completion
-  // order. Spawn order is deterministic and so are all wakeups (FIFO).
-  // Errors land per-leg: a leg that fails (after its in-place retry) must
-  // not clobber a sibling's, and the first failure *in block order* — not
-  // completion order — is the one rethrown, so the surfaced error is
-  // deterministic.
-  sim::Simulation& sim = client_.vm().host().sim();
-  std::vector<mem::Buffer> bufs(parts.size());
-  std::vector<std::exception_ptr> errs(parts.size());
-  sim::Semaphore gate(sim, fanout);
-  sim::Latch latch(sim, parts.size());
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    co_await gate.acquire();
-    // `req` lives in our caller's frame, which stays alive until the latch
-    // releases us — safe to hand the legs a pointer.
-    sim.spawn(pread_part(*parts[i].blk, parts[i].off, parts[i].n, &req, &bufs[i],
-                         &errs[i], &gate, &latch));
+  // A failed part never clobbers a sibling's slot, and the first failure
+  // *in block order* — not completion order — is the one rethrown, so the
+  // surfaced error is deterministic.
+  for (const Part& p : parts) {
+    if (p.err) std::rethrow_exception(p.err);
   }
-  co_await latch.wait();
-  for (const std::exception_ptr& e : errs) {
-    if (e) std::rethrow_exception(e);
-  }
-  for (mem::Buffer& b : bufs) res.data.append(b);
+  for (Part& p : parts) res.data.append(p.buf);
 }
 
-sim::Task DfsInputStream::pread_part(BlockInfo blk, std::uint64_t off, std::uint64_t len,
-                                     const ReadRequest* opts, mem::Buffer* out,
-                                     std::exception_ptr* err, sim::Semaphore* gate,
-                                     sim::Latch* latch) {
+sim::Task DfsInputStream::read_part(const BlockInfo& blk, std::uint64_t off,
+                                    std::uint64_t len, const ReadRequest& opts,
+                                    mem::Buffer& out, std::exception_ptr& err,
+                                    sim::Semaphore* gate, sim::Latch* latch) {
   for (int attempt = 1; attempt <= kPreadPartAttempts; ++attempt) {
     // Reset both slots before every attempt: a retry after a partial
     // failure must never deliver bytes twice or leave a stale error.
-    *out = mem::Buffer();
-    *err = nullptr;
+    out = mem::Buffer();
+    err = nullptr;
     try {
-      co_await read_block_range(blk, off, len, *out, /*sequential=*/false, *opts);
+      co_await read_block_range(blk, off, len, out, /*sequential=*/false, opts);
       break;
     } catch (...) {
-      *err = std::current_exception();
+      err = std::current_exception();
     }
   }
-  gate->release();
-  latch->count_down();
+  if (gate != nullptr) gate->release();
+  if (latch != nullptr) latch->count_down();
 }
 
 sim::Task DfsInputStream::read_block_range_impl(const BlockInfo& blk, std::uint64_t off,
                                                 std::uint64_t len, mem::Buffer& out,
                                                 bool sequential, const ReadRequest& opts,
-                                                const LegOpts* leg) {
+                                                sim::Name dn, bool* cancelled) {
   DfsClient& c = client_;
-  const sim::Name dn =
-      leg != nullptr && !leg->dn.empty() ? leg->dn : c.choose_replica(blk);
   auto& tr = trace::tracer();
   const int app_tid = static_cast<int>(c.vm().vcpu_tid());
   // Root span of this read's trace tree: read1 = sequential (Algorithm 1),
@@ -465,25 +491,17 @@ sim::Task DfsInputStream::read_block_range_impl(const BlockInfo& blk, std::uint6
   const trace::Ctx ctx = tr.begin_read(sequential ? "read1" : "read2", app_tid);
 
   // HDFS Short-Circuit Local Read: replica in this very VM -> read the
-  // block file straight off the local filesystem.
-  if (c.short_circuit_) {
-    for (const sim::Name loc : blk.locations) {
-      if (loc == c.vm().name()) {
-        auto ino = c.vm().fs().lookup(DataNode::block_path(blk.name));
-        if (ino.has_value()) {
-          co_await c.vm().fs_read(*ino, off, len, out, CycleCategory::kClientApp,
-                                  /*copy_to_app=*/true, ctx);
-          // Lean client-side processing: no protocol, just stream plumbing.
-          co_await c.vm().run_vcpu(
-              c.vm().host().costs().per_byte(
-                  out.size(), c.vm().host().costs().client_hdfs_vread_cycles_per_byte),
-              CycleCategory::kClientApp, ctx);
-          c.reads_short_circuit_.inc();
-          tr.end_read(ctx, out.size());
-          co_return;
-        }
-        break;  // registered here but file missing: fall through to sockets
-      }
+  // block file straight off the local filesystem. A replica registered
+  // here whose file is missing falls through to sockets.
+  if (c.short_circuits(blk)) {
+    auto ino = c.vm().fs().lookup(DataNode::block_path(blk.name));
+    if (ino.has_value()) {
+      co_await c.vm().fs_read(*ino, off, len, out, CycleCategory::kClientApp,
+                              /*copy_to_app=*/true, ctx);
+      co_await c.lean_processing(out.size(), ctx);
+      c.reads_short_circuit_.inc();
+      tr.end_read(ctx, out.size());
+      co_return;
     }
   }
 
@@ -506,17 +524,13 @@ sim::Task DfsInputStream::read_block_range_impl(const BlockInfo& blk, std::uint6
         Status st;
         co_await reader->open(blk.name, dn, vfd, st, ctx);
         if (st.ok()) {
-          c.vfd_hash_.emplace(blk.name, vfd);
-          c.vfd_cache_g_.set(static_cast<std::int64_t>(c.vfd_hash_.size()));
+          c.update_vfd(blk.name, vfd);
           have_vfd = true;
         } else {
           // No descriptor obtained (registry miss, stale mount, transport
           // trouble after the library's retries): degrade, and stop probing
           // until the cooldown expires.
-          if (st.code() == StatusCode::kOverloaded) {
-            c.vread_overloaded_.inc();
-            c.route_overload(dn);
-          }
+          c.note_overload(st, dn);
           vread_failed = true;
           c.enter_vread_cooldown();
         }
@@ -527,39 +541,24 @@ sim::Task DfsInputStream::read_block_range_impl(const BlockInfo& blk, std::uint6
   }
 
   if (have_vfd) {
-    // Struct-form BlockReader read: the per-read options (tenant,
-    // coalesce/readahead hints, reserved deadline/priority) ride along
-    // untouched; only the block coordinates are ours to fill in.
-    ReadRequest rr = opts;
-    rr.vfd = vfd;
-    rr.offset = off;
-    rr.len = len;
-    rr.ctx = ctx;
-    ReadResult rres;
-    co_await reader->read(rr, rres);
-    const Status st = std::move(rres.status);
-    out = std::move(rres.data);
-    if (leg != nullptr && leg->cancelled != nullptr &&
-        st.code() == StatusCode::kCancelled) {
+    Status st;
+    co_await c.vread_leg(vfd, off, len, opts, ctx, out, st);
+    if (cancelled != nullptr && st.code() == StatusCode::kCancelled) {
       // Losing hedge leg: the daemon aborted on the cancel doorbell. The
       // descriptor is perfectly healthy — keep it cached, start no
       // cooldown, skip the socket fallback; the winner served the bytes.
-      *leg->cancelled = true;
+      *cancelled = true;
       tr.end_read(ctx, 0);
       co_return;
     }
+    c.note_overload(st, dn);
+    if (!st.ok() || off + out.size() >= blk.size) {
+      // Block fully consumed (Algorithm 1's vRead_close + hash removal), or
+      // the shortcut failed mid-flight: drop the descriptor.
+      co_await reader->close(vfd);
+      c.update_vfd(blk.name, std::nullopt);
+    }
     if (st.ok()) {
-      // Lean vRead-side client processing (no protocol framing/checksums).
-      const hw::CostModel& cm = c.vm().host().costs();
-      co_await c.vm().run_vcpu(
-          cm.per_byte(out.size(), cm.client_hdfs_vread_cycles_per_byte),
-          CycleCategory::kClientApp, ctx);
-      if (off + out.size() >= blk.size) {
-        // Block fully consumed: vRead_close + hash removal (Algorithm 1).
-        co_await reader->close(vfd);
-        c.vfd_hash_.erase(blk.name);
-        c.vfd_cache_g_.set(static_cast<std::int64_t>(c.vfd_hash_.size()));
-      }
       c.reads_vread_.inc();
       // Completion feedback: the serving daemon's load signal rides the
       // completion back to the selector (docs/TOPOLOGY.md §feedback).
@@ -567,16 +566,8 @@ sim::Task DfsInputStream::read_block_range_impl(const BlockInfo& blk, std::uint6
       tr.end_read(ctx, out.size());
       co_return;
     }
-    // Shortcut failed mid-flight: drop the descriptor and fall through.
     // Stale descriptors (daemon restarted, snapshot moved) re-open on the
     // next read with no cooldown; anything else starts one.
-    if (st.code() == StatusCode::kOverloaded) {
-      c.vread_overloaded_.inc();
-      c.route_overload(dn);
-    }
-    co_await reader->close(vfd);
-    c.vfd_hash_.erase(blk.name);
-    c.vfd_cache_g_.set(static_cast<std::int64_t>(c.vfd_hash_.size()));
     vread_failed = true;
     if (!st.is_stale()) c.enter_vread_cooldown();
   }
@@ -625,28 +616,15 @@ sim::Task DfsInputStream::read_block_range(const BlockInfo& blk, std::uint64_t o
                                            std::uint64_t len, mem::Buffer& out,
                                            bool sequential, const ReadRequest& opts) {
   DfsClient& c = client_;
-  bool hedged = c.hedge_.enabled && c.reader_ != nullptr && blk.locations.size() >= 2;
-  if (hedged && c.short_circuit_) {
-    // A replica in this very VM short-circuits to a local file read —
-    // nothing to hedge against.
-    for (const sim::Name loc : blk.locations) {
-      if (loc == c.vm().name()) {
-        hedged = false;
-        break;
-      }
-    }
-  }
-  if (!hedged) {
-    co_await read_block_range_impl(blk, off, len, out, sequential, opts, nullptr);
-    co_return;
-  }
-
   const sim::Name primary = c.choose_replica(blk);
-  const sim::Name alt = c.hedge_replica(blk, primary);
+  // Hedging needs the vRead shortcut and another location. A replica in
+  // this very VM short-circuits to a local file read — nothing to hedge
+  // against.
+  const sim::Name alt = c.hedge_.enabled && c.reader_ != nullptr && !c.short_circuits(blk)
+                            ? c.hedge_replica(blk, primary)
+                            : sim::Name();
   if (alt.empty() || alt == primary) {
-    LegOpts lo;
-    lo.dn = primary;
-    co_await read_block_range_impl(blk, off, len, out, sequential, opts, &lo);
+    co_await read_block_range_impl(blk, off, len, out, sequential, opts, primary, nullptr);
     co_return;
   }
 
@@ -701,48 +679,47 @@ sim::Task DfsInputStream::read_block_range(const BlockInfo& blk, std::uint64_t o
   }
   // A loser that had ALREADY completed normally when the winner was
   // declared delivered bytes nobody uses; a loser still running counts
-  // its own waste when it finishes (see the legs).
+  // its own waste when it finishes (end_hedge_task).
   const int loser = 1 - race->winner;
   if (race->finished[loser] && race->ok[loser]) {
     c.hedge_wasted_bytes_.inc(race->buf[loser].size());
   }
 }
 
+void DfsInputStream::end_hedge_task(HedgeRace& race, int slot) {
+  if (slot >= 0) {
+    race.finished[slot] = true;
+    if (race.winner >= 0 && race.winner != slot && race.ok[slot]) {
+      client_.hedge_wasted_bytes_.inc(race.buf[slot].size());
+    }
+  }
+  race.sem.release();
+  --hedge_inflight_;
+  hedge_drain_->release();
+}
+
 sim::Task DfsInputStream::hedge_primary_leg(std::uint64_t off, std::uint64_t len,
                                             ReadRequest opts, sim::Name dn,
                                             HedgeRacePtr race) {
-  DfsClient& c = client_;
   bool cancelled = false;
-  LegOpts lo;
-  lo.dn = dn;
-  lo.cancelled = &cancelled;
   try {
     // Forced positional: a racing leg must not share the sequential
     // stream_ cursor with its sibling.
     co_await read_block_range_impl(race->blk, off, len, race->buf[0],
-                                   /*sequential=*/false, opts, &lo);
+                                   /*sequential=*/false, opts, dn, &cancelled);
     race->ok[0] = !cancelled;
   } catch (...) {
     race->err[0] = std::current_exception();
   }
-  race->cancelled[0] = cancelled;
-  race->finished[0] = true;
-  if (race->winner >= 0 && race->winner != 0 && race->ok[0]) {
-    c.hedge_wasted_bytes_.inc(race->buf[0].size());
-  }
-  race->sem.release();
-  --hedge_inflight_;
-  hedge_drain_->release();
+  end_hedge_task(*race, 0);
 }
 
 sim::Task DfsInputStream::hedge_second_leg(std::uint64_t off, std::uint64_t len,
                                            ReadRequest opts, sim::Name dn,
                                            HedgeRacePtr race) {
   DfsClient& c = client_;
-  BlockReader* reader = c.reader_;
   auto& tr = trace::tracer();
-  const int app_tid = static_cast<int>(c.vm().vcpu_tid());
-  const trace::Ctx ctx = tr.begin_read("hedge-leg", app_tid);
+  const trace::Ctx ctx = tr.begin_read("hedge-leg", static_cast<int>(c.vm().vcpu_tid()));
   opts.hedge = true;
   // Private descriptor, deliberately NOT the shared vfd hash: the hash is
   // keyed by block name alone and the primary's entry points at the other
@@ -751,36 +728,14 @@ sim::Task DfsInputStream::hedge_second_leg(std::uint64_t off, std::uint64_t len,
   // exactly the unhedged ones.
   std::uint64_t vfd = 0;
   Status st;
-  co_await reader->open(race->blk.name, dn, vfd, st, ctx);
+  co_await c.reader_->open(race->blk.name, dn, vfd, st, ctx);
   if (st.ok()) {
-    ReadRequest rr = opts;
-    rr.vfd = vfd;
-    rr.offset = off;
-    rr.len = len;
-    rr.ctx = ctx;
-    ReadResult rres;
-    co_await reader->read(rr, rres);
-    st = std::move(rres.status);
-    if (st.ok()) {
-      const hw::CostModel& cm = c.vm().host().costs();
-      co_await c.vm().run_vcpu(
-          cm.per_byte(rres.data.size(), cm.client_hdfs_vread_cycles_per_byte),
-          CycleCategory::kClientApp, ctx);
-      race->buf[1] = std::move(rres.data);
-      race->ok[1] = true;
-    } else if (st.code() == StatusCode::kCancelled) {
-      race->cancelled[1] = true;
-    }
-    co_await reader->close(vfd);
+    co_await c.vread_leg(vfd, off, len, opts, ctx, race->buf[1], st);
+    race->ok[1] = st.ok();
+    co_await c.reader_->close(vfd);
   }
-  race->finished[1] = true;
   tr.end_read(ctx, race->ok[1] ? race->buf[1].size() : 0);
-  if (race->winner >= 0 && race->winner != 1 && race->ok[1]) {
-    c.hedge_wasted_bytes_.inc(race->buf[1].size());
-  }
-  race->sem.release();
-  --hedge_inflight_;
-  hedge_drain_->release();
+  end_hedge_task(*race, 1);
 }
 
 sim::Task DfsInputStream::hedge_timer(std::uint64_t off, std::uint64_t len,
@@ -794,48 +749,33 @@ sim::Task DfsInputStream::hedge_timer(std::uint64_t off, std::uint64_t len,
     // case) or the injected hedge-leg-lost fault ate the second request.
     race->hedge_state = HedgeRace::kSkipped;
     if (race->finished[0]) c.hedge_averted_.inc();
-    race->sem.release();
   } else {
     race->hedge_state = HedgeRace::kLaunched;
     c.hedge_launched_.inc();
     ++hedge_inflight_;
     c.vm().host().sim().spawn(hedge_second_leg(off, len, opts, dn, race));
-    race->sem.release();
   }
-  --hedge_inflight_;
-  hedge_drain_->release();
+  end_hedge_task(*race, -1);
 }
 
 sim::Task DfsInputStream::read_from_stream(const BlockInfo& blk, const std::string& dn,
                                            std::uint64_t off, std::uint64_t len,
                                            mem::Buffer& out, trace::Ctx ctx) {
   DfsClient& c = client_;
-  const hw::CostModel& cm = c.vm().host().costs();
   // (Re)open the block stream when absent or not positioned at `off`.
   if (!stream_.sock || stream_.block_id != blk.id || stream_.next_offset != off) {
     drop_stream();
     TcpSocket conn;
     co_await c.net_.connect(c.vm(), dn, DataNode::kPort, conn);
-    wire::Writer w;
-    w.u8(static_cast<std::uint8_t>(wire::Op::kReadBlock));
-    w.str(blk.name);
-    w.u64(off);
-    w.u64(blk.size - off);  // stream the rest of the block
-    co_await send_frame(conn, w.take(), CycleCategory::kClientApp, ctx);
-    mem::Buffer resp;
-    co_await recv_frame(conn, resp, CycleCategory::kClientApp, ctx);
-    wire::Reader r(resp);
-    const std::int64_t actual = r.i64();
-    if (actual < 0) throw HdfsError("datanode missing block " + blk.name.str());
+    std::uint64_t actual = 0;  // the datanode streams the rest of the block
+    co_await c.request_block(conn, blk, dn, off, blk.size - off, ctx, actual);
     stream_.sock = conn;
     stream_.block_id = blk.id;
     stream_.next_offset = off;
-    stream_.end_offset = off + static_cast<std::uint64_t>(actual);
+    stream_.end_offset = off + actual;
   }
   const std::uint64_t n = std::min(len, stream_.end_offset - stream_.next_offset);
-  co_await stream_.sock.recv_exact(n, out, CycleCategory::kClientApp, ctx);
-  co_await c.vm().run_vcpu(cm.per_byte(n, cm.client_hdfs_cycles_per_byte),
-                           CycleCategory::kClientApp, ctx);
+  co_await c.recv_block_bytes(stream_.sock, n, out, ctx);
   stream_.next_offset += n;
   if (stream_.next_offset >= stream_.end_offset) drop_stream();
 }
@@ -855,8 +795,7 @@ sim::Task DfsInputStream::close() {
       auto it = c.vfd_hash_.find(blk.name);
       if (it != c.vfd_hash_.end()) {
         const std::uint64_t vfd = it->second;
-        c.vfd_hash_.erase(it);
-        c.vfd_cache_g_.set(static_cast<std::int64_t>(c.vfd_hash_.size()));
+        c.update_vfd(blk.name, std::nullopt);
         co_await c.reader_->close(vfd);
       }
     }

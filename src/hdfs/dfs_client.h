@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -278,10 +279,31 @@ class DfsClient {
   };
   std::unordered_map<std::string, CachedConn> pread_conns_;
 
-  // Reports a read completion (and any overload observation) to the
-  // installed selector; no-op without one.
+  // Reports a read completion to the installed selector; no-op without one.
   void route_feedback(sim::Name dn, std::uint64_t bytes);
-  void route_overload(sim::Name dn);
+  // Counts a kOverloaded status that got past the library's retries and
+  // reports it to the selector, if any; other statuses are ignored.
+  void note_overload(const Status& st, sim::Name dn);
+  // Stores (`vfd` set) or drops a block's descriptor; the size gauge follows.
+  void update_vfd(sim::Name blk, std::optional<std::uint64_t> vfd);
+  // Short-circuit reads are on and a replica of `blk` lives in this VM.
+  bool short_circuits(const BlockInfo& blk) const;
+
+  // Read steps shared by every path. The vRead and short-circuit paths pay
+  // the lean per-byte processing (no protocol framing or checksums); the
+  // socket path pays the full HDFS one in recv_block_bytes.
+  sim::Task lean_processing(std::uint64_t bytes, trace::Ctx ctx);
+  // vRead_read of [off, off+len) through `vfd`, then the lean processing.
+  sim::Task vread_leg(std::uint64_t vfd, std::uint64_t off, std::uint64_t len,
+                      const ReadRequest& opts, trace::Ctx ctx, mem::Buffer& out,
+                      Status& st);
+  // Asks `dn` for [offset, offset+len) of `blk`; `actual` is the byte count
+  // it will stream. Throws HdfsError when `dn` lacks the block.
+  sim::Task request_block(virt::TcpSocket conn, const BlockInfo& blk, const std::string& dn,
+                          std::uint64_t offset, std::uint64_t len, trace::Ctx ctx,
+                          std::uint64_t& actual);
+  sim::Task recv_block_bytes(virt::TcpSocket conn, std::uint64_t n, mem::Buffer& out,
+                             trace::Ctx ctx);
 
   // Hedging internals (DESIGN.md §16). The per-route latency histogram
   // feeds the adaptive delay; the alternate replica is the cheapest-tier
@@ -435,19 +457,14 @@ class DfsInputStream {
   sim::Task read_block_range(const BlockInfo& blk, std::uint64_t off, std::uint64_t len,
                              mem::Buffer& out, bool sequential, const ReadRequest& opts);
 
-  // Per-leg restrictions a hedged race puts on the shared read path.
-  struct LegOpts {
-    sim::Name dn;               // replica to read (the wrapper already chose)
-    bool* cancelled = nullptr;  // set when the daemon aborted on the cancel flag
-  };
-
-  // The original Algorithm 1/2 body: vRead first (descriptor hash), else
-  // socket with replica failover. `opts` carries the per-read options
-  // (tenant + coalesce/readahead hints) down to the BlockReader; `leg`
-  // is nullptr for plain reads and set for a hedged primary leg.
+  // The original Algorithm 1/2 body against replica `dn`: vRead first
+  // (descriptor hash), else socket with replica failover. `opts` carries
+  // the per-read options (tenant + coalesce/readahead hints) down to the
+  // BlockReader. A hedged primary leg passes `cancelled`, which is set when
+  // the daemon aborted on the race's cancel flag (plain reads: nullptr).
   sim::Task read_block_range_impl(const BlockInfo& blk, std::uint64_t off,
                                   std::uint64_t len, mem::Buffer& out, bool sequential,
-                                  const ReadRequest& opts, const LegOpts* leg);
+                                  const ReadRequest& opts, sim::Name dn, bool* cancelled);
 
   // Shared state of one hedged race. Heap-allocated and shared_ptr-held
   // by every leg: the losing leg outlives the wrapper's frame, so the race
@@ -461,7 +478,6 @@ class DfsInputStream {
     HedgeState hedge_state = kPending;
     bool finished[2] = {false, false};   // slot 0 = primary, 1 = hedge
     bool ok[2] = {false, false};
-    bool cancelled[2] = {false, false};
     int winner = -1;
     mem::Buffer buf[2];
     std::exception_ptr err[2];
@@ -474,20 +490,25 @@ class DfsInputStream {
                              sim::Name dn, HedgeRacePtr race);
   sim::Task hedge_timer(std::uint64_t off, std::uint64_t len, ReadRequest opts,
                         sim::Name dn, sim::SimTime delay, HedgeRacePtr race);
+  // The one epilogue of the three hedge tasks. A leg (`slot` 0 = primary,
+  // 1 = second) marks itself finished and counts its own waste if it
+  // completed after the other leg won; the timer passes -1. Each then
+  // wakes the race and releases its in-flight slot.
+  void end_hedge_task(HedgeRace& race, int slot);
 
-  // One spawned leg of a fanned-out pread. Takes the block by value (the
-  // spawning loop's locals die before the leg finishes) and joins through
-  // the latch. A failed leg is retried in place (bounded, with the output
-  // buffer reset first so a retry can never double-deliver bytes); the
-  // leg's final exception, if any, lands in its own slot of the parent's
-  // error vector so one shed block never poisons its siblings.
-  sim::Task pread_part(BlockInfo blk, std::uint64_t off, std::uint64_t len,
-                       const ReadRequest* opts, mem::Buffer* out, std::exception_ptr* err,
-                       sim::Semaphore* gate, sim::Latch* latch);
+  // One part of a pread: Algorithm 2's per-block read with a bounded
+  // retry. The output buffer is reset before every attempt, so a retry can
+  // never deliver bytes twice; the final exception, if any, lands in
+  // `err`. The serial loop awaits it inline (no gate, no latch); a
+  // fanned-out pread spawns it, and it then releases `gate` and counts
+  // down `latch`, so one failed block never poisons its siblings.
+  sim::Task read_part(const BlockInfo& blk, std::uint64_t off, std::uint64_t len,
+                      const ReadRequest& opts, mem::Buffer& out, std::exception_ptr& err,
+                      sim::Semaphore* gate, sim::Latch* latch);
 
-  // Per-leg retry budget for fanned-out pread parts: a first failure
-  // (e.g. the daemon shed the read mid-fan-out, or a replica answered
-  // "missing" transiently) gets exactly one fresh attempt.
+  // Per-part retry budget: a first failure (e.g. the daemon shed the read
+  // mid-fan-out, or a replica answered "missing" transiently) gets exactly
+  // one fresh attempt.
   static constexpr int kPreadPartAttempts = 2;
 
   // Vanilla sequential path: keeps a block stream open and consumes it.
