@@ -103,6 +103,10 @@ std::uint64_t expected_file() {
   return Buffer::deterministic(kSeed, 0, kFileBytes).checksum();
 }
 
+std::uint64_t expected(std::uint64_t offset, std::uint64_t len) {
+  return Buffer::deterministic(kSeed, offset, len).checksum();
+}
+
 // Sequential 1 MB reads through the DFS client: the co-located path with
 // the host mount's readahead engaged.
 std::uint64_t dfsio_read(Cluster& c, const std::string& client_vm) {
@@ -317,6 +321,121 @@ TEST(ReadPathDigest, PeerTierRdmaCoalescedReaders) {
                 Pinned{11579688884377281248u, 78275158, 7205122814594336393u, 1985u});
 }
 
+// ---- daemon-to-daemon failure paths ----
+
+// The first open request to the owner's daemon is lost: remote_open backs
+// off, retries and the second attempt opens the block.
+TEST(ReadPathDigest, RemoteOpenRetriesAfterPeerDown) {
+  RegistryGuard guard;
+  auto c = testutil::remote_bed(kFileBytes, kSeed);
+  c->enable_vread(Transport::kRdma);
+  c->drop_all_caches();
+  c->sim().enable_dispatch_digest();
+  fault::registry().arm(fault::points::kPeerDown, {.every = 1, .max_fires = 1});
+  const std::uint64_t sum = pread(*c, "client", 0, kBlockBytes);
+  EXPECT_EQ(sum, expected(0, kBlockBytes));
+  const DaemonStats s = c->daemon("host1")->stats_snapshot();
+  EXPECT_EQ(s.remote_retries, 1u);
+  EXPECT_EQ(s.failed_opens, 0u);
+  EXPECT_EQ(c->client("client")->vread_fallback_reads(), 0u);
+  expect_pinned(observe(*c, sum),
+                Pinned{4744696722538584374u, 32518402, 15696121284909870023u, 461u});
+}
+
+// The owner's daemon restarts between two chunks of one stream: the
+// requester's descriptor survives, but the owner answers its chunk
+// request BAD_FD and the client falls back to the socket with no cooldown.
+sim::Task read_across_owner_restart(Cluster* c, std::uint64_t* first,
+                                    std::uint64_t* second) {
+  std::unique_ptr<hdfs::DfsInputStream> in;
+  co_await c->client("client2")->open("/f", in);
+  Buffer a;
+  co_await in->pread(0, kChunk, a);
+  *first = a.checksum();
+  c->daemon("host1")->restart();
+  Buffer b;
+  co_await in->pread(kChunk, kChunk, b);
+  *second = b.checksum();
+  co_await in->close();
+}
+
+TEST(ReadPathDigest, PeerTierOwnerChunkBadFdAfterOwnerRestart) {
+  RegistryGuard guard;
+  auto c = testutil::racked_bed(2, 2, 0, 0);
+  c->preload_file("/f", kFileBytes, kSeed, {{"datanode1"}});
+  c->enable_vread(testutil::validated(peer_tier(Transport::kRdma)));
+  c->drop_all_caches();
+  c->sim().enable_dispatch_digest();
+  std::uint64_t first = 0, second = 0;
+  c->run_job(read_across_owner_restart(c.get(), &first, &second));
+  EXPECT_EQ(first, expected(0, kChunk));
+  EXPECT_EQ(second, expected(kChunk, kChunk));
+  EXPECT_EQ(c->daemon("host1")->restarts(), 1u);
+  hdfs::DfsClient* client = c->client("client2");
+  EXPECT_EQ(client->vread_fallback_reads(), 1u);
+  EXPECT_EQ(client->socket_path_reads(), 1u);
+  EXPECT_EQ(client->vread_cooldowns(), 0u);
+  expect_pinned(observe(*c, second),
+                Pinned{12706379316491924784u, 11995048, 6208759992908208387u, 314u});
+}
+
+// client4's chunk has two copyset holders. host2 caches it under an epoch
+// whose invalidation it never heard of, so its bytes are rejected after
+// the fetch. The owner's daemon heard it and evicted the chunk, then
+// re-joined the copyset serving client3's next chunk, so it answers with
+// a miss. The chunk then comes from the owner's disk path.
+TEST(ReadPathDigest, PeerFetchStaleAndMissingHoldersFallBackToOwner) {
+  RegistryGuard guard;
+  auto c = testutil::racked_bed(4, 4, 0, 0);
+  c->preload_file("/f", kFileBytes, kSeed, {{"datanode1"}});
+  c->enable_vread(testutil::validated(peer_tier(Transport::kRdma)));
+  c->drop_all_caches();
+  c->sim().enable_dispatch_digest();
+  ASSERT_EQ(pread(*c, "client2", 0, kChunk), expected(0, kChunk));
+  const std::string block = c->namenode().all_blocks("/f").front().name;
+  // Notifications go out in publish order: the owner's arrives, host2's
+  // is lost.
+  fault::registry().arm(fault::points::kPeerCacheInvalidateLost,
+                        {.after = 1, .max_fires = 1});
+  c->peer_directory()->invalidate(c->daemon("host1"), "datanode1", block);
+  ASSERT_EQ(pread(*c, "client3", kChunk, kChunk), expected(kChunk, kChunk));
+  fault::registry().arm(fault::points::kPeerCacheStalePeer, {.every = 1, .max_fires = 1});
+  const std::uint64_t owner_misses = c->daemon("host1")->stats_snapshot().cache_misses;
+  const std::uint64_t sum = pread(*c, "client4", 0, kChunk);
+  EXPECT_EQ(sum, expected(0, kChunk));
+  // The owner's cache missed twice: once as a holder, once for the fill.
+  EXPECT_EQ(c->daemon("host1")->stats_snapshot().cache_misses, owner_misses + 2);
+  const DaemonStats s4 = c->daemon("host4")->stats_snapshot();
+  EXPECT_EQ(s4.peer_dir_hits, 1u);
+  EXPECT_EQ(s4.peer_stale_rejects, 1u);
+  EXPECT_EQ(s4.peer_fetches, 0u);
+  EXPECT_EQ(s4.peer_fallbacks, 1u);
+  EXPECT_EQ(s4.remote_reads, 1u);
+  expect_pinned(observe(*c, sum),
+                Pinned{11295043679626050557u, 9643603, 6708922739888307708u, 322u});
+}
+
+// The RDMA link drops just as the owner starts its active push: the
+// stream fails over to the user-space TCP transport and completes.
+TEST(ReadPathDigest, RemoteWholeWindowRdmaFailoverToTcp) {
+  RegistryGuard guard;
+  auto c = testutil::remote_bed(kFileBytes, kSeed);
+  c->enable_vread(Transport::kRdma);
+  c->drop_all_caches();
+  c->sim().enable_dispatch_digest();
+  // The open's transport choice passes; the stream's fails over.
+  fault::registry().arm(fault::points::kRdmaDown, {.after = 1, .max_fires = 1});
+  const std::uint64_t sum = pread(*c, "client", 0, kBlockBytes);
+  EXPECT_EQ(sum, expected(0, kBlockBytes));
+  const DaemonStats s = c->daemon("host1")->stats_snapshot();
+  EXPECT_EQ(s.rdma_failovers, 1u);
+  ASSERT_EQ(s.peers.size(), 1u);
+  EXPECT_EQ(s.peers[0].transport, "tcp");
+  EXPECT_EQ(s.peers[0].bytes, kBlockBytes);
+  expect_pinned(observe(*c, sum),
+                Pinned{4744696722538584374u, 32871015, 11377542811373493946u, 489u});
+}
+
 // ---- hedge cancel between chunks ----
 
 TEST(ReadPathDigest, HedgeCancelMidStreamOnLocalLoop) {
@@ -410,10 +529,6 @@ std::uint64_t pread_fanout(Cluster& c, const std::string& client_vm, std::uint64
                        nullptr));
   if (error != nullptr) *error = err;
   return sum;
-}
-
-std::uint64_t expected(std::uint64_t offset, std::uint64_t len) {
-  return Buffer::deterministic(kSeed, offset, len).checksum();
 }
 
 // Hedge policy that fires after 200us: `warmup` is out of reach, so
