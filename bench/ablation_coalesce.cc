@@ -172,6 +172,7 @@ int main(int argc, char** argv) {
       .param("workers", static_cast<std::uint64_t>(4));
 
   bool all_ok = true;
+  CoalesceOutcome full;  // the sweep's 4-stream coalescing-on cell
   {
     std::cout << "fully-overlapping remote re-read streams, coalescing on vs off:\n";
     vread::metrics::TablePrinter t({"streams", "off (MBps)", "on (MBps)", "speedup",
@@ -180,6 +181,7 @@ int main(int argc, char** argv) {
       CoalesceOutcome off = run_streams(full_overlap(n), false, 0);
       CoalesceOutcome on = run_streams(full_overlap(n), true, 0);
       all_ok = all_ok && off.ok && on.ok;
+      if (n == 4) full = on;
       const double speedup = off.mbps > 0 ? on.mbps / off.mbps : 0.0;
       t.add_row({std::to_string(n), vread::metrics::Cell(off.mbps),
                  vread::metrics::Cell(on.mbps), vread::metrics::Cell(speedup),
@@ -198,9 +200,8 @@ int main(int argc, char** argv) {
     std::cout << "overlap arm (4 streams, coalescing on):\n";
     vread::metrics::TablePrinter t(
         {"overlap", "MBps", "merged fills", "leader fills", "wire (MB)"});
-    CoalesceOutcome full = run_streams(full_overlap(4), true, 0);
     CoalesceOutcome none = run_streams(striped(4), true, 0);
-    all_ok = all_ok && full.ok && none.ok;
+    all_ok = all_ok && none.ok;
     t.add_row({"full", vread::metrics::Cell(full.mbps), std::to_string(full.hits),
                std::to_string(full.misses), vread::metrics::Cell(full.wire_mb)});
     t.add_row({"disjoint", vread::metrics::Cell(none.mbps), std::to_string(none.hits),

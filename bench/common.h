@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <initializer_list>
 #include <iomanip>
 #include <iostream>
 #include <memory>
@@ -177,18 +178,20 @@ class BenchReport {
   }
 
   // Handles `--json [FILE]`: writes the report when the flag is present
-  // (default file BENCH_<bench>.json) and says where it went.
-  void maybe_write(int argc, char** argv) const {
+  // (default file BENCH_<bench>.json) and says where it went. A binary
+  // that regenerates several figures from one set of runs passes their
+  // reports as `beside`: each is written under its own default name in
+  // FILE's directory.
+  void maybe_write(int argc, char** argv,
+                   std::initializer_list<const BenchReport*> beside = {}) const {
     for (int i = 1; i < argc; ++i) {
       if (std::string(argv[i]) != "--json") continue;
-      std::string path = "BENCH_" + bench_ + ".json";
+      std::string path = default_file();
       if (i + 1 < argc && argv[i + 1][0] != '-') path = argv[i + 1];
-      if (write(path)) {
-        std::cout << "bench telemetry written to " << path << "\n";
-      } else {
-        std::cerr << "failed to write bench telemetry to " << path << "\n";
-        std::exit(1);
-      }
+      write_or_exit(path);
+      const std::size_t slash = path.rfind('/');
+      const std::string dir = slash == std::string::npos ? "" : path.substr(0, slash + 1);
+      for (const BenchReport* r : beside) r->write_or_exit(dir + r->default_file());
       return;
     }
   }
@@ -201,6 +204,16 @@ class BenchReport {
     std::string better;
     double paper_expected;
   };
+
+  std::string default_file() const { return "BENCH_" + bench_ + ".json"; }
+
+  void write_or_exit(const std::string& path) const {
+    if (!write(path)) {
+      std::cerr << "failed to write bench telemetry to " << path << "\n";
+      std::exit(1);
+    }
+    std::cout << "bench telemetry written to " << path << "\n";
+  }
 
   // Round-trippable but stable number formatting for JSON values.
   static std::string fmt_number(double v) {

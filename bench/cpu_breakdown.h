@@ -85,17 +85,25 @@ inline SideUtil side_util(Cluster& c, const Cluster::Window& w,
 struct CpuFigureResult {
   SideUtil client;
   SideUtil datanode_side;
+  double copies_per_byte = 0.0;  // measured by the span tracer
 };
 
 // One run of the Fig. 6/7/8 workload: 64 MB (scaled from 1 GB), 1 MB reads.
+// The run is traced: it also prints the measured per-read span
+// decomposition (copy count, sync wait, disk/transport time) and the
+// copy-site table, Fig. 2's arrows and Fig. 3's delays per actual read.
 inline CpuFigureResult run_cpu_breakdown(Scenario scenario, bool vread,
                                          core::VReadDaemon::Transport transport) {
   constexpr std::uint64_t kBytes = 64ULL * 1024 * 1024;
   PaperSetup s = make_paper_setup(2.0, /*four_vms=*/false, vread, scenario, kBytes,
                                   4242, transport);
   Cluster& c = *s.cluster;
+  auto& tr = trace::tracer();
+  tr.clear();  // several runs per process; don't mix spans
+  tr.enable(c.sim());
   Cluster::Window w = c.begin_window();
   run_dfsio_read(c);
+  tr.disable();
   CpuFigureResult r;
   if (scenario == Scenario::kColocated) {
     // Fig. 6: client VM vs. {vRead-daemon | vanilla datanode VM}.
@@ -111,31 +119,14 @@ inline CpuFigureResult run_cpu_breakdown(Scenario scenario, bool vread,
     r.datanode_side = side_util(c, w, vread ? std::vector<std::string>{"host2"}
                                             : std::vector<std::string>{"datanode2"});
   }
-  return r;
-}
-
-// Traced re-run of the same workload: prints the measured per-read span
-// decomposition (copy count, sync wait, disk/transport time) and the
-// copy-site table — Fig. 2's arrows and Fig. 3's delays, per actual read.
-// Returns the measured copies per delivered byte.
-inline double print_traced_decomposition(Scenario scenario, bool vread,
-                                         core::VReadDaemon::Transport transport) {
-  constexpr std::uint64_t kBytes = 64ULL * 1024 * 1024;
-  PaperSetup s = make_paper_setup(2.0, /*four_vms=*/false, vread, scenario, kBytes,
-                                  4242, transport);
-  Cluster& c = *s.cluster;
-  auto& tr = trace::tracer();
-  tr.clear();  // several decompositions run per process; don't mix spans
-  tr.enable(c.sim());
-  run_dfsio_read(c);
   const trace::RunSummary sum = trace::aggregate(tr);
   std::cout << "\n-- measured per-read decomposition ("
             << (vread ? "vRead" : "vanilla") << ", " << to_string(scenario) << ", "
             << sum.reads.size() << " reads) --\n";
   trace::print_read_table(std::cout, sum, /*max_rows=*/4);
   trace::print_copy_sites(std::cout, sum);
-  tr.disable();
-  return sum.total.copies();
+  r.copies_per_byte = sum.total.copies();
+  return r;
 }
 
 inline void print_cpu_panels(const std::string& what, const CpuFigureResult& vr,

@@ -23,9 +23,7 @@ int main(int argc, char** argv) {
   print_cpu_panels("remote read (RDMA)", vr, vanilla);
   report_cpu_metrics(report, vr, vanilla, /*client_saving_expected=*/45.0,
                      /*datanode_saving_expected=*/50.0);
-  const double copies_vread = print_traced_decomposition(
-      Scenario::kRemote, true, vread::core::VReadDaemon::Transport::kRdma);
-  report.metric("copies_per_byte_vread", copies_vread, "copies/B", "lower");
+  report.metric("copies_per_byte_vread", vr.copies_per_byte, "copies/B", "lower");
   std::cout << "\nPaper reference: ~45% client-side and >50% datanode-side CPU savings;\n"
                "rdma << vhost-net, and the datanode side pays more rdma than the client\n"
                "(it actively pushes the payload).\n";

@@ -22,9 +22,7 @@ int main(int argc, char** argv) {
   print_cpu_panels("remote read (TCP daemons)", vr, vanilla);
   report_cpu_metrics(report, vr, vanilla, /*client_saving_expected=*/10.0,
                      /*datanode_saving_expected=*/30.0);
-  const double copies_vread = print_traced_decomposition(
-      Scenario::kRemote, true, vread::core::VReadDaemon::Transport::kTcp);
-  report.metric("copies_per_byte_vread", copies_vread, "copies/B", "lower");
+  report.metric("copies_per_byte_vread", vr.copies_per_byte, "copies/B", "lower");
   std::cout << "\nPaper reference: vRead-net costs more CPU per byte than vhost-net\n"
                "(user/kernel crossings), yet total utilization stays below vanilla\n"
                "because the datanode VM's whole stack is bypassed.\n";

@@ -7,12 +7,6 @@
 
 namespace vread::core {
 
-namespace {
-// Directory control messages (lookup request/reply, invalidation notify)
-// are header-sized, like the daemon-to-daemon control messages.
-constexpr std::uint64_t kCtrlBytes = 96;
-}  // namespace
-
 PeerCacheDirectory::PeerCacheDirectory(sim::Simulation& sim, PeerCacheConfig cfg)
     : sim_(sim),
       cfg_(cfg),

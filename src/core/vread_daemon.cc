@@ -16,8 +16,6 @@ namespace {
 std::uint64_t cache_key(const fs::DiskImage& image, std::uint32_t inode) {
   return (image.id() << 32) | inode;
 }
-// Control-message sizes on the wire (request/response headers).
-constexpr std::uint64_t kCtrlBytes = 96;
 // RDMA payloads are written by the sender's NIC straight into the
 // receiver's registered ring memory: the daemon's ring copy is skipped.
 bool lands_in_ring(Transport t) { return t == Transport::kRdma; }
@@ -411,8 +409,7 @@ virt::ShmChannel& VReadDaemon::attach_client(virt::Vm& client_vm) {
   }
   port->channel = std::make_unique<virt::ShmChannel>(
       client_vm, host_.costs(), config_.shm_call_timeout, outstanding);
-  const std::size_t workers = config_.workers == 0 ? 1 : config_.workers;
-  for (std::size_t w = 0; w < workers; ++w) {
+  for (std::size_t w = 0; w < config_.workers; ++w) {
     std::string name = "vread-daemon-" + client_vm.name();
     if (w > 0) name += "-w" + std::to_string(w + 1);
     port->tids.push_back(host_.cpu().add_thread(name, host_.name()));

@@ -62,6 +62,10 @@ enum class VReadOp : int {
 // Remote (daemon-to-daemon) transport.
 enum class Transport { kRdma, kTcp };
 
+// Control-message size on the wire (request/response headers), for the
+// daemon-to-daemon protocol and the peer-cache directory alike.
+inline constexpr std::uint64_t kCtrlBytes = 96;
+
 // Point-in-time introspection snapshot of one daemon (DESIGN.md §9).
 // Returned by VReadDaemon::stats_snapshot(); rendered by tools/vreadstat.
 struct DaemonStats {
@@ -216,7 +220,6 @@ class VReadDaemon {
   virt::Host& host() { return host_; }
   const DaemonConfig& config() const { return config_; }
   Transport transport() const { return config_.transport; }
-  bool direct_read() const { return config_.direct_read; }
 
   // --- datanode registry (the daemon's hash table) ---
   // Local datanode VM: loop-mounts its disk image read-only. `dir` is the
@@ -257,7 +260,6 @@ class VReadDaemon {
                       "descriptor_table_lost", "", lost);
     }
   }
-  void drop_all_descriptors() { restart(); }
   std::size_t open_descriptors() const { return descriptors_.size(); }
 
   // §6 "Compatibility with VM Migration": when a datanode VM moves to

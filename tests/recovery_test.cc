@@ -52,7 +52,7 @@ TEST(DaemonRecovery, RestartMidWorkloadFallsBackThenRecovers) {
       if (half == 0) {
         *opens_pre = cl->daemon("host1")->opens();
         *net_pre = cl->net().bytes_sent();
-        cl->daemon("host1")->drop_all_descriptors();  // crash!
+        cl->daemon("host1")->restart();  // crash!
       }
     }
     co_await in->close();
