@@ -24,8 +24,8 @@ BlockCache::BlockCache(std::uint64_t capacity_bytes, const std::string& host)
       bytes_g_(metrics_.gauge("vread_daemon_cache_bytes", {{"host", host}},
                               "Payload bytes currently cached")) {}
 
-mem::Buffer BlockCache::lookup(const std::string& dn, const std::string& block,
-                               std::uint64_t offset, std::uint64_t len) {
+mem::Buffer BlockCache::lookup(sim::Name dn, sim::Name block, std::uint64_t offset,
+                               std::uint64_t len) {
   if (!enabled() || len == 0) {
     misses_.inc();
     return mem::Buffer();
@@ -48,7 +48,7 @@ mem::Buffer BlockCache::lookup(const std::string& dn, const std::string& block,
   if (fault::registry().should_fire(fault::points::kCacheCorrupt)) {
     e.data[0] ^= 0x01;  // copy-on-write: only the entry's own bytes change
   }
-  if (e.data.checksum() != e.checksum) {
+  if (e.data.page_digest() != e.checksum) {
     // Integrity check failed: drop the entry and report a miss — a cache
     // hit must never return bytes the mount would not have.
     integrity_failures_.inc();
@@ -61,9 +61,8 @@ mem::Buffer BlockCache::lookup(const std::string& dn, const std::string& block,
   return e.data.slice(offset - k.offset, len);
 }
 
-bool BlockCache::insert(const std::string& dn, const std::string& block,
-                        std::uint64_t offset, const mem::Buffer& data,
-                        const std::string& tenant) {
+bool BlockCache::insert(sim::Name dn, sim::Name block, std::uint64_t offset,
+                        const mem::Buffer& data, sim::Name tenant) {
   if (!enabled() || data.empty() || data.size() > capacity_) return false;
   const Key key{dn, block, offset};
   auto it = entries_.find(key);
@@ -85,9 +84,9 @@ bool BlockCache::insert(const std::string& dn, const std::string& block,
   evict_to_fit(data.size());
   Entry e;
   e.data = data;
-  // Establishing the reference digest may reuse one the slab remembers for
-  // this window; lookup() always hashes the cached bytes again.
-  e.checksum = e.data.remembered_checksum();
+  // Establishing the reference digest may reuse page digests the slab
+  // remembers; lookup() always hashes the cached bytes again.
+  e.checksum = e.data.remembered_page_digest();
   e.tenant = tenant;
   e.lru = lru_.insert(lru_.end(), key);
   bytes_ += data.size();
@@ -97,7 +96,7 @@ bool BlockCache::insert(const std::string& dn, const std::string& block,
   return true;
 }
 
-void BlockCache::set_tenant_cap(const std::string& tenant, std::uint64_t cap_bytes) {
+void BlockCache::set_tenant_cap(sim::Name tenant, std::uint64_t cap_bytes) {
   if (cap_bytes == 0) {
     tenant_caps_.erase(tenant);
     return;
@@ -106,17 +105,17 @@ void BlockCache::set_tenant_cap(const std::string& tenant, std::uint64_t cap_byt
   evict_tenant_to_fit(tenant, 0, cap_bytes);
 }
 
-std::uint64_t BlockCache::tenant_cap(const std::string& tenant) const {
+std::uint64_t BlockCache::tenant_cap(sim::Name tenant) const {
   auto it = tenant_caps_.find(tenant);
   return it == tenant_caps_.end() ? 0 : it->second;
 }
 
-std::uint64_t BlockCache::tenant_bytes(const std::string& tenant) const {
+std::uint64_t BlockCache::tenant_bytes(sim::Name tenant) const {
   auto it = tenant_bytes_.find(tenant);
   return it == tenant_bytes_.end() ? 0 : it->second;
 }
 
-void BlockCache::evict_tenant_to_fit(const std::string& tenant, std::uint64_t incoming,
+void BlockCache::evict_tenant_to_fit(sim::Name tenant, std::uint64_t incoming,
                                      std::uint64_t cap) {
   // Walk from the LRU end evicting only this tenant's entries: the cap
   // squeezes the offender's own working set, never its neighbors'.
@@ -130,15 +129,15 @@ void BlockCache::evict_tenant_to_fit(const std::string& tenant, std::uint64_t in
   }
 }
 
-void BlockCache::invalidate_datanode(const std::string& dn) {
-  auto it = entries_.lower_bound(Key{dn, "", 0});
+void BlockCache::invalidate_datanode(sim::Name dn) {
+  auto it = entries_.lower_bound(Key{dn, sim::Name(), 0});
   while (it != entries_.end() && it->first.dn == dn) {
     invalidations_.inc();
     erase(it++);
   }
 }
 
-void BlockCache::invalidate_block(const std::string& dn, const std::string& block) {
+void BlockCache::invalidate_block(sim::Name dn, sim::Name block) {
   auto it = entries_.lower_bound(Key{dn, block, 0});
   while (it != entries_.end() && it->first.dn == dn && it->first.block == block) {
     invalidations_.inc();
@@ -149,12 +148,10 @@ void BlockCache::invalidate_block(const std::string& dn, const std::string& bloc
 void BlockCache::clear() {
   if (removal_observer_) {
     // One notification per distinct (dn, block), same contract as erase().
-    const std::string* dn = nullptr;
-    const std::string* block = nullptr;
+    const Key* last = nullptr;
     for (const auto& [key, entry] : entries_) {
-      if (dn && *dn == key.dn && *block == key.block) continue;
-      dn = &key.dn;
-      block = &key.block;
+      if (last && last->dn == key.dn && last->block == key.block) continue;
+      last = &key;
       removal_observer_(key.dn, key.block);
     }
   }
@@ -171,8 +168,8 @@ void BlockCache::erase(std::map<Key, Entry>::iterator it, bool notify) {
     tenant_bytes_[it->second.tenant] -= it->second.data.size();
   }
   lru_.erase(it->second.lru);
-  const std::string dn = it->first.dn;
-  const std::string block = it->first.block;
+  const sim::Name dn = it->first.dn;
+  const sim::Name block = it->first.block;
   it = entries_.erase(it);
   bytes_g_.set(static_cast<std::int64_t>(bytes_));
   if (notify && removal_observer_) {

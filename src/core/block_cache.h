@@ -11,13 +11,13 @@
 // *invisible-to-new-namespaces*. Accordingly the cache is invalidated on
 // exactly the events that refresh a mount: vRead_update (block create/
 // delete/rename reported by the namenode), datanode unregistration and VM
-// migration. Every entry stores the mem::Hasher digest of its payload,
-// established at insert; each hit hashes the cached bytes again and
-// compares. A mismatch drops the entry and reports a miss (integrity never
-// depends on the cache being right). The insert-time digest comes from
-// Buffer::remembered_checksum(): a window of a slab that was digested
-// before (a re-read of the same image run) is not hashed again. The hit
-// side never uses it.
+// migration. Every entry stores the page digest of its payload
+// (mem::Buffer::page_digest), established at insert; each hit hashes every
+// byte of the entry again and compares. A mismatch drops the entry and
+// reports a miss (integrity never depends on the cache being right). The
+// insert-time digest comes from Buffer::remembered_page_digest(): a page of
+// a slab that was digested before (a re-read of the same image run, however
+// it is chopped) is not hashed again. The hit side never uses it.
 //
 // Entries hold the caller's mem::Buffer view as is, so neither an insert
 // nor a hit copies bytes. A block read off the mount is a view of a disk
@@ -25,6 +25,10 @@
 // write-once and never dropped), so such an entry pins nothing extra; a
 // view assembled by a non-adjacent append pins at most twice its size
 // (DESIGN.md §17). `capacity_bytes` bounds the bytes the entries cover.
+//
+// Datanodes, blocks and tenants are interned sim::Names (DESIGN.md §13):
+// keys copy pointers, and order by contents, so entries, evictions and
+// removal notifications come in the same order as with string keys.
 //
 // Entries are stored at the offsets the daemon's stream chopper produced
 // (kStreamChunk-sized pieces); a lookup hits only when one entry covers
@@ -38,9 +42,11 @@
 #include <list>
 #include <map>
 #include <string>
+#include <type_traits>
 
 #include "mem/buffer.h"
 #include "metrics/registry.h"
+#include "sim/name.h"
 
 namespace vread::core {
 
@@ -56,8 +62,7 @@ class BlockCache {
   // Returns the bytes for exactly [offset, offset+len) of (dn, block) when
   // a single cached entry covers the range, bumping it to MRU. Returns an
   // empty buffer on miss (len > 0 guarantees hits are non-empty).
-  mem::Buffer lookup(const std::string& dn, const std::string& block,
-                     std::uint64_t offset, std::uint64_t len);
+  mem::Buffer lookup(sim::Name dn, sim::Name block, std::uint64_t offset, std::uint64_t len);
 
   // Caches [offset, offset+data.size()) of (dn, block), evicting LRU
   // entries to stay within capacity. Oversized payloads are not cached.
@@ -66,24 +71,38 @@ class BlockCache {
   // bytes are resident afterwards (fresh insert, same-chop refresh, or a
   // longer payload replacing a shorter entry at the same offset) — the
   // peer tier publishes a copyset entry only for resident bytes.
-  bool insert(const std::string& dn, const std::string& block, std::uint64_t offset,
-              const mem::Buffer& data, const std::string& tenant = {});
+  bool insert(sim::Name dn, sim::Name block, std::uint64_t offset, const mem::Buffer& data,
+              sim::Name tenant = {});
+
+  // For callers holding the block name as a plain string (tests, probes):
+  // interns it on every call, so per-read code passes a sim::Name instead.
+  template <typename S>
+    requires std::is_same_v<S, std::string>
+  mem::Buffer lookup(sim::Name dn, const S& block, std::uint64_t offset, std::uint64_t len) {
+    return lookup(dn, sim::Name(block), offset, len);
+  }
+  template <typename S>
+    requires std::is_same_v<S, std::string>
+  bool insert(sim::Name dn, const S& block, std::uint64_t offset, const mem::Buffer& data,
+              sim::Name tenant = {}) {
+    return insert(dn, sim::Name(block), offset, data, tenant);
+  }
 
   // Caps how many cached bytes may be attributed to `tenant`; inserts that
   // would exceed it evict the tenant's own LRU entries first, so one
   // tenant's working set cannot flush everyone else's. 0 removes the cap.
-  void set_tenant_cap(const std::string& tenant, std::uint64_t cap_bytes);
-  std::uint64_t tenant_cap(const std::string& tenant) const;
+  void set_tenant_cap(sim::Name tenant, std::uint64_t cap_bytes);
+  std::uint64_t tenant_cap(sim::Name tenant) const;
   // Bytes currently cached on behalf of `tenant`.
-  std::uint64_t tenant_bytes(const std::string& tenant) const;
+  std::uint64_t tenant_bytes(sim::Name tenant) const;
   std::uint64_t tenant_evictions() const { return tenant_evictions_.value(); }
 
   // Drops every entry belonging to `dn` (vRead_update / remount,
   // unregistration, migration).
-  void invalidate_datanode(const std::string& dn);
+  void invalidate_datanode(sim::Name dn);
   // Drops every entry of one (dn, block) — a peer-cache copyset
   // invalidation targets a single block, not the whole datanode.
-  void invalidate_block(const std::string& dn, const std::string& block);
+  void invalidate_block(sim::Name dn, sim::Name block);
   void clear();
 
   // Invoked with (dn, block) whenever the LAST cached entry of that block
@@ -91,8 +110,7 @@ class BlockCache {
   // tier uses it to unpublish this daemon from the block's copyset so the
   // directory never routes a fetch at bytes that are already gone. The
   // observer must not reenter the cache.
-  void set_removal_observer(
-      std::function<void(const std::string& dn, const std::string& block)> fn) {
+  void set_removal_observer(std::function<void(sim::Name dn, sim::Name block)> fn) {
     removal_observer_ = std::move(fn);
   }
 
@@ -107,8 +125,8 @@ class BlockCache {
 
  private:
   struct Key {
-    std::string dn;
-    std::string block;
+    sim::Name dn;
+    sim::Name block;
     std::uint64_t offset;
     bool operator<(const Key& o) const {
       if (dn != o.dn) return dn < o.dn;
@@ -119,23 +137,22 @@ class BlockCache {
   struct Entry {
     mem::Buffer data;
     std::uint64_t checksum = 0;
-    std::string tenant;  // who inserted it (cap accounting); may be empty
+    sim::Name tenant;  // who inserted it (cap accounting); may be empty
     std::list<Key>::iterator lru;
   };
 
   // `notify` false skips the removal observer, for an entry being replaced.
   void erase(std::map<Key, Entry>::iterator it, bool notify = true);
   void evict_to_fit(std::uint64_t incoming);
-  void evict_tenant_to_fit(const std::string& tenant, std::uint64_t incoming,
-                           std::uint64_t cap);
+  void evict_tenant_to_fit(sim::Name tenant, std::uint64_t incoming, std::uint64_t cap);
 
   std::uint64_t capacity_;
   std::uint64_t bytes_ = 0;
   std::map<Key, Entry> entries_;
   std::list<Key> lru_;  // front = LRU victim, back = MRU
-  std::map<std::string, std::uint64_t> tenant_caps_;
-  std::map<std::string, std::uint64_t> tenant_bytes_;
-  std::function<void(const std::string&, const std::string&)> removal_observer_;
+  std::map<sim::Name, std::uint64_t> tenant_caps_;
+  std::map<sim::Name, std::uint64_t> tenant_bytes_;
+  std::function<void(sim::Name, sim::Name)> removal_observer_;
 
   metrics::MetricGroup metrics_;
   metrics::Counter& hits_;

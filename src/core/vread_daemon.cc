@@ -127,6 +127,7 @@ Status DaemonConfig::Validate() const {
 
 VReadDaemon::VReadDaemon(virt::Host& host, DaemonConfig config)
     : host_(host),
+      name_(host.name()),
       config_(config),
       cache_(config.cache_bytes, host.name()),
       control_(std::make_unique<hw::WorkerThread>(host.sim(), host.cpu(),
@@ -203,7 +204,7 @@ VReadDaemon::VReadDaemon(virt::Host& host, DaemonConfig config)
   if (config_.qos.enabled) {
     qos_ = std::make_unique<QosScheduler>(host.sim(), config_.qos, host.name());
     for (const auto& [tenant, cap] : config_.qos.cache_bytes) {
-      cache_.set_tenant_cap(tenant, cap);
+      cache_.set_tenant_cap(sim::Name(tenant), cap);
     }
   }
   if (config_.coalesce.enabled) {
@@ -291,14 +292,14 @@ DaemonStats VReadDaemon::stats_snapshot() const {
   return s;
 }
 
-metrics::Counter& VReadDaemon::peer_bytes(const std::string& peer, Transport t) {
-  const auto key = std::make_pair(peer, static_cast<int>(t));
+metrics::Counter& VReadDaemon::peer_bytes(const VReadDaemon& peer, Transport t) {
+  const auto key = std::make_pair(peer.name_, static_cast<int>(t));
   auto it = peer_bytes_.find(key);
   if (it != peer_bytes_.end()) return *it->second;
   metrics::Counter& c = metrics_.counter(
       "vread_daemon_peer_bytes_total",
       {{"host", host_.name()},
-       {"peer", peer},
+       {"peer", peer.name_},
        {"transport", t == Transport::kRdma ? "rdma" : "tcp"}},
       "Payload bytes received daemon-to-daemon, by peer and transport");
   peer_bytes_[key] = &c;
@@ -320,7 +321,7 @@ void VReadDaemon::unregister_datanode(const std::string& dn_id) {
   remote_peers_.erase(dn_id);
   // Own entries first (their removal unpublishes us from the copysets),
   // then the directory revokes every remaining holder cluster-wide.
-  cache_.invalidate_datanode(dn_id);
+  cache_.invalidate_datanode(sim::Name(dn_id));
   if (peer_dir_) peer_dir_->invalidate_datanode(this, dn_id);
 }
 
@@ -333,7 +334,7 @@ void VReadDaemon::migrate_datanode(const std::string& dn_id, VReadDaemon& from,
   // follow the updated registry.
   from.local_mounts_.erase(dn_id);
   from.remote_peers_[dn_id] = &to;
-  from.cache_.invalidate_datanode(dn_id);
+  from.cache_.invalidate_datanode(sim::Name(dn_id));
   // Migration revokes the whole cluster's copysets for this datanode: the
   // destination will re-mount and may expose a newer snapshot, so cached
   // ranges published under the old placement are no longer authoritative.
@@ -351,7 +352,7 @@ void VReadDaemon::set_peer_directory(PeerCacheDirectory* dir) {
   // Every eviction path (LRU, tenant cap, invalidation, clear) drops us
   // from the block's copyset the moment its last entry leaves, so the
   // directory never routes a fetch at bytes we no longer hold.
-  cache_.set_removal_observer([this](const std::string& dn, const std::string& block) {
+  cache_.set_removal_observer([this](sim::Name dn, sim::Name block) {
     peer_epochs_.erase(std::make_pair(dn, block));
     peer_dir_->unpublish(this, dn, block);
   });
@@ -359,13 +360,13 @@ void VReadDaemon::set_peer_directory(PeerCacheDirectory* dir) {
 
 void VReadDaemon::apply_peer_invalidate(const std::string& dn, const std::string& block) {
   if (block.empty()) {
-    cache_.invalidate_datanode(dn);
+    cache_.invalidate_datanode(sim::Name(dn));
     for (auto it = peer_epochs_.lower_bound(std::make_pair(dn, std::string()));
          it != peer_epochs_.end() && it->first.first == dn;) {
       it = peer_epochs_.erase(it);
     }
   } else {
-    cache_.invalidate_block(dn, block);
+    cache_.invalidate_block(sim::Name(dn), sim::Name(block));
     peer_epochs_.erase(std::make_pair(dn, block));
   }
   // Open remote descriptors lose their size snapshot: the owner's refresh
@@ -889,13 +890,13 @@ sim::Task VReadDaemon::owner_chunk(hw::ThreadId tid, Descriptor& d, std::uint64_
   co_await host_.lan().transfer(owner->host_.lan_id(), host_.lan_id(), c.data.size());
   co_await charge_recv(tid, transport, n, h.ctx);
   c.in_ring = lands_in_ring(transport);
-  peer_bytes(owner->host_.name(), transport).inc(c.data.size());
+  peer_bytes(*owner, transport).inc(c.data.size());
   cache_if_current(d, off, c.data, h.tenant, epoch);
 }
 
-sim::Task VReadDaemon::probe_cache(hw::ThreadId tid, const std::string& dn,
-                                   const std::string& block, std::uint64_t off,
-                                   std::uint64_t n, trace::Ctx ctx, mem::Buffer& out) {
+sim::Task VReadDaemon::probe_cache(hw::ThreadId tid, sim::Name dn, sim::Name block,
+                                   std::uint64_t off, std::uint64_t n, trace::Ctx ctx,
+                                   mem::Buffer& out) {
   const hw::CostModel& cm = host_.costs();
   co_await host_.cpu().consume(
       tid, cm.daemon_cache_lookup + cm.daemon_cache_per_page * cm.pages(n),
@@ -1013,7 +1014,7 @@ sim::Task VReadDaemon::local_refresh(hw::ThreadId tid, const std::string& dn_id)
   co_await host_.cpu().consume(tid, cm.mount_refresh, CycleCategory::kLoopDevice);
   // A refresh means the namespace changed (vRead_update / remount): drop
   // cached ranges for this datanode so new snapshots are never served stale.
-  cache_.invalidate_datanode(dn_id);
+  cache_.invalidate_datanode(sim::Name(dn_id));
   // ... and revoke every copyset holder cluster-wide (§15): the epoch bump
   // is synchronous, the per-holder notifications ride control messages.
   if (peer_dir_) peer_dir_->invalidate_datanode(this, dn_id);
@@ -1038,10 +1039,9 @@ sim::Task VReadDaemon::run_on_control(std::function<sim::Task(hw::ThreadId)> job
   co_await done.wait();
 }
 
-sim::Task VReadDaemon::peer_fetch(hw::ThreadId tid, const std::string& dn,
-                                  const std::string& block, std::uint64_t offset,
-                                  std::uint64_t n, trace::Ctx ctx, mem::Buffer& out,
-                                  std::uint64_t& epoch_out) {
+sim::Task VReadDaemon::peer_fetch(hw::ThreadId tid, sim::Name dn, sim::Name block,
+                                  std::uint64_t offset, std::uint64_t n, trace::Ctx ctx,
+                                  mem::Buffer& out, std::uint64_t& epoch_out) {
   if (!peer_dir_ || n == 0 || n > peer_dir_->config().max_fetch_bytes) co_return;
   peer_lookups_.inc();
   PeerCacheDirectory::LookupResult lr;
@@ -1070,7 +1070,7 @@ sim::Task VReadDaemon::peer_fetch(hw::ThreadId tid, const std::string& dn,
     mem::Buffer buf;
     std::uint64_t holder_epoch = 0;
     std::function<sim::Task(hw::ThreadId)> fetch_job =
-        [holder, &dn, &block, offset, n, transport, &buf, &holder_epoch,
+        [holder, dn, block, offset, n, transport, &buf, &holder_epoch,
          ctx](hw::ThreadId ptid) -> sim::Task {
       co_await holder->charge_recv(ptid, transport, 0, ctx);
       co_await holder->probe_cache(ptid, dn, block, offset, n, ctx, buf);
@@ -1093,7 +1093,7 @@ sim::Task VReadDaemon::peer_fetch(hw::ThreadId tid, const std::string& dn,
     // Payload crosses the wire, then receive-side CPU.
     co_await host_.lan().transfer(holder->host_.lan_id(), host_.lan_id(), n);
     co_await charge_recv(tid, transport, n, ctx);
-    peer_bytes(holder->host_.name(), transport).inc(n);
+    peer_bytes(*holder, transport).inc(n);
     if (holder_epoch != lr.epoch) {
       // Defense layer 3: the holder's copy predates the current epoch (its
       // invalidation was lost, or the directory answered stale). The bytes
@@ -1391,7 +1391,7 @@ sim::Task VReadDaemon::stream_remote_read(virt::ShmChannel& channel, hw::ThreadI
     co_await stream_job(peer->control_->tid());
   });
 
-  metrics::Counter& from_peer = peer_bytes(peer->host_.name(), transport);
+  metrics::Counter& from_peer = peer_bytes(*peer, transport);
   // Coalescing leader: retain the payload as it lands so completion can
   // fan the whole window out to every attached waiter in one shot.
   mem::Buffer collected;

@@ -479,7 +479,7 @@ class VReadDaemon {
 
   // Cache step: the lookup charge (paid hit or miss), then the lookup;
   // `out` stays empty on a miss.
-  sim::Task probe_cache(hw::ThreadId tid, const std::string& dn, const std::string& block,
+  sim::Task probe_cache(hw::ThreadId tid, sim::Name dn, sim::Name block,
                         std::uint64_t off, std::uint64_t n, trace::Ctx ctx,
                         mem::Buffer& out);
   // Coalesce step (§12): when an in-flight fill covers [off, off+n), sets
@@ -548,8 +548,7 @@ class VReadDaemon {
   // lookup time (the publish gate). Any failure — no holder, holder
   // evicted, holder down, epoch mismatch — leaves `out` untouched and the
   // caller falls back to its disk / owner path.
-  sim::Task peer_fetch(hw::ThreadId tid, const std::string& dn,
-                       const std::string& block, std::uint64_t offset,
+  sim::Task peer_fetch(hw::ThreadId tid, sim::Name dn, sim::Name block, std::uint64_t offset,
                        std::uint64_t n, trace::Ctx ctx, mem::Buffer& out,
                        std::uint64_t& epoch_out);
 
@@ -581,6 +580,7 @@ class VReadDaemon {
                            std::uint64_t begin, std::uint64_t end, trace::Ctx ctx);
 
   virt::Host& host_;
+  const sim::Name name_;  // host_.name(), interned once
   DaemonConfig config_;
   // Shared block cache ((datanode, block)-keyed LRU; §10). Lives on the
   // daemon so every client VM's streams — and remote peers reading through
@@ -622,7 +622,7 @@ class VReadDaemon {
 
   // Per-peer transfer counter, created lazily on the first byte streamed
   // from that peer (labels: host, peer, transport).
-  metrics::Counter& peer_bytes(const std::string& peer, Transport t);
+  metrics::Counter& peer_bytes(const VReadDaemon& peer, Transport t);
 
   // Instruments live on the process-wide registry for the daemon's
   // lifetime (declared after host_ so labels can use host_.name()).
@@ -650,7 +650,9 @@ class VReadDaemon {
   metrics::Counter& hedge_cancelled_;
   metrics::Gauge& open_descriptors_g_;
   metrics::Histogram& read_latency_;
-  std::map<std::pair<std::string, int>, metrics::Counter*> peer_bytes_;
+  // Keyed by (peer host name, transport); names order by contents, so the
+  // stats snapshot lists peers as before.
+  std::map<std::pair<sim::Name, int>, metrics::Counter*> peer_bytes_;
 
   // Observability plane wiring (set_observer); nullptr = plane off.
   obs::TimeSeriesRecorder* obs_ts_ = nullptr;

@@ -17,18 +17,22 @@
 //    grows in place when this view is the sole owner of its slab and the
 //    slab has room, and otherwise copies once into a slab twice the new
 //    length.
-//  - A slab remembers the digests of up to DigestMemo::kEntries windows of
-//    itself (DESIGN.md §17). checksum() always hashes the bytes: it is the
-//    one to *verify* with. remembered_checksum() may answer from the memo:
-//    use it only to *establish* a reference digest. A shared slab is never
-//    written, so its memo is exact; every in-place write (non-const
-//    data(), operator[], append's in-place growth) drops the memo first.
-//    The memo lives in the slab's header, so it dies with the slab and
-//    keeps no slab alive. It is not thread-safe, and needs no lock: no
-//    slab is shared across threads. Copying a Buffer is still safe across
-//    threads (the reference count is atomic).
+//  - The block cache digests a view by pages (DESIGN.md §17): its page
+//    digest is the XXH64 of the little-endian XXH64 of each kPage piece,
+//    counted from the view's start (the last piece may be short). It
+//    depends only on the bytes. page_digest() always hashes every byte: it
+//    is the one to *verify* with. remembered_page_digest() may take whole
+//    pages from the slab's memo, one digest per kPage page of the slab,
+//    filled on demand: use it only to *establish* a reference digest. A
+//    shared slab is never written, so its memo is exact; every in-place
+//    write (non-const data(), operator[], append's in-place growth) drops
+//    the memo first. The memo lives in the slab's header, so it dies with
+//    the slab and keeps no slab alive. It is not thread-safe, and needs no
+//    lock: no slab is shared across threads. Copying a Buffer is still
+//    safe across threads (the reference count is atomic).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
@@ -36,6 +40,7 @@
 #include <cstring>
 #include <new>
 #include <utility>
+#include <vector>
 
 #include "mem/hasher.h"
 
@@ -43,32 +48,25 @@ namespace vread::mem {
 
 namespace detail {
 
-// The digests remembered for windows of one slab, keyed by the window's
-// offset in the slab and its length. Bounded; the oldest entry goes first.
-struct DigestMemo {
-  // One 4 MiB block chopped into 256 KiB stream chunks is 16 windows.
-  static constexpr std::size_t kEntries = 16;
-  struct Entry {
-    std::size_t off;
-    std::size_t len;
-    std::uint64_t digest;
-  };
+// The digests of one slab's whole Buffer::kPage pages, counted from the
+// slab's start: one word per page plus one bit saying whether it is known
+// yet.
+class DigestMemo {
+ public:
+  explicit DigestMemo(std::size_t pages) : pages_(pages), words_(pages + (pages + 63) / 64) {}
 
-  const std::uint64_t* find(std::size_t off, std::size_t len) const {
-    for (std::size_t i = 0; i < used; ++i) {
-      if (entries[i].off == off && entries[i].len == len) return &entries[i].digest;
-    }
-    return nullptr;
+  bool known(std::size_t page) const { return (words_[pages_ + page / 64] >> (page % 64)) & 1; }
+  std::uint64_t digest(std::size_t page) const { return words_[page]; }
+  void remember(std::size_t page, std::uint64_t digest) {
+    words_[page] = digest;
+    words_[pages_ + page / 64] |= std::uint64_t{1} << (page % 64);
   }
-  void remember(std::size_t off, std::size_t len, std::uint64_t digest) {
-    entries[next] = {off, len, digest};
-    next = (next + 1) % kEntries;
-    if (used < kEntries) ++used;
-  }
+  // Bytes of the table: one word per page, then the "known" bits.
+  std::size_t table_bytes() const { return words_.size() * sizeof(std::uint64_t); }
 
-  Entry entries[kEntries]{};
-  std::size_t used = 0;
-  std::size_t next = 0;  // the slot written next: the oldest once full
+ private:
+  std::size_t pages_;
+  std::vector<std::uint64_t> words_;
 };
 
 // One allocation: this 16-byte header, then the payload bytes.
@@ -222,21 +220,23 @@ class Buffer {
   // Hashes the bytes on every call: the digest to verify against.
   std::uint64_t checksum() const { return Hasher::hash(data(), len_); }
 
-  // Equal to checksum(), but remembered by the slab per (offset, length)
-  // window, so repeating it on any view of the same window hashes nothing.
-  // Only for establishing a reference digest, never for verifying one: a
-  // verifier must hash the bytes it checks.
-  std::uint64_t remembered_checksum() const {
-    if (len_ == 0) return checksum();
+  // The piece size of a page digest.
+  static constexpr std::size_t kPage = 4096;
+
+  // The page digest of the view, hashing every byte: the digest to verify
+  // against.
+  std::uint64_t page_digest() const { return digest_pages(nullptr); }
+
+  // Equal to page_digest(), but a view that starts page-aligned in its
+  // slab takes its whole pages from the slab's memo, hashing only pages
+  // not digested before and the short tail. Only for establishing a
+  // reference digest, never for verifying one: a verifier must hash the
+  // bytes it checks.
+  std::uint64_t remembered_page_digest() const {
+    if (off_ % kPage != 0 || len_ < kPage) return digest_pages(nullptr);
     detail::DigestMemo*& memo = slab_->memo;
-    if (memo == nullptr) {
-      memo = new detail::DigestMemo;
-    } else if (const std::uint64_t* d = memo->find(off_, len_)) {
-      return *d;
-    }
-    const std::uint64_t d = checksum();
-    memo->remember(off_, len_, d);
-    return d;
+    if (memo == nullptr) memo = new detail::DigestMemo(cap_ / kPage);
+    return digest_pages(memo);
   }
 
   bool operator==(const Buffer& other) const {
@@ -251,6 +251,11 @@ class Buffer {
   // Slabs that some view still reaches.
   static std::uint64_t slabs_live() {
     return detail::SlabRef::live.load(std::memory_order_relaxed);
+  }
+  // kPage pieces (the last of a view may be short) hashed so far in this
+  // process to build page digests, by either page_digest function.
+  static std::uint64_t pages_digested() {
+    return pages_digested_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -271,6 +276,35 @@ class Buffer {
     return z ^ (z >> 31);
   }
 
+  // Hashes each kPage piece of the view, or takes a whole page's digest
+  // from `memo` (filling it on a miss) when `memo` is non-null; the view
+  // must then start page-aligned in its slab.
+  std::uint64_t digest_pages(detail::DigestMemo* memo) const {
+    const std::uint8_t* p = data();
+    Hasher outer;
+    std::uint64_t hashed = 0;
+    for (std::size_t at = 0; at < len_; at += kPage) {
+      const std::size_t n = std::min(kPage, len_ - at);
+      std::uint64_t d = 0;
+      if (memo != nullptr && n == kPage) {
+        const std::size_t page = (off_ + at) / kPage;
+        if (!memo->known(page)) {
+          memo->remember(page, Hasher::hash(p + at, n));
+          ++hashed;
+        }
+        d = memo->digest(page);
+      } else {
+        d = Hasher::hash(p + at, n);
+        ++hashed;
+      }
+      std::uint8_t le[8];
+      store_le64(le, d);
+      outer.update(le, sizeof le);
+    }
+    pages_digested_.fetch_add(hashed, std::memory_order_relaxed);
+    return outer.digest();
+  }
+
   // Copy-on-write: gives this view a private slab before a mutation. A
   // slab this view already owns alone keeps its bytes but drops its memo.
   void own() {
@@ -281,6 +315,8 @@ class Buffer {
       *this = Buffer(std::as_const(*this).data(), len_);
     }
   }
+
+  static inline std::atomic<std::uint64_t> pages_digested_{0};
 
   detail::SlabRef slab_;
   std::size_t cap_ = 0;  // slab size

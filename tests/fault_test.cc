@@ -325,13 +325,13 @@ TEST(FaultCacheCorrupt, MemoisedInsertDigestIsStillVerifiedOnEveryHit) {
   const Buffer shared = run.slice(65536, 65536);
   Buffer alone = Buffer::deterministic(81, 0, 65536);
   // Digest both windows first, so the inserts take them from the memo.
-  const std::uint64_t shared_digest = run.slice(65536, 65536).remembered_checksum();
-  const std::uint64_t alone_digest = alone.remembered_checksum();
+  const std::uint64_t shared_digest = run.slice(65536, 65536).remembered_page_digest();
+  const std::uint64_t alone_digest = alone.remembered_page_digest();
   ASSERT_TRUE(cache.insert("dn", "shared", 0, shared));
   ASSERT_TRUE(cache.insert("dn", "alone", 0, alone));
   alone = Buffer();  // the entry now owns its slab alone
-  EXPECT_EQ(cache.lookup("dn", "alone", 0, 65536).checksum(), alone_digest);
-  EXPECT_EQ(cache.lookup("dn", "shared", 0, 65536).checksum(), shared_digest);
+  EXPECT_EQ(cache.lookup("dn", "alone", 0, 65536).page_digest(), alone_digest);
+  EXPECT_EQ(cache.lookup("dn", "shared", 0, 65536).page_digest(), shared_digest);
   EXPECT_EQ(cache.integrity_failures(), 0u);
 
   fault::registry().arm(fault::points::kCacheCorrupt, {.every = 1, .max_fires = 2});
@@ -353,6 +353,29 @@ TEST(FaultCacheCorrupt, MemoisedInsertDigestIsStillVerifiedOnEveryHit) {
   const_cast<std::uint8_t*>(rotting.data())[4096] ^= 0x10;
   EXPECT_TRUE(cache.lookup("dn", "rot", 0, 65536).empty());
   EXPECT_EQ(cache.integrity_failures(), 3u);
+}
+
+// The memo is filled by one insert, then a byte rots under it unseen. A
+// differently chopped insert over that page takes its reference from the
+// stale memo; its first hit hashes the bytes and fails, as does the first
+// entry's.
+TEST(FaultCacheCorrupt, StaleMemoAtAnotherChopFailsTheFirstHit) {
+  RegistryGuard guard;
+  core::BlockCache cache(1 << 20, "memo-stale");
+  const Buffer run = Buffer::deterministic(83, 0, 1 << 18);
+  ASSERT_TRUE(cache.insert("dn", "blk", 0, run.slice(0, 65536)));  // pages 0..15 memoised
+  EXPECT_EQ(cache.lookup("dn", "blk", 0, 65536), Buffer::deterministic(83, 0, 65536));
+  EXPECT_EQ(cache.integrity_failures(), 0u);
+
+  const_cast<std::uint8_t*>(run.data())[2 * Buffer::kPage + 5] ^= 0x10;
+  const std::uint64_t hashed = Buffer::pages_digested();
+  ASSERT_TRUE(cache.insert("dn", "blk", 4096, run.slice(4096, 32768)));
+  EXPECT_EQ(Buffer::pages_digested(), hashed);  // every page's digest came from the memo
+  EXPECT_TRUE(cache.lookup("dn", "blk", 4096, 32768).empty());
+  EXPECT_EQ(cache.integrity_failures(), 1u);
+  EXPECT_TRUE(cache.lookup("dn", "blk", 0, 65536).empty());
+  EXPECT_EQ(cache.integrity_failures(), 2u);
+  EXPECT_EQ(cache.bytes(), 0u);
 }
 
 // --- virt.shm.timeout: requests vanish; the library's bounded retry ---

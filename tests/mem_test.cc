@@ -272,81 +272,111 @@ TEST(Buffer, SlabBytesAllocatedCountsMaterialisedBytesOnly) {
   EXPECT_EQ(filled.data()[63], 7);
 }
 
-// ---- remembered window digests (DESIGN.md §17) ----
+// ---- page digests and the per-page memo (DESIGN.md §17) ----
+
+// The page digest, written out: XXH64 over the little-endian XXH64 of each
+// kPage piece, counted from the view's start.
+std::uint64_t reference_page_digest(const std::uint8_t* p, std::size_t n) {
+  std::vector<std::uint8_t> digests;
+  for (std::size_t at = 0; at < n; at += Buffer::kPage) {
+    std::uint8_t le[8];
+    store_le64(le, Hasher::hash(p + at, std::min(Buffer::kPage, n - at)));
+    digests.insert(digests.end(), le, le + 8);
+  }
+  return Hasher::hash(digests.data(), digests.size());
+}
+
+TEST(BufferMemo, PageDigestHashesEachPageFromTheViewsStart) {
+  const Buffer whole = Buffer::deterministic(28, 0, 6 * Buffer::kPage);
+  for (const std::size_t len : {std::size_t{0}, std::size_t{1}, Buffer::kPage,
+                                Buffer::kPage + 1, 3 * Buffer::kPage, 4 * Buffer::kPage + 7}) {
+    for (const std::size_t off : {std::size_t{0}, std::size_t{5}, Buffer::kPage}) {
+      const Buffer v = whole.slice(off, len);
+      EXPECT_EQ(v.page_digest(), reference_page_digest(v.data(), len)) << off << "+" << len;
+    }
+  }
+  // A function of the bytes only: another slab with the same bytes agrees.
+  const Buffer copy(whole.data() + 5, 3 * Buffer::kPage);
+  EXPECT_EQ(copy.page_digest(), whole.slice(5, 3 * Buffer::kPage).page_digest());
+  EXPECT_NE(copy.page_digest(), whole.slice(6, 3 * Buffer::kPage).page_digest());
+}
 
 TEST(BufferMemo, RememberedChecksumEqualsTheHashOfRandomWindows) {
   const Buffer whole = Buffer::deterministic(23, 0, 1 << 16);
   sim::Rng rng(23);
   for (int i = 0; i < 200; ++i) {
-    const std::size_t off = rng.uniform(0, whole.size() - 1);
+    // Every other window starts page-aligned, so the memo answers for it.
+    std::size_t off = rng.uniform(0, whole.size() - 1);
+    if (i % 2 == 0) off -= off % Buffer::kPage;
     const std::size_t len = rng.uniform(1, whole.size() - off);
-    const std::uint64_t want = Hasher::hash(whole.data() + off, len);
-    EXPECT_EQ(whole.slice(off, len).remembered_checksum(), want) << off << "+" << len;
+    const std::uint64_t want = reference_page_digest(whole.data() + off, len);
+    EXPECT_EQ(whole.slice(off, len).remembered_page_digest(), want) << off << "+" << len;
     // Asked again through another view of the same window: same answer.
-    EXPECT_EQ(whole.slice(off, len).remembered_checksum(), want) << off << "+" << len;
+    EXPECT_EQ(whole.slice(off, len).remembered_page_digest(), want) << off << "+" << len;
   }
-  EXPECT_EQ(Buffer().remembered_checksum(), Buffer().checksum());
+  EXPECT_EQ(Buffer().remembered_page_digest(), Buffer().page_digest());
 }
 
 TEST(BufferMemo, WritingThroughDataOrIndexDropsTheMemo) {
-  Buffer via_data = Buffer::deterministic(24, 0, 4096);  // sole owner: writes in place
-  Buffer via_index = Buffer::deterministic(24, 0, 4096);
-  const std::uint64_t before = via_data.remembered_checksum();
-  ASSERT_EQ(via_index.remembered_checksum(), before);
+  // Sole owners: writes land in place, in the second of two pages.
+  Buffer via_data = Buffer::deterministic(24, 0, 2 * Buffer::kPage);
+  Buffer via_index = Buffer::deterministic(24, 0, 2 * Buffer::kPage);
+  const std::uint64_t before = via_data.remembered_page_digest();
+  ASSERT_EQ(via_index.remembered_page_digest(), before);
   const std::uint8_t* slab = std::as_const(via_data).data();
-  via_data.data()[100] ^= 0x01;
-  via_index[100] ^= 0x01;
+  via_data.data()[Buffer::kPage + 100] ^= 0x01;
+  via_index[Buffer::kPage + 100] ^= 0x01;
   EXPECT_EQ(std::as_const(via_data).data(), slab);  // no copy: the slab itself changed
   for (const Buffer* b : {&via_data, &via_index}) {
-    // checksum() re-hashes the bytes; the memo was dropped, not reused.
-    EXPECT_NE(b->checksum(), before);
+    // page_digest() re-hashes the bytes; the memo was dropped, not reused.
+    EXPECT_NE(b->page_digest(), before);
     EXPECT_EQ(b->checksum(), Hasher::hash(b->data(), b->size()));
-    EXPECT_EQ(b->remembered_checksum(), b->checksum());
+    EXPECT_EQ(b->remembered_page_digest(), b->page_digest());
   }
 }
 
 TEST(BufferMemo, InPlaceAppendOverADigestedWindowDropsTheMemo) {
-  Buffer whole = Buffer::deterministic(25, 0, 1024);
-  const std::uint64_t old_tail = whole.slice(512, 512).remembered_checksum();
+  Buffer whole = Buffer::deterministic(25, 0, 2 * Buffer::kPage);
+  const std::uint64_t old_tail = whole.slice(Buffer::kPage, Buffer::kPage).remembered_page_digest();
   // Keep only a prefix view: it owns the slab alone, so an append writes
-  // the bytes the digested window covered, in place.
-  Buffer head = whole.slice(0, 512);
+  // the bytes the digested page covered, in place.
+  Buffer head = whole.slice(0, Buffer::kPage);
   whole = Buffer();
   const std::uint8_t* slab = std::as_const(head).data();
-  const Buffer other = Buffer::deterministic(99, 0, 512);
+  const Buffer other = Buffer::deterministic(99, 0, Buffer::kPage);
   head.append(other.data(), other.size());
   ASSERT_EQ(std::as_const(head).data(), slab);  // grown in place
-  const Buffer tail = head.slice(512, 512);
+  const Buffer tail = head.slice(Buffer::kPage, Buffer::kPage);
   EXPECT_EQ(tail, other);
-  EXPECT_NE(tail.checksum(), old_tail);
-  EXPECT_EQ(tail.remembered_checksum(), other.checksum());
-  EXPECT_EQ(head.remembered_checksum(), head.checksum());
+  EXPECT_NE(tail.page_digest(), old_tail);
+  EXPECT_EQ(tail.remembered_page_digest(), other.page_digest());
+  EXPECT_EQ(head.remembered_page_digest(), head.page_digest());
 }
 
 TEST(BufferMemo, ManyDistinctWindowsStayCorrectAndTheMemoStaysBounded) {
   const Buffer whole = Buffer::deterministic(26, 0, 1 << 14);
   for (std::size_t i = 0; i < 1000; ++i) {
-    const std::size_t off = (i * 13) % 4096;
+    // Unaligned starts, and page-aligned ones of every length.
+    const std::size_t off = i % 2 ? (i * 13) % 4096 : ((i * 13) % 3) * Buffer::kPage;
     const std::size_t len = 1 + (i * 7919) % 8192;
-    ASSERT_EQ(whole.slice(off, len).remembered_checksum(),
-              Hasher::hash(whole.data() + off, len))
+    ASSERT_EQ(whole.slice(off, len).remembered_page_digest(),
+              reference_page_digest(whole.data() + off, len))
         << i;
   }
-  // The memo itself: at most kEntries windows, the oldest replaced first.
-  detail::DigestMemo memo;
-  constexpr std::size_t kN = detail::DigestMemo::kEntries;
-  for (std::size_t i = 0; i < 1000; ++i) memo.remember(i, 1, i * 3);
-  EXPECT_EQ(memo.used, kN);
-  for (std::size_t i = 0; i < 1000; ++i) {
-    const std::uint64_t* d = memo.find(i, 1);
-    if (i < 1000 - kN) {
-      EXPECT_EQ(d, nullptr) << i;
+  // The memo itself: one word per page plus one "known" bit, whatever was
+  // asked; a page is unknown until remembered.
+  constexpr std::size_t kN = 1000;
+  detail::DigestMemo memo(kN);
+  EXPECT_EQ(memo.table_bytes(), kN * sizeof(std::uint64_t) + (kN + 63) / 64 * 8);
+  for (std::size_t i = 0; i < kN; i += 3) memo.remember(i, i * 3);
+  for (std::size_t i = 0; i < kN; ++i) {
+    if (i % 3 != 0) {
+      EXPECT_FALSE(memo.known(i)) << i;
     } else {
-      ASSERT_NE(d, nullptr) << i;
-      EXPECT_EQ(*d, i * 3);
+      ASSERT_TRUE(memo.known(i)) << i;
+      EXPECT_EQ(memo.digest(i), i * 3);
     }
   }
-  EXPECT_EQ(memo.find(999, 2), nullptr);  // keyed by offset and length
 }
 
 TEST(BufferMemo, TheMemoKeepsNoSlabAlive) {
@@ -355,12 +385,41 @@ TEST(BufferMemo, TheMemoKeepsNoSlabAlive) {
   {
     const Buffer whole = Buffer::deterministic(27, 0, 1 << 16);
     for (std::size_t off = 0; off < whole.size(); off += 4096) {
-      whole.slice(off, 4096).remembered_checksum();
+      whole.slice(off, 4096).remembered_page_digest();
     }
     EXPECT_EQ(Buffer::slabs_live(), live + 1);
     EXPECT_EQ(Buffer::slab_bytes_allocated(), allocated + (1 << 16));  // payload only
   }
   EXPECT_EQ(Buffer::slabs_live(), live);
+}
+
+// A 16 MiB block chopped into 256 KiB windows, then chopped again 4 KiB
+// further on (as a re-read with other request sizes would): the second
+// chop's whole pages all come from the memo, and digest the same bytes.
+TEST(BufferMemo, AShiftedChopHashesNoWholePageAgain) {
+  constexpr std::size_t kBlock = 16 << 20;
+  constexpr std::size_t kWindow = 256 << 10;
+  const Buffer block = Buffer::deterministic(29, 0, kBlock);
+  const std::uint64_t start = Buffer::pages_digested();
+  for (std::size_t off = 0; off < kBlock; off += kWindow) {
+    block.slice(off, kWindow).remembered_page_digest();
+  }
+  EXPECT_EQ(Buffer::pages_digested() - start, kBlock / Buffer::kPage);
+  const std::uint64_t first = Buffer::pages_digested();
+  std::vector<std::uint64_t> shifted;
+  for (std::size_t off = Buffer::kPage; off < kBlock; off += kWindow) {
+    shifted.push_back(block.slice(off, std::min(kWindow, kBlock - off)).remembered_page_digest());
+  }
+  EXPECT_EQ(Buffer::pages_digested(), first);  // no page hashed again
+  // The memo's answers are the bytes' page digests.
+  for (std::size_t i = 0; i < shifted.size(); ++i) {
+    const std::size_t off = Buffer::kPage + i * kWindow;
+    ASSERT_EQ(shifted[i], block.slice(off, std::min(kWindow, kBlock - off)).page_digest()) << i;
+  }
+  // An unaligned view hashes every one of its pieces.
+  const std::uint64_t before = Buffer::pages_digested();
+  block.slice(1, 2 * Buffer::kPage + 10).remembered_page_digest();  // three pieces
+  EXPECT_EQ(Buffer::pages_digested() - before, 3u);
 }
 
 TEST(PageCache, MissThenHit) {
