@@ -40,7 +40,7 @@ virt::Host* Cluster::host(const std::string& name) {
 virt::Vm& Cluster::add_vm(const std::string& host_name, const std::string& vm_name) {
   virt::Host* h = host(host_name);
   if (h == nullptr) throw std::runtime_error("no such host: " + host_name);
-  virt::Vm& vm = h->add_vm(virt::Vm::Config{.name = vm_name});
+  virt::Vm& vm = h->add_vm(vm_name);
   net_->register_vm(vm);
   return vm;
 }

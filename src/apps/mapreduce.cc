@@ -8,6 +8,11 @@ namespace vread::apps {
 
 namespace {
 
+// Per-byte map-side user code cost (tokenize + emit).
+constexpr double kMapCyclesPerByte = 1.0;
+// Per-record reduce-side merge cost (one record per byte value).
+constexpr sim::Cycles kReduceCyclesPerRecord = 4'000;
+
 // One map task: read the split, charge map-side user code, emit the
 // per-partition histograms into the shuffle buffers.
 sim::Task map_task(Cluster& cluster, hdfs::DfsClient& client,
@@ -24,7 +29,7 @@ sim::Task map_task(Cluster& cluster, hdfs::DfsClient& client,
     mem::Buffer chunk;
     co_await in->pread(pos, n, chunk);
     // Map-side user code: tokenize + emit.
-    co_await client.vm().run_vcpu(cm.per_byte(chunk.size(), cfg.map_cycles_per_byte),
+    co_await client.vm().run_vcpu(cm.per_byte(chunk.size(), kMapCyclesPerByte),
                                   hw::CycleCategory::kClientApp);
     for (std::size_t i = 0; i < chunk.size(); ++i) {
       const std::uint8_t key = chunk[i];
@@ -37,9 +42,7 @@ sim::Task map_task(Cluster& cluster, hdfs::DfsClient& client,
 }
 
 // One reduce task: merge a partition's counts, charging per-record work.
-sim::Task reduce_task(Cluster& cluster, virt::Vm& vm,
-                      const MapReduceJob::Config& cfg,
-                      const std::array<std::uint64_t, 256>& partition,
+sim::Task reduce_task(virt::Vm& vm, const std::array<std::uint64_t, 256>& partition,
                       std::array<std::uint64_t, 256>& result) {
   std::uint64_t records = 0;
   for (int k = 0; k < 256; ++k) {
@@ -47,9 +50,7 @@ sim::Task reduce_task(Cluster& cluster, virt::Vm& vm,
     result[static_cast<std::size_t>(k)] += partition[static_cast<std::size_t>(k)];
     ++records;
   }
-  co_await vm.run_vcpu(cfg.reduce_cycles_per_record * records,
-                       hw::CycleCategory::kClientApp);
-  (void)cluster;
+  co_await vm.run_vcpu(kReduceCyclesPerRecord * records, hw::CycleCategory::kClientApp);
 }
 
 }  // namespace
@@ -75,7 +76,7 @@ sim::Task MapReduceJob::run(Cluster& cluster, std::string client_vm, Config conf
 
   // Reduce phase over the shuffled partitions.
   for (const auto& partition : shuffle) {
-    co_await reduce_task(cluster, client->vm(), config, partition, out.histogram);
+    co_await reduce_task(client->vm(), partition, out.histogram);
   }
 
   // Serialize the result into HDFS (the job's output file).

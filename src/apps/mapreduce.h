@@ -38,10 +38,6 @@ class MapReduceJob {
     std::string input;        // HDFS file to process
     std::string output;       // HDFS path for the serialized result
     int reducers = 2;         // partitions (byte value % reducers)
-    // Per-byte map-side user code cost (tokenize + emit).
-    double map_cycles_per_byte = 1.0;
-    // Per-record reduce-side merge cost (one record per byte value).
-    sim::Cycles reduce_cycles_per_record = 4'000;
   };
 
   // Runs the job in `client_vm` and reports the merged histogram.

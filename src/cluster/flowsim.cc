@@ -8,6 +8,19 @@
 namespace vread::cluster {
 namespace {
 
+// Skewed access: a fraction of blocks is "hot" and attracts a
+// disproportionate share of reads — the load-spreading case.
+constexpr double kHotFraction = 0.05;
+constexpr double kHotProbability = 0.5;
+
+// Per-host service capacities (Gbps). The shortcut rate bounds same-host
+// shm reads; the serve rate bounds everything a host's daemon ships to
+// remote readers (disk + daemon CPU, shared across its flows). The NIC is
+// a default hw::NetworkLink.
+constexpr double kShortcutGbps = 20.0;
+constexpr double kServeGbps = 8.0;
+constexpr double kHostLinkGbps = hw::NetworkLink::Config{}.bw_gbps;
+
 class FlowSim {
  public:
   explicit FlowSim(const FlowSimConfig& cfg)
@@ -126,8 +139,8 @@ class FlowSim {
     std::uint64_t block = 0;    // cached on the reader's host at completion
   };
 
-  // HDFS rack-aware placement: first replica on the "writer" host, second
-  // in a different rack, third alongside the second (extra replicas rotate).
+  // HDFS rack-aware placement of three replicas: first on the "writer"
+  // host, second in a different rack, third alongside the second.
   void place_blocks() {
     const std::uint32_t hosts = topo_.host_count();
     const std::uint32_t hpr = cfg_.topo.hosts_per_rack;
@@ -136,27 +149,21 @@ class FlowSim {
       std::vector<std::uint32_t>& reps = blocks_[b];
       const std::uint32_t r1 = static_cast<std::uint32_t>(b % hosts);
       reps.push_back(r1);
-      if (cfg_.replication >= 2) {
-        std::uint32_t rack2 = topo_.rack_of(r1);
-        if (topo_.racks() > 1) {
-          rack2 = (rack2 + 1 +
-                   static_cast<std::uint32_t>(rng_.uniform(0, topo_.racks() - 2))) %
-                  topo_.racks();
-        }
-        const std::uint32_t r2 =
-            rack2 * hpr + static_cast<std::uint32_t>(rng_.uniform(0, hpr - 1));
-        if (r2 != r1) reps.push_back(r2);
-        if (cfg_.replication >= 3 && hpr > 1) {
-          std::uint32_t r3 = rack2 * hpr + (r2 % hpr + 1 +
-                                            static_cast<std::uint32_t>(
-                                                rng_.uniform(0, hpr - 2))) %
-                                               hpr;
-          if (r3 != r1 && r3 != r2) reps.push_back(r3);
-        }
+      std::uint32_t rack2 = topo_.rack_of(r1);
+      if (topo_.racks() > 1) {
+        rack2 = (rack2 + 1 +
+                 static_cast<std::uint32_t>(rng_.uniform(0, topo_.racks() - 2))) %
+                topo_.racks();
       }
-      for (std::uint32_t extra = 3; extra < cfg_.replication; ++extra) {
-        const std::uint32_t h = static_cast<std::uint32_t>(rng_.uniform(0, hosts - 1));
-        if (std::find(reps.begin(), reps.end(), h) == reps.end()) reps.push_back(h);
+      const std::uint32_t r2 =
+          rack2 * hpr + static_cast<std::uint32_t>(rng_.uniform(0, hpr - 1));
+      if (r2 != r1) reps.push_back(r2);
+      if (hpr > 1) {
+        std::uint32_t r3 = rack2 * hpr + (r2 % hpr + 1 +
+                                          static_cast<std::uint32_t>(
+                                              rng_.uniform(0, hpr - 2))) %
+                                             hpr;
+        if (r3 != r1 && r3 != r2) reps.push_back(r3);
       }
     }
   }
@@ -165,13 +172,13 @@ class FlowSim {
     if (issued_ >= cfg_.reads) return;
     ++issued_;
     const std::uint32_t dst = topo_.host_of_vm(reader);
-    // Skewed block pick: the hot set soaks up hot_probability of reads.
+    // Skewed block pick: the hot set soaks up kHotProbability of reads.
     const std::uint64_t hot_n = std::min(
         cfg_.blocks, std::max<std::uint64_t>(
                          1, static_cast<std::uint64_t>(
-                                static_cast<double>(cfg_.blocks) * cfg_.hot_fraction)));
+                                static_cast<double>(cfg_.blocks) * kHotFraction)));
     const std::uint64_t b = hot_n >= cfg_.blocks ||
-                                    rng_.uniform01() < cfg_.hot_probability
+                                    rng_.uniform01() < kHotProbability
                                 ? rng_.uniform(0, hot_n - 1)
                                 : rng_.uniform(hot_n, cfg_.blocks - 1);
 
@@ -281,10 +288,10 @@ class FlowSim {
       return gbps * 1e9 / 8.0 / static_cast<double>(n);
     };
     if (f.tier == PathTier::kSameHost) {
-      return share(cfg_.shortcut_gbps, shortcut_n_[f.src]);
+      return share(kShortcutGbps, shortcut_n_[f.src]);
     }
-    double r = share(cfg_.serve_gbps, serve_n_[f.src]);
-    r = std::min(r, share(cfg_.topo.host_link.bw_gbps, nic_n_[f.src]));
+    double r = share(kServeGbps, serve_n_[f.src]);
+    r = std::min(r, share(kHostLinkGbps, nic_n_[f.src]));
     if (f.tier == PathTier::kCrossRack) {
       const double up_gbps =
           cfg_.topo.uplink.bw_gbps / std::max(1.0, cfg_.topo.oversubscription);

@@ -31,21 +31,9 @@ struct FlowSimConfig {
   RouteConfig route{};
   std::uint64_t seed = 42;
 
-  std::uint32_t replication = 3;  // replicas per block (HDFS rack-aware)
   std::uint64_t blocks = 1024;    // distinct blocks in the working set
   std::uint64_t block_bytes = 8ULL << 20;
   std::uint64_t reads = 100000;  // total reads issued across all readers
-
-  // Skewed access: a fraction of blocks is "hot" and attracts a
-  // disproportionate share of reads — the load-spreading case.
-  double hot_fraction = 0.05;
-  double hot_probability = 0.5;
-
-  // Per-host service capacities (Gbps). The shortcut rate bounds same-host
-  // shm reads; the serve rate bounds everything a host's daemon ships to
-  // remote readers (disk + daemon CPU, shared across its flows).
-  double shortcut_gbps = 20.0;
-  double serve_gbps = 8.0;
 
   sim::SimTime epoch = sim::us(500);
   sim::SimTime max_sim_time = sim::sec(86400);  // safety net: fail loudly

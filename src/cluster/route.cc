@@ -34,8 +34,8 @@ void ReplicaSelector::load_of(sim::SimTime now, const std::string& dn,
   if (it == feedback_.end()) return;
   const Feedback& fb = it->second;
   if (now - fb.at > cfg_.feedback_ttl) return;  // stale: treat as no signal
-  score = fb.load.queue_depth + fb.load.inflight_bytes / cfg_.bytes_per_load_unit;
-  overloaded = fb.load.overloaded || fb.load.queue_depth >= cfg_.overload_queue;
+  score = fb.load.queue_depth + fb.load.inflight_bytes / kBytesPerLoadUnit;
+  overloaded = fb.load.overloaded || fb.load.queue_depth >= kOverloadQueue;
 }
 
 std::size_t ReplicaSelector::choose(sim::SimTime now,

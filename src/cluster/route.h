@@ -46,16 +46,16 @@ struct RouteConfig {
   // so a daemon that stops being chosen — and therefore stops producing
   // completions — sheds its stale overload verdict after one interval.
   sim::SimTime feedback_ttl = sim::ms(50);
-
-  // A fresh queue-depth report at or above this marks the daemon
-  // overloaded for ranking purposes (client-observed kOverloaded statuses
-  // mark it unconditionally).
-  std::uint64_t overload_queue = 32;
-
-  // Converts in-flight bytes into queue-depth units when scoring load:
-  // score = queue_depth + inflight_bytes / bytes_per_load_unit.
-  std::uint64_t bytes_per_load_unit = 1ULL << 20;
 };
+
+// A fresh queue-depth report at or above this marks the daemon overloaded
+// for ranking purposes (client-observed kOverloaded statuses mark it
+// unconditionally).
+inline constexpr std::uint64_t kOverloadQueue = 32;
+
+// Converts in-flight bytes into queue-depth units when scoring load:
+// score = queue_depth + inflight_bytes / kBytesPerLoadUnit.
+inline constexpr std::uint64_t kBytesPerLoadUnit = 1ULL << 20;
 
 // One daemon's load signal, as piggybacked on a read completion. Wire cost
 // is zero by design: the fields ride the existing completion message the

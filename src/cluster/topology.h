@@ -41,7 +41,6 @@ struct TopologyConfig {
   std::uint32_t racks = 1;
   std::uint32_t hosts_per_rack = 1;
   std::uint32_t vms_per_host = 1;
-  hw::NetworkLink::Config host_link{};  // per-host NIC (10 Gbps default)
   hw::NetworkLink::Config uplink{       // ToR<->spine, per direction
       .bw_gbps = 40.0, .propagation = sim::us(5)};
   double oversubscription = 1.0;  // divides uplink bandwidth (4.0 = 4:1)

@@ -105,11 +105,6 @@ void BlockCache::set_tenant_cap(sim::Name tenant, std::uint64_t cap_bytes) {
   evict_tenant_to_fit(tenant, 0, cap_bytes);
 }
 
-std::uint64_t BlockCache::tenant_cap(sim::Name tenant) const {
-  auto it = tenant_caps_.find(tenant);
-  return it == tenant_caps_.end() ? 0 : it->second;
-}
-
 std::uint64_t BlockCache::tenant_bytes(sim::Name tenant) const {
   auto it = tenant_bytes_.find(tenant);
   return it == tenant_bytes_.end() ? 0 : it->second;

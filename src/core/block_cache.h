@@ -92,7 +92,6 @@ class BlockCache {
   // would exceed it evict the tenant's own LRU entries first, so one
   // tenant's working set cannot flush everyone else's. 0 removes the cap.
   void set_tenant_cap(sim::Name tenant, std::uint64_t cap_bytes);
-  std::uint64_t tenant_cap(sim::Name tenant) const;
   // Bytes currently cached on behalf of `tenant`.
   std::uint64_t tenant_bytes(sim::Name tenant) const;
   std::uint64_t tenant_evictions() const { return tenant_evictions_.value(); }

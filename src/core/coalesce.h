@@ -98,7 +98,6 @@ class CoalesceMap {
   std::uint64_t misses() const { return misses_.value(); }
   std::uint64_t failed_fills() const { return failed_fills_.value(); }
   std::uint64_t fill_bytes() const { return fill_bytes_.value(); }
-  const metrics::Histogram& waiters_per_fill() const { return waiters_h_; }
   const metrics::Histogram& batch_requests() const { return batch_h_; }
 
  private:

@@ -16,7 +16,7 @@ sim::Task LibVread::call(ShmRequest req, ShmResponse& resp, trace::Ctx ctx) {
     co_await channel_.call(std::move(wire), resp);
     if (resp.status >= 0) co_return;
     if (!Status::from_wire(resp.status).is_retryable()) co_return;
-    if (attempt >= retry_.max_attempts) {
+    if (attempt >= kRetryAttempts) {
       retries_exhausted_.inc();
       co_return;
     }
@@ -25,7 +25,7 @@ sim::Task LibVread::call(ShmRequest req, ShmResponse& resp, trace::Ctx ctx) {
     retries_.inc();
     tr.instant(ctx, trace::SpanKind::kRetry, "libvread-retry",
                static_cast<int>(vm_.vcpu_tid()));
-    const sim::SimTime backoff = retry_.backoff_before(attempt + 1);
+    const sim::SimTime backoff = retry_backoff_before(attempt + 1);
     backoff_ns_.inc(static_cast<std::uint64_t>(backoff));
     co_await vm_.host().sim().delay(backoff);
   }
@@ -68,7 +68,6 @@ sim::Task LibVread::read(const hdfs::ReadRequest& req, hdfs::ReadResult& res) {
   wire.coalesce = req.coalesce;
   wire.readahead = req.readahead;
   wire.deadline = req.deadline;
-  wire.priority = req.priority;
   wire.cancel = req.cancel;
   wire.hedge = req.hedge;
   ShmResponse resp;

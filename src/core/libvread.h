@@ -29,12 +29,11 @@ namespace vread::core {
 class LibVread : public hdfs::BlockReader {
  public:
   // Attaches the client VM to its host's daemon (allocates the ivshmem
-  // channel and the per-VM daemon worker). `retry` bounds how hard the
-  // library tries before reporting a retryable failure to its caller.
-  LibVread(virt::Vm& client_vm, VReadDaemon& daemon, RetryPolicy retry = {})
+  // channel and the per-VM daemon worker). A retryable failure is retried
+  // kRetryAttempts times in all before it reaches the caller.
+  LibVread(virt::Vm& client_vm, VReadDaemon& daemon)
       : vm_(client_vm),
         channel_(daemon.attach_client(client_vm)),
-        retry_(retry),
         retries_(metrics_.counter("vread_lib_retries_total", {{"vm", client_vm.name()}},
                                   "Shm calls re-issued after a retryable failure")),
         retries_exhausted_(metrics_.counter("vread_lib_retries_exhausted_total",
@@ -70,19 +69,11 @@ class LibVread : public hdfs::BlockReader {
   sim::Task vread_close(std::uint64_t vfd, Status& status);
 
   virt::Vm& vm() { return vm_; }
-  const RetryPolicy& retry_policy() const { return retry_; }
-
-  // QoS accounting identity stamped on every request (defaults to the
-  // client VM's name); override to attribute a stream to another tenant.
-  void set_tenant(sim::Name tenant) { tenant_ = tenant; }
-  sim::Name tenant() const { return tenant_; }
 
   // Degradation counters: shm calls re-issued after a retryable failure,
   // and calls that exhausted the retry budget without success.
   std::uint64_t retries() const { return retries_.value(); }
   std::uint64_t retries_exhausted() const { return retries_exhausted_.value(); }
-  // Total simulated time this library spent in retry backoff delays.
-  std::uint64_t backoff_ns() const { return backoff_ns_.value(); }
 
  private:
   // One shm round trip with the bounded-retry/backoff loop. Each retry is
@@ -91,8 +82,7 @@ class LibVread : public hdfs::BlockReader {
 
   virt::Vm& vm_;
   virt::ShmChannel& channel_;
-  RetryPolicy retry_;
-  sim::Name tenant_{vm_.name()};
+  const sim::Name tenant_{vm_.name()};  // QoS tenant of requests that name none
   std::unordered_map<std::uint64_t, std::uint64_t> offsets_;  // vfd -> file offset
   std::uint64_t next_req_ = 1;
   metrics::MetricGroup metrics_;

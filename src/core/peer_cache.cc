@@ -67,7 +67,9 @@ sim::Task PeerCacheDirectory::lookup(VReadDaemon* requester, const std::string& 
       out.holders.push_back(Holder{holder, epoch});
     }
   }
-  if (cfg_.prefer_same_rack && rack_of_ && out.holders.size() > 1) {
+  // Same-rack holders rank ahead of cross-rack ones (ReplicaSelector path
+  // tiers); otherwise publish order.
+  if (rack_of_ && out.holders.size() > 1) {
     std::stable_sort(out.holders.begin(), out.holders.end(),
                      [&](const Holder& a, const Holder& b) {
                        return same_rack(requester, a.daemon) >

@@ -63,9 +63,6 @@ struct PeerCacheConfig {
   // Master switch. Off by default: with the tier disabled no directory is
   // consulted and every existing run stays bit-identical.
   bool enabled = false;
-  // Rank same-rack holders ahead of cross-rack ones (ReplicaSelector path
-  // tiers); off = publish order.
-  bool prefer_same_rack = true;
   // Holders tried per miss before falling back to disk / the owner
   // stream. >= 1; each attempt pays a control hop.
   std::size_t fetch_attempts = 2;

@@ -6,6 +6,13 @@
 
 namespace vread::core {
 
+namespace {
+// Dispatch-cost floor in bytes: control ops (open/close/update) and tiny
+// reads count this much, so a tenant cannot starve others with a flood of
+// zero-byte operations.
+constexpr std::uint64_t kMinRequestCost = 4096;
+}  // namespace
+
 QosScheduler::QosScheduler(sim::Simulation& sim, QosConfig config, std::string host)
     : config_(std::move(config)), host_(std::move(host)), sim_(sim), ready_(sim, 0) {
   if (config_.edf) {
@@ -27,7 +34,6 @@ QosScheduler::Tenant& QosScheduler::tenant(sim::Name name) {
   auto t = std::make_unique<Tenant>();
   t->name = name;
   t->weight = config_.weight(name);
-  t->queue_cap = config_.queue_cap(name);
   const metrics::Labels labels{{"host", host_}, {"tenant", name}};
   t->requests = &metrics_.counter("vread_tenant_requests_total", labels,
                                   "Requests admitted to the QoS queue, by tenant");
@@ -52,12 +58,12 @@ QosScheduler::Tenant& QosScheduler::tenant(sim::Name name) {
 std::uint64_t QosScheduler::cost(const virt::ShmRequest& req) const {
   // Control operations carry len == 0 and cost the floor; reads cost their
   // payload so DRR shares are byte-weighted regardless of request sizing.
-  return std::max(req.len, config_.min_request_cost);
+  return std::max(req.len, kMinRequestCost);
 }
 
 bool QosScheduler::submit(sim::Name tenant_name, Item item) {
   Tenant& t = tenant(tenant_name);
-  const std::size_t cap = t.queue_cap;
+  const std::size_t cap = config_.max_queue;
   if ((cap > 0 && t.queue.size() >= cap) ||
       fault::registry().should_fire(fault::points::kAdmissionShed)) {
     t.shed->inc();

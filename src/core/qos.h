@@ -51,11 +51,6 @@ struct QosConfig {
   // dispatcher visits it, scaled by the tenant's weight.
   std::uint64_t quantum_bytes = 256 * 1024;
 
-  // Dispatch-cost floor in bytes: control ops (open/close/update) and tiny
-  // reads count this much, so a tenant cannot starve others with a flood
-  // of zero-byte operations.
-  std::uint64_t min_request_cost = 4096;
-
   // Admission cap on requests queued per tenant (0 = unbounded). A request
   // arriving with the tenant's queue at the cap is shed with kOverloaded.
   std::size_t max_queue = 64;
@@ -80,17 +75,10 @@ struct QosConfig {
   // whole cache). Over-cap inserts evict the tenant's own LRU entries.
   std::map<std::string, std::uint64_t> cache_bytes;
 
-  // Per-tenant admission-cap overrides (0 = unbounded for that tenant).
-  std::map<std::string, std::size_t> max_queue_overrides;
-
   double weight(const std::string& tenant) const {
     auto it = weights.find(tenant);
     const double w = it == weights.end() ? default_weight : it->second;
     return w < 1e-3 ? 1e-3 : w;
-  }
-  std::size_t queue_cap(const std::string& tenant) const {
-    auto it = max_queue_overrides.find(tenant);
-    return it == max_queue_overrides.end() ? max_queue : it->second;
   }
 };
 
@@ -168,7 +156,6 @@ class QosScheduler {
   struct Tenant {
     sim::Name name;
     double weight = 1.0;
-    std::size_t queue_cap = 0;  // config().queue_cap(name), cached
     std::uint64_t deficit = 0;
     bool in_active = false;
     std::deque<Item> queue;

@@ -409,7 +409,7 @@ virt::ShmChannel& VReadDaemon::attach_client(virt::Vm& client_vm) {
     outstanding = it->second;
   }
   port->channel = std::make_unique<virt::ShmChannel>(
-      client_vm, host_.costs(), config_.shm_call_timeout, outstanding);
+      client_vm, host_.costs(), outstanding);
   for (std::size_t w = 0; w < config_.workers; ++w) {
     std::string name = "vread-daemon-" + client_vm.name();
     if (w > 0) name += "-w" + std::to_string(w + 1);
@@ -1120,8 +1120,8 @@ sim::Task VReadDaemon::remote_open(hw::ThreadId tid, VReadDaemon* peer, sim::Nam
                                    std::uint64_t& size_out,
                                    Status& status, trace::Ctx ctx) {
   auto& tr = trace::tracer();
-  const RetryPolicy& policy = config_.remote_retry;
-  for (int attempt = 1; attempt <= policy.max_attempts; ++attempt) {
+  // Bounded retry with exponential backoff when the peer does not answer.
+  for (int attempt = 1; attempt <= kRetryAttempts; ++attempt) {
     const Transport transport = effective_transport(tid, ctx);
     // Request out: one WR (RDMA) or one user-space TCP message.
     co_await charge_send(tid, transport, 0, ctx);
@@ -1130,14 +1130,14 @@ sim::Task VReadDaemon::remote_open(hw::ThreadId tid, VReadDaemon* peer, sim::Nam
     if (fault::registry().should_fire(fault::points::kPeerDown)) {
       // The peer never answers. Back off and retry (bounded), then report
       // PEER_DOWN so the client can degrade to the vanilla socket path.
-      if (attempt < policy.max_attempts) {
+      if (attempt < kRetryAttempts) {
         remote_retries_.inc();
         tr.instant(ctx, trace::SpanKind::kRetry, "peer-retry", static_cast<int>(tid));
         if (obs_fr_) {
           obs_fr_->record(host_.sim().now(), obs::FlightEventKind::kRetry, dn_id,
                           "peer-retry", static_cast<std::uint64_t>(attempt));
         }
-        co_await host_.sim().delay(policy.backoff_before(attempt + 1));
+        co_await host_.sim().delay(retry_backoff_before(attempt + 1));
         continue;
       }
       status = Status(StatusCode::kPeerDown, dn_id);

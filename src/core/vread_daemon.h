@@ -141,14 +141,6 @@ struct DaemonConfig {
   // loses the host file-system cache, so every byte comes off the device.
   bool direct_read = false;
 
-  // Bounded retry with exponential backoff for daemon-to-daemon control
-  // operations when the remote peer does not answer.
-  RetryPolicy remote_retry{};
-
-  // How long an attached client's guest library waits on the shm ring
-  // before declaring a request lost (applied to channels at attach time).
-  sim::SimTime shm_call_timeout = sim::ms(5);
-
   // Per-client-VM worker pool size: N daemon threads drain each channel's
   // request mailbox (FIFO dispatch), so one VM's requests overlap inside
   // the daemon. 1 reproduces the original single-worker layout.

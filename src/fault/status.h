@@ -178,18 +178,16 @@ class Status {
 
 // Bounded-retry / exponential-backoff policy shared by the guest library
 // (shm call retries) and the daemon (daemon-to-daemon control retries).
-struct RetryPolicy {
-  int max_attempts = 3;                 // total tries; 1 = no retries
-  sim::SimTime backoff = sim::us(200);  // delay before the 2nd try; doubles
+inline constexpr int kRetryAttempts = 3;                     // total tries
+inline constexpr sim::SimTime kRetryBackoff = sim::us(200);  // before the 2nd; doubles
 
-  // Backoff before try `next_attempt` (2-based: the delay inserted after
-  // failure number next_attempt-1). Exponential, capped at 2^20x base.
-  sim::SimTime backoff_before(int next_attempt) const {
-    int shift = next_attempt - 2;
-    if (shift < 0) shift = 0;
-    if (shift > 20) shift = 20;
-    return backoff << shift;
-  }
-};
+// Backoff before try `next_attempt` (2-based: the delay inserted after
+// failure number next_attempt-1). Exponential, capped at 2^20x base.
+constexpr sim::SimTime retry_backoff_before(int next_attempt) {
+  int shift = next_attempt - 2;
+  if (shift < 0) shift = 0;
+  if (shift > 20) shift = 20;
+  return kRetryBackoff << shift;
+}
 
 }  // namespace vread

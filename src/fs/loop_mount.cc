@@ -8,10 +8,7 @@ void LoopMount::refresh() {
   // Injected remount failure (losetup/kpartx/mount hiccup): the snapshot
   // stays as-is — i.e. stale if the guest moved on — and callers see the
   // same NO_BLOCK misses a genuinely-stale mount produces.
-  if (fault::registry().should_fire(fault::points::kMountRefreshFail)) {
-    ++failed_refresh_count_;
-    return;
-  }
+  if (fault::registry().should_fire(fault::points::kMountRefreshFail)) return;
   snapshot_ = layout::read_superblock(*image_);
   files_.clear();
   snapshot_dir(snapshot_.root_inode, "");

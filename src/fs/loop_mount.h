@@ -56,9 +56,7 @@ class LoopMount {
     return layout::read_file_range(*image_, snapshot_inode, offset, len);
   }
 
-  std::uint64_t snapshot_generation() const { return snapshot_.generation; }
   std::uint64_t refresh_count() const { return refresh_count_; }
-  std::uint64_t failed_refresh_count() const { return failed_refresh_count_; }
   std::size_t file_count() const { return files_.size(); }
   const DiskImagePtr& image() const { return image_; }
 
@@ -69,7 +67,6 @@ class LoopMount {
   Superblock snapshot_;
   std::unordered_map<std::string, Inode> files_;  // full path -> inode copy
   std::uint64_t refresh_count_ = 0;
-  std::uint64_t failed_refresh_count_ = 0;
 };
 
 }  // namespace vread::fs

@@ -432,10 +432,4 @@ void SimFs::dir_add(std::uint32_t dir_inode, std::string name, std::uint32_t chi
   rewrite_dir(dir_inode, entries);
 }
 
-void SimFs::dir_remove(std::uint32_t dir_inode, std::string_view name) {
-  auto entries = dir_entries(dir_inode);
-  std::erase_if(entries, [&](const DirEntry& e) { return e.name == name; });
-  rewrite_dir(dir_inode, entries);
-}
-
 }  // namespace vread::fs

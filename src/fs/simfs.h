@@ -122,9 +122,6 @@ class SimFs {
   const Superblock& superblock() const { return sb_; }
   const DiskImagePtr& image() const { return image_; }
 
-  // Free data blocks remaining in the bump allocator.
-  std::uint32_t free_blocks() const { return sb_.total_blocks - sb_.next_free_block; }
-
  private:
   SimFs(DiskImagePtr image, Superblock sb) : image_(std::move(image)), sb_(sb) {}
 
@@ -134,7 +131,6 @@ class SimFs {
   // Splits "/a/b/c" into parent dir inode + leaf name, creating nothing.
   std::pair<std::uint32_t, std::string> resolve_parent(std::string_view path) const;
   void dir_add(std::uint32_t dir_inode, std::string name, std::uint32_t child);
-  void dir_remove(std::uint32_t dir_inode, std::string_view name);
   std::vector<DirEntry> dir_entries(std::uint32_t dir_inode) const;
   void rewrite_dir(std::uint32_t dir_inode, const std::vector<DirEntry>& entries);
   void append_raw(Inode& inode, const mem::Buffer& data);

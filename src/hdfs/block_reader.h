@@ -41,7 +41,7 @@ class BlockReader {
   // file named by `req.vfd`. On ok, `res.data` holds the bytes (possibly
   // clamped at end of block); on failure it is empty and `res.status`
   // says why -> fall back. The request carries every per-read option
-  // (tenant, coalesce/readahead hints, reserved deadline/priority) so new
+  // (tenant, coalesce/readahead hints, deadline, hedge plumbing) so new
   // options never change this signature again.
   virtual sim::Task read(const ReadRequest& req, ReadResult& res) = 0;
 

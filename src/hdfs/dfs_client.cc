@@ -404,8 +404,7 @@ sim::Task DfsInputStream::read_positional(const ReadRequest& req, ReadResult& re
   // issued concurrently and reassembled in block order.
   const std::uint64_t position = req.offset;
   const std::uint64_t len = req.len;
-  const std::size_t fanout =
-      req.fanout != 0 ? req.fanout : client_.pread_parallelism_;
+  const std::size_t fanout = client_.pread_parallelism_;
   co_await client_.nn_.rpc_from(client_.vm());
   std::vector<BlockInfo> range =
       client_.nn_.get_block_locations(path_, position, len);

@@ -169,14 +169,12 @@ class DfsClient {
   // the paper rejects it for virtual Hadoop (separated client/datanode VMs
   // never qualify, and packing them into one VM penalizes everything else).
   void set_short_circuit(bool on) { short_circuit_ = on; }
-  bool short_circuit() const { return short_circuit_; }
 
   // Positional-read fan-out: a pread spanning several blocks issues up to
   // this many per-block reads concurrently (results are reassembled in
   // order). 1 restores the strictly sequential Algorithm 2 loop. Applies
   // uniformly to every path a part may take (vRead, socket, short-circuit).
   void set_pread_parallelism(std::size_t n) { pread_parallelism_ = n == 0 ? 1 : n; }
-  std::size_t pread_parallelism() const { return pread_parallelism_; }
 
   virt::Vm& vm() { return vm_; }
   NameNode& namenode() { return nn_; }

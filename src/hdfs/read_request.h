@@ -1,16 +1,12 @@
 // Unified read-option carrier for the vRead client surface.
 //
-// PR 6 (docs/API.md §ReadRequest): the shortcut read path had grown a
-// positional-parameter surface — read1/read2/pread variants on
-// DfsInputStream, the BlockReader virtuals, plus side-channel knobs like
-// LibVread::set_tenant() and DfsClient::set_pread_parallelism() — and
-// every new per-read option (tenant, coalescing, readahead, the upcoming
-// hedging/deadline work of ROADMAP item 5) forced another signature
-// change on all of them. ReadRequest/ReadResult collapse that into one
-// struct pair: callers fill in what they care about, defaults mean "what
-// the old overloads did", and new options are new fields, not new
-// overloads. The old positional entry points remain as thin inline shims
-// that populate a ReadRequest and forward.
+// See docs/API.md §ReadRequest. The read1/read2/pread variants on
+// DfsInputStream and the BlockReader virtuals all take one struct pair,
+// so a new per-read option (tenant, coalescing, readahead, hedging,
+// deadlines) is a new field, not a signature change on every one of
+// them. Callers fill in what they care about; defaults mean "what the old
+// overloads did". The old positional entry points remain as thin inline
+// shims that populate a ReadRequest and forward.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +35,6 @@ struct ReadRequest {
   sim::SimTime deadline = 0;   // absolute sim deadline; 0 = none. The
                                // daemon's QoS EDF lane (DESIGN.md §16)
                                // orders on it within the tenant's share
-  int priority = 0;            // scheduling hint (reserved)
 
   // Hedged-read leg plumbing (DESIGN.md §16). Filled by the hedging
   // wrapper in DfsInputStream, not by callers: `cancel` points at the
@@ -50,8 +45,6 @@ struct ReadRequest {
 
   bool coalesce = true;        // allow attaching to / leading a merged fill
   bool readahead = true;       // allow the daemon's sequential readahead
-  std::size_t fanout = 0;      // positional-read block fan-out; 0 = use the
-                               // client's set_pread_parallelism() setting
 
   trace::Ctx ctx{};            // trace attribution ({} = start a new read)
 };

@@ -33,13 +33,14 @@ class CpuScheduler {
     int cores = 4;
     double freq_ghz = 2.0;            // cycles per nanosecond
     sim::SimTime slice = sim::ms(3);  // round-robin quantum (CFS-scale)
-    // Wakeup cost when a thread cannot run on the core it last used (its
-    // cache-hot runqueue is busy and it must be migrated): runqueue locks,
-    // IPI, cold caches. This is the mechanism behind the paper's Fig. 3 —
-    // I/O threads and vCPUs that ping-pong per segment eat this penalty on
-    // every handoff once background VMs keep cores busy.
-    sim::SimTime migration_delay = sim::us(4);
   };
+
+  // Wakeup cost when a thread cannot run on the core it last used (its
+  // cache-hot runqueue is busy and it must be migrated): runqueue locks,
+  // IPI, cold caches. This is the mechanism behind the paper's Fig. 3 —
+  // I/O threads and vCPUs that ping-pong per segment eat this penalty on
+  // every handoff once background VMs keep cores busy.
+  static constexpr sim::SimTime kMigrationDelay = sim::us(4);
 
   CpuScheduler(sim::Simulation& sim, metrics::CycleAccounting& acct, Config config)
       : sim_(sim), acct_(acct), config_(config), idle_cores_(config.cores) {}
@@ -85,7 +86,6 @@ class CpuScheduler {
 
   // cpufreq-set: takes effect at the next quantum boundary.
   void set_frequency_ghz(double ghz) { config_.freq_ghz = ghz; }
-  double frequency_ghz() const { return config_.freq_ghz; }
   int cores() const { return config_.cores; }
 
   sim::SimTime cycles_to_time(sim::Cycles cycles) const {
@@ -96,7 +96,6 @@ class CpuScheduler {
   }
 
   std::size_t runnable() const { return run_queue_.size(); }
-  int idle_cores() const { return idle_cores_; }
   metrics::CycleAccounting& accounting() { return acct_; }
 
  private:
@@ -140,7 +139,7 @@ class CpuScheduler {
         delayed = placement_rng_.uniform01() < p;
       }
       set_last_core(b->tid, core);
-      start_quantum(b, delayed ? config_.migration_delay : 0);
+      start_quantum(b, delayed ? kMigrationDelay : 0);
     }
   }
 

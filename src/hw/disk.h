@@ -105,7 +105,6 @@ class Disk {
   }
   IoAwaiter write(std::uint64_t bytes) {
     bytes_written_ += bytes;
-    ++writes_;
     return IoAwaiter{*this, bytes, true};
   }
 
@@ -118,8 +117,6 @@ class Disk {
     batch_observer_ = std::move(observer);
     batching_ = true;
   }
-  bool batching_enabled() const { return batching_; }
-  const BatchConfig& batch_config() const { return batch_cfg_; }
 
   struct BatchAwaiter {
     Disk& disk;
@@ -153,7 +150,6 @@ class Disk {
   std::uint64_t bytes_read() const { return bytes_read_; }
   std::uint64_t bytes_written() const { return bytes_written_; }
   std::uint64_t read_count() const { return reads_; }
-  std::uint64_t write_count() const { return writes_; }
   std::uint64_t batch_count() const { return batches_; }
   std::uint64_t gc_stall_count() const { return gc_stalls_; }
   std::uint64_t write_stall_count() const { return write_stalls_; }
@@ -268,7 +264,6 @@ class Disk {
   std::uint64_t bytes_read_ = 0;
   std::uint64_t bytes_written_ = 0;
   std::uint64_t reads_ = 0;
-  std::uint64_t writes_ = 0;
   // Batched submission state.
   bool batching_ = false;
   BatchConfig batch_cfg_{};

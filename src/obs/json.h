@@ -26,8 +26,6 @@ class Value {
   enum class Kind : std::uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
 
   Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
   bool is_number() const { return kind_ == Kind::kNumber; }
   bool is_string() const { return kind_ == Kind::kString; }
   bool is_array() const { return kind_ == Kind::kArray; }
@@ -35,7 +33,6 @@ class Value {
 
   bool as_bool() const { return b_; }
   double as_double() const { return num_; }
-  std::int64_t as_int() const { return static_cast<std::int64_t>(num_); }
   std::uint64_t as_uint() const { return static_cast<std::uint64_t>(num_); }
   const std::string& as_string() const { return str_; }
   const std::vector<Value>& items() const { return arr_; }

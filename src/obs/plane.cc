@@ -7,6 +7,11 @@
 
 namespace vread::obs {
 
+namespace {
+// Ring capacity of each flight recorder the plane creates.
+constexpr std::size_t kFlightEvents = 256;
+}  // namespace
+
 ObservabilityPlane::ObservabilityPlane(ObsConfig cfg, SloConfig slo)
     : recorder_(cfg), slo_(std::move(slo), recorder_) {
   slo_.set_flight_recorder(&flight("cluster"));
@@ -20,7 +25,7 @@ ObservabilityPlane::~ObservabilityPlane() {
 FlightRecorder& ObservabilityPlane::flight(const std::string& who) {
   auto it = flights_by_name_.find(who);
   if (it != flights_by_name_.end()) return *it->second;
-  FlightRecorder& fr = flight_storage_.emplace_back(who, recorder_.config().flight_events);
+  FlightRecorder& fr = flight_storage_.emplace_back(who, kFlightEvents);
   flights_by_name_[who] = &fr;
   flight_order_.push_back(&fr);
   return fr;

@@ -35,11 +35,11 @@ SloMonitor::Burn SloMonitor::latency_burn(const TimeSeriesRecorder::Series& s,
   Burn b;
   if (count_l > 0) {
     b.burn_long = static_cast<double>(over_l) / static_cast<double>(count_l) /
-                  cfg_.latency_budget;
+                  kLatencyBudget;
   }
   if (count_s > 0) {
     b.burn_short = static_cast<double>(over_s) / static_cast<double>(count_s) /
-                   cfg_.latency_budget;
+                   kLatencyBudget;
   }
   return b;
 }
@@ -66,7 +66,7 @@ SloMonitor::Burn SloMonitor::bytes_burn(const TimeSeriesRecorder::Series& s,
 void SloMonitor::gate(sim::SimTime now, const std::string& slo,
                       const std::string& scope, const Burn& b) {
   bool& firing = firing_[slo + "|" + scope];
-  const bool hot = b.burn_long >= cfg_.burn_threshold && b.burn_short >= cfg_.burn_threshold;
+  const bool hot = b.burn_long >= kBurnThreshold && b.burn_short >= kBurnThreshold;
   if (hot && !firing) {
     firing = true;
     SloAlert a;
@@ -82,16 +82,16 @@ void SloMonitor::gate(sim::SimTime now, const std::string& slo,
                       static_cast<std::uint64_t>(b.burn_long * 1000),
                       static_cast<std::uint64_t>(b.burn_short * 1000));
     }
-  } else if (firing && b.burn_short < cfg_.burn_threshold) {
+  } else if (firing && b.burn_short < kBurnThreshold) {
     firing = false;
   }
 }
 
 void SloMonitor::evaluate(sim::SimTime now) {
   for (const auto& [key, s] : recorder_.series()) {
-    if (s.kind == SeriesKind::kHistogram && s.name == cfg_.latency_series) {
+    if (s.kind == SeriesKind::kHistogram && s.name == kLatencySeries) {
       gate(now, "read_latency", key, latency_burn(s, now));
-    } else if (s.kind == SeriesKind::kCounter && s.name == cfg_.cross_rack_series &&
+    } else if (s.kind == SeriesKind::kCounter && s.name == kCrossRackSeries &&
                cfg_.cross_rack_budget_mbps > 0) {
       gate(now, "cross_rack_bytes", key, bytes_burn(s, now));
     }

@@ -3,7 +3,7 @@
 // Two SLO families, both evaluated at every recorder tick from the
 // ring-buffered series — never from simulation state directly:
 //
-//   * read-latency: at most `latency_budget` of reads in a window may
+//   * read-latency: at most `kLatencyBudget` of reads in a window may
 //     exceed the recorder's latency target. The burn rate of a window is
 //     (violating fraction) / budget — burn 1.0 consumes the error budget
 //     exactly at the sustainable rate, burn 4.0 four times as fast.
@@ -12,7 +12,7 @@
 //     byte rate over that budget.
 //
 // An alert FIRES when both the long and the short window burn above
-// `burn_threshold` (SRE-style multi-window gating: the long window proves
+// `kBurnThreshold` (SRE-style multi-window gating: the long window proves
 // the episode is material, the short window proves it is still
 // happening), and CLEARS when the short window drops back under. Alerts
 // land in three places: the alert list (timeline export), the wired
@@ -32,20 +32,22 @@ namespace vread::obs {
 
 class FlightRecorder;
 
+// Histogram series name carrying the read-latency SLO (per-host and
+// per-rack rollup instances are each evaluated as their own scope).
+inline constexpr char kLatencySeries[] = "vread_daemon_read_latency_ns";
+// Allowed fraction of window reads above the latency target.
+inline constexpr double kLatencyBudget = 0.01;
+// Counter series whose deltas are cross-rack bytes.
+inline constexpr char kCrossRackSeries[] = "vread_route_cross_rack_bytes_total";
+// Burn rate both windows must reach for an alert to fire.
+inline constexpr double kBurnThreshold = 4.0;
+
 struct SloConfig {
-  // Histogram series name carrying the read-latency SLO (per-host and
-  // per-rack rollup instances are each evaluated as their own scope).
-  std::string latency_series = "vread_daemon_read_latency_ns";
-  // Allowed fraction of window reads above the latency target.
-  double latency_budget = 0.01;
-  // Counter series whose deltas are cross-rack bytes.
-  std::string cross_rack_series = "vread_route_cross_rack_bytes_total";
   // Cross-rack byte budget in MB per simulated second; 0 disables.
   double cross_rack_budget_mbps = 0;
-  // Burn-rate windows and threshold.
+  // Burn-rate windows.
   sim::SimTime long_window = sim::ms(1000);
   sim::SimTime short_window = sim::ms(100);
-  double burn_threshold = 4.0;
 };
 
 struct SloAlert {

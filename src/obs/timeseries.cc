@@ -6,6 +6,11 @@
 
 namespace vread::obs {
 
+namespace {
+// Heavy-hitter summary capacity (hottest blocks / tenants).
+constexpr std::size_t kTopK = 8;
+}  // namespace
+
 const char* to_string(SeriesKind k) {
   switch (k) {
     case SeriesKind::kCounter: return "counter";
@@ -26,8 +31,8 @@ std::uint64_t fnv1a(const std::string& s) {
 TimeSeriesRecorder::TimeSeriesRecorder(ObsConfig cfg, const metrics::Registry* reg)
     : cfg_(cfg),
       reg_(reg),
-      hot_blocks_(cfg.topk),
-      hot_tenants_(cfg.topk) {
+      hot_blocks_(kTopK),
+      hot_tenants_(kTopK) {
   if (cfg_.interval <= 0) cfg_.interval = sim::ms(10);
 }
 
@@ -130,7 +135,7 @@ void TimeSeriesRecorder::scrape(sim::SimTime now) {
 
   for (const metrics::Registry::Snapshot::Row& row : snap.rows) {
     int rack = -1;
-    if (cfg_.rollup_racks && rack_of_) {
+    if (rack_of_) {
       for (const auto& [k, v] : row.labels) {
         if (k == "host") rack = rack_of_(v);
       }
@@ -234,26 +239,6 @@ void TimeSeriesRecorder::set_tick_hook(std::function<void(sim::SimTime)> hook) {
 
 void TimeSeriesRecorder::set_rack_of(std::function<int(const std::string&)> rack_of) {
   rack_of_ = std::move(rack_of);
-}
-
-void TimeSeriesRecorder::sample_counter(const std::string& name,
-                                        const metrics::Labels& labels, sim::SimTime t,
-                                        double delta) {
-  Series& s = upsert(name, labels, SeriesKind::kCounter, false);
-  SeriesPoint p;
-  p.t = t;
-  p.value = delta;
-  s.points.push(p);
-}
-
-void TimeSeriesRecorder::sample_gauge(const std::string& name,
-                                      const metrics::Labels& labels, sim::SimTime t,
-                                      double level) {
-  Series& s = upsert(name, labels, SeriesKind::kGauge, false);
-  SeriesPoint p;
-  p.t = t;
-  p.value = level;
-  s.points.push(p);
 }
 
 void TimeSeriesRecorder::remember_key(std::uint64_t key, const std::string& name) {

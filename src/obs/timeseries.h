@@ -47,20 +47,13 @@ struct ObsConfig {
   sim::SimTime interval = sim::ms(10);
   // Points retained per series (ring buffer; oldest overwritten).
   std::size_t ring = 512;
-  // Heavy-hitter summary capacity (hottest blocks / tenants).
-  std::size_t topk = 8;
   // Scrape the process metrics registry each tick. Off leaves only the
   // externally-fed series (FlowSim link/host sources).
   bool scrape_registry = true;
-  // Fold host-labelled series into per-rack rollup series (needs a
-  // host->rack mapping via set_rack_of).
-  bool rollup_racks = true;
   // Threshold for the per-point `over` count on histogram series: window
   // samples whose log2 bucket lies strictly above this value's bucket.
   // The SLO monitor's latency burn rates divide `over` by `count`.
   std::uint64_t latency_target_ns = 2'000'000;
-  // Ring capacity of flight recorders created by the ObservabilityPlane.
-  std::size_t flight_events = 256;
 };
 
 // One scraped point of one series. Counter/gauge points use `value`;
@@ -158,20 +151,16 @@ class TimeSeriesRecorder final : public sim::Probe {
   void tick(sim::SimTime now);
 
   // External series source, invoked inside every tick (FlowSim link
-  // utilization, host queue feeds). Sources call sample_* below.
+  // utilization, host queue feeds). Sources call resolve()/sample() below.
   void add_source(std::function<void(sim::SimTime)> source);
   // Invoked at the END of every tick, after all series updated — the SLO
   // monitor's evaluation hook.
   void set_tick_hook(std::function<void(sim::SimTime)> hook);
-  // Host name -> rack id (negative = unracked) for per-rack rollups.
+  // Host name -> rack id (negative = unracked): with a mapping set,
+  // host-labelled series also fold into per-rack rollup series.
   void set_rack_of(std::function<int(const std::string&)> rack_of);
 
-  // In-tick sampling API for sources.
-  void sample_counter(const std::string& name, const metrics::Labels& labels,
-                      sim::SimTime t, double delta);
-  void sample_gauge(const std::string& name, const metrics::Labels& labels,
-                    sim::SimTime t, double level);
-  // Pre-resolved fast path for sources that sample the same series every
+  // In-tick sampling API for sources, which sample the same series every
   // tick: resolve() pays the key-building/map cost once, sample() is a
   // bare ring push. Handles stay valid for the recorder's lifetime
   // (series are never erased and std::map nodes do not move).
@@ -205,7 +194,6 @@ class TimeSeriesRecorder final : public sim::Probe {
   const SpaceSaving& hot_blocks() const { return hot_blocks_; }
   const SpaceSaving& hot_tenants() const { return hot_tenants_; }
   std::uint64_t ticks() const { return ticks_; }
-  sim::SimTime last_tick() const { return last_tick_; }
 
   // Bytes held by rings, scrape state and summaries — the number the
   // ablation's memory gate checks against the baseline RSS.

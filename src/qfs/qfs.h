@@ -153,9 +153,6 @@ class QfsClient {
   // Whole-file read.
   sim::Task read_file(const std::string& path, mem::Buffer& out);
 
-  // Drops the client-side chunk-layout cache (metaserver re-fetch).
-  void invalidate_cache() { layout_cache_.clear(); }
-
  private:
   // Reads [off, off+len) of one chunk: vRead descriptor first, TCP second.
   sim::Task read_chunk_range(const ChunkInfo& chunk, std::uint64_t off,

@@ -30,7 +30,6 @@ class Event {
   }
 
   void reset() { set_ = false; }
-  bool is_set() const { return set_; }
 
   struct Awaiter {
     Event& ev;

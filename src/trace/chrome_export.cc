@@ -6,30 +6,12 @@
 #include <string>
 #include <vector>
 
+#include "metrics/export.h"
+
 namespace vread::trace {
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using metrics::json_escape;
 
 // Microseconds with ns precision, printed as a fixed 3-decimal literal.
 void put_us(std::ostream& os, sim::SimTime ns) {

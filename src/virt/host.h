@@ -49,8 +49,8 @@ class Host {
   Host(const Host&) = delete;
   Host& operator=(const Host&) = delete;
 
-  Vm& add_vm(Vm::Config vm_config) {
-    vms_.push_back(std::make_unique<Vm>(*this, std::move(vm_config)));
+  Vm& add_vm(std::string name) {
+    vms_.push_back(std::make_unique<Vm>(*this, std::move(name)));
     return *vms_.back();
   }
 

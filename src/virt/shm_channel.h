@@ -44,15 +44,12 @@ struct ShmRequest {
   sim::Name tenant;          // QoS accounting identity; libvread stamps the
                              // client VM's name (streams may override), the
                              // daemon falls back to the channel's VM
-  // Read hints carried from hdfs::ReadRequest (DESIGN.md §12). The daemon
-  // acts on coalesce/readahead today; deadline/priority ride the slot
-  // reserved for hedged/deadline reads (ROADMAP item 5).
+  // Read hints carried from hdfs::ReadRequest (DESIGN.md §12).
   bool coalesce = true;      // may attach to / lead a merged fill
   bool readahead = true;     // may trigger the sequential readahead engine
   sim::SimTime deadline = 0; // absolute sim deadline; 0 = none. The QoS
                              // EDF lane (DESIGN.md §16) orders on this
                              // within the tenant's DRR share
-  int priority = 0;          // scheduling hint (reserved)
   // Cooperative-cancel flag for hedged reads (DESIGN.md §16): the client
   // wrapper owns the pointee and flips it when the other leg wins; the
   // daemon's stream loops poll it between chunks and abort the loser with
@@ -75,19 +72,14 @@ struct ShmResponse {
 
 class ShmChannel {
  public:
-  // `call_timeout` bounds how long the guest waits for a response before
-  // declaring the request lost (kVReadErrTimeout on the wire) — the
-  // "daemon did not answer" half of the paper's fallback contract.
   // `max_outstanding` caps concurrent in-flight requests on this channel
   // (the control area holds that many request slots); extra callers queue
   // FIFO. Responses demultiplex by request id, so requests complete out of
   // order and one slow request never serializes the others.
   ShmChannel(Vm& guest, const hw::CostModel& cm,
-             sim::SimTime call_timeout = sim::ms(5),
              std::size_t max_outstanding = kDefaultMaxOutstanding)
       : guest_(guest),
         cm_(cm),
-        call_timeout_(call_timeout),
         max_outstanding_(max_outstanding == 0 ? 1 : max_outstanding),
         requests_(guest.host().sim()),
         slots_(guest.host().sim(), cm.shm_slot_count),
@@ -132,7 +124,7 @@ class ShmChannel {
     // full timeout before reporting the shortcut unavailable, but holds no
     // lock while it waits — other requests keep flowing through the ring.
     if (fault::registry().should_fire(fault::points::kShmTimeout)) {
-      co_await guest_.host().sim().delay(call_timeout_);
+      co_await guest_.host().sim().delay(kCallTimeout);
       out = ShmResponse{};
       out.id = req.id;
       out.status = kVReadErrTimeout;
@@ -259,12 +251,8 @@ class ShmChannel {
   }
 
   std::uint64_t free_slots() const { return slots_.available(); }
-  sim::SimTime call_timeout() const { return call_timeout_; }
   std::uint64_t timeouts() const { return timeouts_.value(); }
-  std::uint64_t corruptions() const { return corruptions_.value(); }
   std::uint64_t slot_waits() const { return slot_waits_.value(); }
-  // Deepest the ring ever got, in slots (backpressure headroom indicator).
-  std::int64_t ring_depth_high() const { return ring_depth_g_.high(); }
   // In-flight request accounting (the vread_shm_inflight series).
   std::size_t max_outstanding() const { return max_outstanding_; }
   std::uint64_t inflight() const { return max_outstanding_ - outstanding_.available(); }
@@ -280,6 +268,11 @@ class ShmChannel {
   };
 
   static constexpr std::size_t kDefaultMaxOutstanding = 8;
+
+  // How long the guest waits for a response before declaring the request
+  // lost (kVReadErrTimeout on the wire) — the "daemon did not answer" half
+  // of the paper's fallback contract.
+  static constexpr sim::SimTime kCallTimeout = sim::ms(5);
 
   // 64 slots per doorbell (256 KB at the default 4 KB slot size): batches
   // interrupts like the prototype. Scales with the configured slot size so
@@ -315,7 +308,6 @@ class ShmChannel {
 
   Vm& guest_;
   const hw::CostModel& cm_;
-  sim::SimTime call_timeout_;
   std::size_t max_outstanding_;
   sim::Mailbox<ShmRequest> requests_;
   sim::Semaphore slots_;

@@ -6,16 +6,23 @@ namespace vread::virt {
 
 using hw::CycleCategory;
 
-Vm::Vm(Host& host, Config config)
+namespace {
+constexpr std::uint64_t kDiskBytes = 8ULL * 1024 * 1024 * 1024;  // virtual disk size
+// Guest kernel buffer cache; roughly half of the paper's 2 GB guest RAM,
+// like a real guest.
+constexpr std::uint64_t kGuestCacheBytes = 1ULL * 1024 * 1024 * 1024;
+}  // namespace
+
+Vm::Vm(Host& host, std::string name)
     : host_(host),
-      config_(std::move(config)),
-      vcpu_(host.cpu().add_thread(config_.name + "-vcpu", config_.name)),
+      name_(std::move(name)),
+      vcpu_(host.cpu().add_thread(name_ + "-vcpu", name_)),
       io_thread_(std::make_unique<hw::WorkerThread>(host.sim(), host.cpu(),
-                                                    config_.name + "-io", config_.name)),
+                                                    name_ + "-io", name_)),
       vcpu_mutex_(host.sim(), 1),
-      image_(std::make_shared<fs::DiskImage>(config_.disk_bytes)),
+      image_(std::make_shared<fs::DiskImage>(kDiskBytes)),
       fs_(std::make_unique<fs::SimFs>(fs::SimFs::format(image_))),
-      guest_cache_(config_.guest_cache_bytes) {}
+      guest_cache_(kGuestCacheBytes) {}
 
 sim::Task Vm::run_vcpu(sim::Cycles cycles, CycleCategory cat, trace::Ctx ctx) {
   auto& tr = trace::tracer();
@@ -26,7 +33,7 @@ sim::Task Vm::run_vcpu(sim::Cycles cycles, CycleCategory cat, trace::Ctx ctx) {
     // synchronization delay; it goes on a per-VM track because waits can
     // straddle the holder's bursts on the vCPU thread itself.
     tr.record(ctx, trace::SpanKind::kSyncWait, "vcpu-mutex",
-              tr.track(config_.name + " vcpu-runq", config_.name), t0, host_.sim().now());
+              tr.track(name_ + " vcpu-runq", name_), t0, host_.sim().now());
   }
   co_await host_.cpu().consume(vcpu_, cycles, cat, ctx);
   vcpu_mutex_.release();
@@ -53,7 +60,7 @@ sim::Task Vm::guest_readahead_task(std::shared_ptr<RaState> ra, std::uint32_t in
     co_await host_.sim().delay(cm.virtio_blk_cmd_latency * static_cast<sim::SimTime>(cmds));
     if (tr.enabled())
       tr.record(ctx, trace::SpanKind::kCopy, "copy virtio-blk",
-                tr.track(config_.name + " virtio-blk", config_.name), c0, host_.sim().now(),
+                tr.track(name_ + " virtio-blk", name_), c0, host_.sim().now(),
                 missing);
   }
   guest_cache_.fill(inode, begin, end - begin);

@@ -30,21 +30,12 @@ class Host;
 
 class Vm {
  public:
-  struct Config {
-    std::string name;
-    std::uint64_t mem_bytes = 2ULL * 1024 * 1024 * 1024;   // 2 GB per the paper
-    std::uint64_t disk_bytes = 8ULL * 1024 * 1024 * 1024;  // virtual disk size
-    // Guest kernel buffer cache; roughly half of RAM like a real guest.
-    std::uint64_t guest_cache_bytes = 1ULL * 1024 * 1024 * 1024;
-  };
-
-  Vm(Host& host, Config config);
+  Vm(Host& host, std::string name);
   Vm(const Vm&) = delete;
   Vm& operator=(const Vm&) = delete;
 
-  const std::string& name() const { return config_.name; }
+  const std::string& name() const { return name_; }
   Host& host() { return host_; }
-  const Config& config() const { return config_; }
 
   hw::ThreadId vcpu_tid() const { return vcpu_; }
   hw::WorkerThread& io_thread() { return *io_thread_; }
@@ -56,7 +47,6 @@ class Vm {
   // Guest filesystem on the virtual disk (the authoritative read-write view).
   fs::SimFs& fs() { return *fs_; }
   const fs::DiskImagePtr& disk_image() const { return image_; }
-  mem::PageCache& guest_cache() { return guest_cache_; }
 
   // --- timed guest file I/O (virtio-blk path) ---
   // Reads [offset, offset+len) of `inode` with full timing: guest block
@@ -101,7 +91,7 @@ class Vm {
   sim::Task guest_readahead_task(std::shared_ptr<RaState> ra, std::uint32_t inode,
                                  std::uint64_t begin, std::uint64_t end, trace::Ctx ctx);
   Host& host_;
-  Config config_;
+  std::string name_;
   hw::ThreadId vcpu_;
   std::unique_ptr<hw::WorkerThread> io_thread_;
   sim::Semaphore vcpu_mutex_;

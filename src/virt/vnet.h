@@ -179,7 +179,6 @@ class VirtualNetwork {
   hw::Lan& lan() { return lan_; }
   const hw::CostModel& costs() const { return costs_; }
 
-  std::uint64_t default_window() const { return default_window_; }
   void set_default_window(std::uint64_t bytes) { default_window_ = bytes; }
 
   // Inter-VM shared-memory networking (paper §2.2, XenSocket/ZIVM/Nahanni
@@ -189,7 +188,6 @@ class VirtualNetwork {
   // this still leaves the datanode VM, both TCP stacks and the I/O thread
   // synchronization in the path.
   void set_intervm_shm(bool on) { intervm_shm_ = on; }
-  bool intervm_shm() const { return intervm_shm_; }
 
   std::uint64_t segments_sent() const { return segments_sent_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }

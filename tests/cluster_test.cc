@@ -222,7 +222,7 @@ TEST(ReplicaSelector, FreshLoadFeedbackSteersWithinATier) {
   s.report(sim::ms(1), kDnA, DaemonLoad{.queue_depth = 10});
   s.report(sim::ms(1), kDnB, DaemonLoad{.queue_depth = 0});
   for (int i = 0; i < 10; ++i) EXPECT_EQ(s.choose(sim::ms(2), cands), 1u);
-  // In-flight bytes count toward the score too (bytes_per_load_unit).
+  // In-flight bytes count toward the score too (kBytesPerLoadUnit).
   s.report(sim::ms(2), kDnB, DaemonLoad{.inflight_bytes = 64ULL << 20});
   EXPECT_EQ(s.choose(sim::ms(3), cands), 0u);
 }
@@ -239,9 +239,9 @@ TEST(ReplicaSelector, OverloadedReplicaShedsWithinOneFeedbackInterval) {
   EXPECT_EQ(s.choose(sim::ms(2), cands), 1u);  // shed within the interval
   EXPECT_TRUE(s.last_avoided_overload());
   EXPECT_EQ(s.overload_avoided(), 1u);
-  // Queue depth at/above overload_queue marks a daemon overloaded even
+  // Queue depth at/above kOverloadQueue marks a daemon overloaded even
   // without a kOverloaded status.
-  s.report(sim::ms(3), kDnB, DaemonLoad{.queue_depth = cfg.overload_queue});
+  s.report(sim::ms(3), kDnB, DaemonLoad{.queue_depth = kOverloadQueue});
   s.report(sim::ms(3), kDnA, DaemonLoad{});  // A recovered
   EXPECT_EQ(s.choose(sim::ms(4), cands), 0u);
   EXPECT_TRUE(s.last_avoided_overload());

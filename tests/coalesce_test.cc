@@ -467,12 +467,11 @@ sim::Task api_equivalence_job(hdfs::DfsClient* client, bool* ok) {
   co_await a->pread(0, 256 * 1024, expect);
   if (joined.checksum() != expect.checksum()) co_return;
 
-  // The fanout hint overrides the client-wide pread parallelism without
-  // changing bytes.
+  // A serial client-wide pread parallelism does not change the bytes.
   hdfs::ReadRequest wide;
   wide.offset = 0;
   wide.len = kFileBytes;
-  wide.fanout = 1;  // serial legs
+  client->set_pread_parallelism(1);  // serial legs
   hdfs::ReadResult serial;
   co_await b->read(wide, serial);
   if (!serial.status.ok() ||

@@ -323,7 +323,7 @@ struct ChannelBed {
     host = std::make_unique<Host>(
         sim, acct, costs, lan,
         Host::Config{.name = "host1", .cores = 4, .freq_ghz = 2.0});
-    vm = &host->add_vm(Vm::Config{.name = "vm1"});
+    vm = &host->add_vm("vm1");
   }
   ChannelBed(const ChannelBed&) = delete;
   ~ChannelBed() { fault::registry().reset(); }
@@ -351,7 +351,7 @@ sim::Task issue_call(ShmChannel& ch, std::uint64_t id, std::uint64_t offset,
 
 TEST(ShmChannelConcurrency, InjectedTimeoutDoesNotStallOtherCalls) {
   ChannelBed tb;
-  ShmChannel ch(*tb.vm, tb.costs, sim::ms(5), /*max_outstanding=*/8);
+  ShmChannel ch(*tb.vm, tb.costs, /*max_outstanding=*/8);
   hw::ThreadId daemon = tb.host->cpu().add_thread("vread-daemon", "host1");
   // First call loses its request and burns the 5 ms timeout; the second
   // call (issued while the first waits) must complete long before that.
@@ -387,7 +387,7 @@ sim::Task respond_out_of_order(ShmChannel& ch, hw::ThreadId tid, std::uint64_t l
 
 TEST(ShmChannelConcurrency, OutOfOrderCompletionRoutesChunksById) {
   ChannelBed tb;
-  ShmChannel ch(*tb.vm, tb.costs, sim::ms(5), /*max_outstanding=*/8);
+  ShmChannel ch(*tb.vm, tb.costs, /*max_outstanding=*/8);
   hw::ThreadId daemon = tb.host->cpu().add_thread("vread-daemon", "host1");
   const std::uint64_t len = 1 << 20;
   ShmResponse r1, r2;

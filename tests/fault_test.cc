@@ -193,6 +193,18 @@ TEST(FaultRegistry, ScopedFaultRestoresGlobalBaseline) {
   EXPECT_FALSE(fault::registry().armed("test.scoped.point"));
 }
 
+// The shm and daemon-to-daemon retry loops share one fixed policy: three
+// tries in all, a 200 us first backoff doubling per retry, capped at 2^20x.
+TEST(FaultRetryPolicy, FixedAttemptsAndDoublingBackoff) {
+  EXPECT_EQ(kRetryAttempts, 3);
+  EXPECT_EQ(retry_backoff_before(2), sim::us(200));
+  EXPECT_EQ(retry_backoff_before(3), sim::us(400));
+  EXPECT_EQ(retry_backoff_before(4), sim::us(800));
+  EXPECT_EQ(retry_backoff_before(1), sim::us(200));  // never below the base
+  EXPECT_EQ(retry_backoff_before(22), sim::us(200) << 20);
+  EXPECT_EQ(retry_backoff_before(100), sim::us(200) << 20);  // the cap
+}
+
 TEST(FaultMetrics, TablesRenderPointsAndCounters) {
   RegistryGuard guard;
   fault::registry().arm("test.metrics.point", {.every = 2});
@@ -389,7 +401,7 @@ TEST(FaultShmTimeout, BoundedRetriesExhaustThenClientFallsBack) {
   core::LibVread* lib = c->libvread("client");
   fault::registry().arm(fault::points::kShmTimeout, {.every = 1});
 
-  // Direct library call: exactly max_attempts shm round trips, then a
+  // Direct library call: exactly kRetryAttempts shm round trips, then a
   // retryable TIMEOUT surfaces (the fallback signal for the HDFS client).
   const std::uint64_t hits_before = fault::registry().hits(fault::points::kShmTimeout);
   Status st;
@@ -401,7 +413,7 @@ TEST(FaultShmTimeout, BoundedRetriesExhaustThenClientFallsBack) {
   EXPECT_TRUE(st.is_retryable());
   EXPECT_EQ(vfd, 0u);
   EXPECT_EQ(fault::registry().hits(fault::points::kShmTimeout) - hits_before,
-            static_cast<std::uint64_t>(lib->retry_policy().max_attempts));
+            static_cast<std::uint64_t>(kRetryAttempts));
   EXPECT_EQ(lib->retries(), 2u);  // 3 attempts = 2 re-issues
   EXPECT_GE(lib->retries_exhausted(), 1u);
 
@@ -504,8 +516,7 @@ TEST(FaultPeerDown, BoundedRetryThenFallbackThenReprobeRecovers) {
   EXPECT_EQ(r1.checksum, Buffer::deterministic(75, 0, bytes).checksum());
   // Each doomed open burned the full retry budget before reporting.
   EXPECT_GE(c->daemon("host1")->remote_retries(),
-            static_cast<std::uint64_t>(
-                c->daemon("host1")->config().remote_retry.max_attempts - 1));
+            static_cast<std::uint64_t>(kRetryAttempts - 1));
   EXPECT_GT(c->daemon("host1")->failed_opens(), 0u);
   EXPECT_EQ(c->daemon("host1")->remote_reads(), 0u);  // peer never reachable
   EXPECT_GT(c->client("client")->vread_fallback_reads(), 0u);

@@ -373,7 +373,7 @@ struct SloBed {
   TimeSeriesRecorder::Series* series = nullptr;
 
   explicit SloBed(SloConfig c = {}) : cfg(std::move(c)) {
-    series = rec.resolve(cfg.latency_series, {{"host", "h1"}}, SeriesKind::kHistogram);
+    series = rec.resolve(kLatencySeries, {{"host", "h1"}}, SeriesKind::kHistogram);
   }
 
   void push(sim::SimTime t, std::uint64_t count, std::uint64_t over) {
@@ -450,7 +450,7 @@ TEST(SloMonitor, CrossRackByteBudgetBurns) {
   cfg.cross_rack_budget_mbps = 1.0;  // 1 MB per simulated second
   SloBed bed(cfg);
   SloMonitor slo(bed.cfg, bed.rec, bed.reg);
-  auto* xr = bed.rec.resolve(cfg.cross_rack_series, {}, SeriesKind::kCounter);
+  auto* xr = bed.rec.resolve(kCrossRackSeries, {}, SeriesKind::kCounter);
   // 1 MB of budget per second -> the 1000ms window affords 1e6 bytes and
   // the 100ms window 1e5. Push 100ms deltas of 5e5 bytes: short burn 5,
   // long burn (after 10 points) 5e6/1e6 = 5 -> alert.
@@ -547,7 +547,7 @@ TEST(Timeline, RoundTripsThroughObsJson) {
   ASSERT_NE(series, nullptr);
   bool found_latency = false;
   for (const json::Value& s : series->items()) {
-    if (s.get_string("name") != bed.cfg.latency_series) continue;
+    if (s.get_string("name") != kLatencySeries) continue;
     found_latency = true;
     EXPECT_EQ(s.get_string("kind"), "histogram");
     const json::Value* points = s.get("points");

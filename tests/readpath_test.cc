@@ -497,8 +497,9 @@ sim::Task sequential_checksum(hdfs::DfsClient* client, std::string path,
   co_await in->close();
 }
 
-// One positional read (read2) with an explicit fan-out, started after
-// `start_at`. An HdfsError lands in `error` instead of escaping.
+// One positional read (read2) with the client's fan-out set to `fanout`,
+// started after `start_at`. An HdfsError lands in `error` instead of
+// escaping.
 sim::Task positional(hdfs::DfsClient* client, std::string path, std::uint64_t offset,
                      std::uint64_t len, std::size_t fanout, sim::SimTime start_at,
                      std::uint64_t* checksum, std::string* error, sim::Latch* done) {
@@ -508,7 +509,7 @@ sim::Task positional(hdfs::DfsClient* client, std::string path, std::uint64_t of
   hdfs::ReadRequest req;
   req.offset = offset;
   req.len = len;
-  req.fanout = fanout;
+  client->set_pread_parallelism(fanout);
   hdfs::ReadResult res;
   try {
     co_await in->read(req, res);

@@ -39,7 +39,7 @@ struct TestBed {
   }
 
   Vm& add_vm(Host& h, const std::string& name) {
-    Vm& vm = h.add_vm(Vm::Config{.name = name});
+    Vm& vm = h.add_vm(name);
     net->register_vm(vm);
     return vm;
   }

@@ -16,7 +16,11 @@ Checks, over every tracked *.md file:
   4. every field of every configuration struct (DaemonConfig, QosConfig,
      ClusterConfig, TopologyConfig, RouteConfig, FlowSimConfig, ...) is
      documented in docs/CONFIG.md — the field names are parsed straight
-     out of the headers, so a new knob can't ship undocumented either.
+     out of the headers, so a new knob can't ship undocumented either;
+  5. every field of those structs is set somewhere outside its own header
+     (a designated initializer, a member assignment or a container insert
+     in src/, bench/, tools/, tests/, examples/ or benchmark/), so an
+     option that only ever keeps its default becomes a constant instead.
 
 Exit code 0 = clean; 1 = problems (all printed).
 """
@@ -150,8 +154,7 @@ def check_schema_versions(problems):
 
 
 # Instrument registration sites: counter("vread_...") etc. — including
-# the obs recorder's sample_counter/sample_gauge sources (matched via the
-# counter/gauge suffix) and pre-resolved series handles (resolve). The
+# the obs recorder's pre-resolved series handles (resolve). The
 # name literal often sits on the line after the call (clang-format), so
 # \s* must span newlines.
 METRIC_DECL_RE = re.compile(r'(?:counter|gauge|histogram|resolve)\(\s*"(vread_[a-z0-9_]+)"')
@@ -186,7 +189,6 @@ CONFIG_STRUCTS = [
     ("src/core/vread_daemon.h", "CoalesceConfig"),
     ("src/core/qos.h", "QosConfig"),
     ("src/core/peer_cache.h", "PeerCacheConfig"),
-    ("src/fault/status.h", "RetryPolicy"),
     ("src/apps/cluster.h", "ClusterConfig"),
     ("src/hw/network.h", "Config"),      # NetworkLink::Config
     ("src/hw/network.h", "RackConfig"),  # Lan::RackConfig
@@ -270,6 +272,42 @@ def check_config_docs(problems):
                 )
 
 
+# A field "is set" where code names it as a designated initializer
+# (`.field = v`, `.field{v}`), assigns it (`x.field = v`, `p->field += v`)
+# or inserts into it (`x.field[k] = v`, `x.field.emplace(...)`) — directly
+# or through one of its own members (`cfg.topo.racks = 4` sets `topo`).
+SETTER_DIRS = ("src", "bench", "tools", "tests", "examples", "benchmark")
+SETTER_RE = (
+    r"(?:\.|->)\s*{f}(?:\s*\.\s*\w+)*\s*(?:"
+    r"(?:[-+*/|&^]|<<|>>)?=(?!=)"
+    r"|\{{"
+    r"|\[[^\]\n]*\]\s*=(?!=)"
+    r"|\.\s*(?:insert|insert_or_assign|emplace|try_emplace|push_back|emplace_back)\s*\()"
+)
+
+
+def check_config_setters(problems):
+    sources = []
+    for sub in SETTER_DIRS:
+        for p in sorted((ROOT / sub).rglob("*")):
+            if p.suffix in (".h", ".cc", ".cpp"):
+                sources.append((p, strip_comments(p.read_text())))
+    for rel, struct in CONFIG_STRUCTS:
+        path = ROOT / rel
+        if not path.exists():
+            continue  # reported by check_config_docs
+        body = struct_body(strip_comments(path.read_text()), struct)
+        if body is None:
+            continue
+        for field in struct_fields(body):
+            setter = re.compile(SETTER_RE.format(f=re.escape(field)))
+            if not any(p != path and setter.search(text) for p, text in sources):
+                problems.append(
+                    f"{rel}: {struct}::{field} is set by no code outside its header "
+                    f"(make it a constant)"
+                )
+
+
 def main():
     problems = []
     targets = cmake_targets()
@@ -278,6 +316,7 @@ def main():
     check_schema_versions(problems)
     check_metric_docs(problems)
     check_config_docs(problems)
+    check_config_setters(problems)
     for path in md_files():
         text = path.read_text()
         check_links(path, text, problems)
