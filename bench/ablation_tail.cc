@@ -79,7 +79,7 @@ sim::Task device_reads(sim::Simulation* sim, hw::Disk* d, std::size_t n,
                        std::vector<sim::SimTime>* lat) {
   for (std::size_t i = 0; i < n; ++i) {
     const sim::SimTime t0 = sim->now();
-    co_await d->read(kReadBytes);
+    co_await d->read(kReadBytes, {});
     lat->push_back(sim->now() - t0);
     co_await sim->delay(sim::us(500));  // mid load, not saturation
   }

@@ -4,6 +4,11 @@
 
 namespace vread::apps {
 
+namespace {
+// Scheduler time slice of every cluster host.
+constexpr sim::SimTime kHostSlice = sim::ms(3);
+}  // namespace
+
 Cluster::Cluster(ClusterConfig config)
     : config_(config), lan_(sim_, config.link) {
   if (config_.racks.hosts_per_rack > 0) lan_.configure_racks(config_.racks);
@@ -24,7 +29,7 @@ virt::Host& Cluster::add_host(const std::string& name) {
       virt::Host::Config{.name = name,
                          .cores = config_.cores_per_host,
                          .freq_ghz = config_.freq_ghz,
-                         .slice = config_.slice,
+                         .slice = kHostSlice,
                          .disk = config_.disk,
                          .page_cache_bytes = config_.page_cache_bytes}));
   return *hosts_.back();

@@ -43,7 +43,6 @@ namespace vread::apps {
 struct ClusterConfig {
   int cores_per_host = 4;       // quad-core Xeon testbed
   double freq_ghz = 2.0;        // cpufreq-set value
-  sim::SimTime slice = sim::ms(3);
   hw::Disk::Config disk{};      // SSD defaults
   // Host page cache per host (virt::Host::Config default, 8 GiB). Benches
   // that need the disk to stay the bottleneck shrink this: a cache that

@@ -8,6 +8,12 @@
 namespace vread::cluster {
 namespace {
 
+// Seed of the block placement and read draws.
+constexpr std::uint64_t kSeed = 42;
+// Rate-allocation period: every epoch each link divides its capacity
+// evenly among its flows.
+constexpr sim::SimTime kEpoch = sim::us(500);
+
 // Skewed access: a fraction of blocks is "hot" and attracts a
 // disproportionate share of reads — the load-spreading case.
 constexpr double kHotFraction = 0.05;
@@ -24,7 +30,7 @@ constexpr double kHostLinkGbps = hw::NetworkLink::Config{}.bw_gbps;
 class FlowSim {
  public:
   explicit FlowSim(const FlowSimConfig& cfg)
-      : cfg_(cfg), topo_(cfg.topo), selector_(cfg.route), rng_(cfg.seed) {
+      : cfg_(cfg), topo_(cfg.topo), selector_(cfg.route), rng_(kSeed) {
     const std::uint32_t hosts = topo_.host_count();
     host_names_.reserve(hosts);
     for (std::uint32_t h = 0; h < hosts; ++h) {
@@ -55,7 +61,7 @@ class FlowSim {
     for (std::uint32_t r = 0; r < readers; ++r) {
       sim_.post_at(0, [this, r] { start_read(r); });
     }
-    sim_.post(cfg_.epoch, [this] { step(); });
+    sim_.post(kEpoch, [this] { step(); });
     sim_.run();
     if (cfg_.obs != nullptr) {
       // Drain the batched heavy-hitter feed (one merged summary update per
@@ -307,7 +313,7 @@ class FlowSim {
       throw sim::SimError("flowsim exceeded max_sim_time with " +
                           std::to_string(cfg_.reads - done_) + " reads left");
     }
-    const double dt = static_cast<double>(cfg_.epoch) / 1e9;
+    const double dt = static_cast<double>(kEpoch) / 1e9;
     // Rates are computed against the epoch-start link population, then all
     // flows advance together (simultaneous fair-share step).
     rates_.resize(flows_.size());
@@ -326,7 +332,7 @@ class FlowSim {
         ++i;
       }
     }
-    if (done_ < cfg_.reads) sim_.post(cfg_.epoch, [this] { step(); });
+    if (done_ < cfg_.reads) sim_.post(kEpoch, [this] { step(); });
   }
 
   void complete(const Flow& f) {

@@ -29,13 +29,11 @@ namespace vread::cluster {
 struct FlowSimConfig {
   TopologyConfig topo{};
   RouteConfig route{};
-  std::uint64_t seed = 42;
 
   std::uint64_t blocks = 1024;    // distinct blocks in the working set
   std::uint64_t block_bytes = 8ULL << 20;
   std::uint64_t reads = 100000;  // total reads issued across all readers
 
-  sim::SimTime epoch = sim::us(500);
   sim::SimTime max_sim_time = sim::sec(86400);  // safety net: fail loudly
 
   // Cooperative peer cache (DESIGN.md §15), flow-level approximation:

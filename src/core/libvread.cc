@@ -7,7 +7,6 @@ using virt::ShmRequest;
 using virt::ShmResponse;
 
 sim::Task LibVread::call(ShmRequest req, ShmResponse& resp, trace::Ctx ctx) {
-  auto& tr = trace::tracer();
   req.ctx = ctx;
   if (req.tenant.empty()) req.tenant = tenant_;
   for (int attempt = 1;; ++attempt) {
@@ -23,8 +22,8 @@ sim::Task LibVread::call(ShmRequest req, ShmResponse& resp, trace::Ctx ctx) {
     // Transient failure (timeout / corrupt payload / peer down): back off
     // and re-issue under a fresh id — the original request is written off.
     retries_.inc();
-    tr.instant(ctx, trace::SpanKind::kRetry, "libvread-retry",
-               static_cast<int>(vm_.vcpu_tid()));
+    trace::tracer().instant(ctx, trace::SpanKind::kRetry, "libvread-retry",
+                            static_cast<int>(vm_.vcpu_tid()));
     const sim::SimTime backoff = retry_backoff_before(attempt + 1);
     backoff_ns_.inc(static_cast<std::uint64_t>(backoff));
     co_await vm_.host().sim().delay(backoff);
@@ -33,10 +32,9 @@ sim::Task LibVread::call(ShmRequest req, ShmResponse& resp, trace::Ctx ctx) {
 
 sim::Task LibVread::open(sim::Name block_name, sim::Name datanode_id, std::uint64_t& vfd,
                          Status& status, trace::Ctx ctx) {
-  auto& tr = trace::tracer();
-  const trace::SpanId sp =
-      tr.begin(ctx, trace::SpanKind::kStage, "vread-open", static_cast<int>(vm_.vcpu_tid()));
-  if (sp != 0) ctx = ctx.under(sp);
+  const trace::Scope span = trace::Scope::open(ctx, trace::SpanKind::kStage, "vread-open",
+                                                vm_.vcpu_tid());
+  ctx = span.ctx();
   // Library + JNI work for initializing the descriptor's data structures.
   co_await vm_.run_vcpu(vm_.host().costs().vread_open_guest, CycleCategory::kClientApp,
                         ctx);
@@ -50,15 +48,11 @@ sim::Task LibVread::open(sim::Name block_name, sim::Name datanode_id, std::uint6
                             : Status::from_wire(resp.status,
                                                 block_name.str() + "@" + datanode_id.str());
   vfd = status.ok() ? resp.vfd : 0;
-  tr.end(sp);
 }
 
 sim::Task LibVread::read(const hdfs::ReadRequest& req, hdfs::ReadResult& res) {
-  auto& tr = trace::tracer();
-  trace::Ctx ctx = req.ctx;
-  const trace::SpanId sp =
-      tr.begin(ctx, trace::SpanKind::kStage, "vread-read", static_cast<int>(vm_.vcpu_tid()));
-  if (sp != 0) ctx = ctx.under(sp);
+  trace::Scope span = trace::Scope::open(req.ctx, trace::SpanKind::kStage, "vread-read",
+                                          vm_.vcpu_tid());
   ShmRequest wire;
   wire.op = static_cast<int>(VReadOp::kRead);
   wire.vfd = req.vfd;
@@ -71,15 +65,14 @@ sim::Task LibVread::read(const hdfs::ReadRequest& req, hdfs::ReadResult& res) {
   wire.cancel = req.cancel;
   wire.hedge = req.hedge;
   ShmResponse resp;
-  co_await call(std::move(wire), resp, ctx);
+  co_await call(std::move(wire), resp, span.ctx());
   res.status = Status::from_wire(resp.status);
   if (!res.status.ok()) {
     res.data = mem::Buffer();
-    tr.end(sp);
     co_return;
   }
   res.data = std::move(resp.data);
-  tr.end(sp, res.data.size());
+  span.set_bytes(res.data.size());
 }
 
 sim::Task LibVread::close(std::uint64_t vfd) {

@@ -671,7 +671,7 @@ sim::Task VReadDaemon::readahead_task(std::shared_ptr<RaState> ra, std::uint64_t
   while (pos < end) {
     const std::uint64_t n = std::min(kStreamChunk, end - pos);
     const std::uint64_t missing = host_.page_cache().miss_bytes(key, pos, n);
-    if (missing > 0) co_await disk_read(missing, /*batched=*/true, ctx);
+    if (missing > 0) co_await host_.disk().read_batched(missing, ctx);
     host_.page_cache().fill(key, pos, n);
     pos += n;
     ra->done = std::max(ra->done, pos);
@@ -724,7 +724,7 @@ sim::Task VReadDaemon::ensure_resident(hw::ThreadId tid, Descriptor& d,
       const std::uint64_t missing =
           host_.page_cache().miss_bytes(key, offset, window_end - offset);
       if (missing > 0) {
-        co_await disk_read(missing, /*batched=*/true, ctx);
+        co_await host_.disk().read_batched(missing, ctx);
         if (disk_bytes) *disk_bytes += missing;
       }
       host_.page_cache().fill(key, offset, window_end - offset);
@@ -742,7 +742,7 @@ sim::Task VReadDaemon::ensure_resident(hw::ThreadId tid, Descriptor& d,
     // Random access: fetch exactly what was asked for.
     const std::uint64_t missing = host_.page_cache().miss_bytes(key, offset, n);
     if (missing > 0) {
-      co_await disk_read(missing, /*batched=*/true, ctx);
+      co_await host_.disk().read_batched(missing, ctx);
       if (disk_bytes) *disk_bytes += missing;
     }
     host_.page_cache().fill(key, offset, n);
@@ -824,7 +824,7 @@ sim::Task VReadDaemon::image_chunk(hw::ThreadId tid, Descriptor& d, std::uint64_
     co_await host_.cpu().consume(
         tid, cm.blk_per_request + cm.direct_translate_per_page * cm.pages(n),
         CycleCategory::kLoopDevice, h.ctx);
-    co_await disk_read(n, /*batched=*/false, h.ctx);
+    co_await host_.disk().read(n, h.ctx);
     co_await host_.cpu().consume(tid, cm.copy_cost(n), CycleCategory::kLoopDevice, h.ctx);
     c.data = d.mount->read(d.inode, off, n);
     co_return;
@@ -914,12 +914,11 @@ sim::Task VReadDaemon::join_fill(hw::ThreadId tid, const Descriptor& d, std::uin
     obs_fr_->record(host_.sim().now(), obs::FlightEventKind::kCoalesceMerge, d.block_name,
                     site, n);
   }
-  auto& tr = trace::tracer();
-  tr.instant(ctx, trace::SpanKind::kCoalesce, "coalesce-attach", static_cast<int>(tid));
-  const trace::SpanId wsp =
-      tr.begin(ctx, trace::SpanKind::kSyncWait, "coalesce-wait", static_cast<int>(tid));
+  trace::tracer().instant(ctx, trace::SpanKind::kCoalesce, "coalesce-attach",
+                          static_cast<int>(tid));
+  const trace::Scope wait =
+      trace::Scope::open(ctx, trace::SpanKind::kSyncWait, "coalesce-wait", tid, n);
   co_await f->done.wait();
-  tr.end(wsp, n);
   const std::uint64_t start = off - f->offset;
   if (!f->status.ok()) {
     c.status = f->status;
@@ -954,20 +953,6 @@ void VReadDaemon::cache_if_current(const Descriptor& d, std::uint64_t off,
   }
 }
 
-sim::Task VReadDaemon::disk_read(std::uint64_t bytes, bool batched, trace::Ctx ctx) {
-  auto& tr = trace::tracer();
-  const sim::SimTime d0 = host_.sim().now();
-  if (batched) {
-    co_await host_.disk().read_batched(bytes);
-  } else {
-    co_await host_.disk().read(bytes);
-  }
-  if (tr.enabled()) {
-    tr.record(ctx, trace::SpanKind::kDisk, "disk-read",
-              tr.track(host_.name() + " disk", host_.name()), d0, host_.sim().now(), bytes);
-  }
-}
-
 sim::Task VReadDaemon::charge_net(hw::ThreadId tid, Transport transport, bool send,
                                   std::uint64_t bytes, trace::Ctx ctx) {
   const hw::CostModel& cm = host_.costs();
@@ -982,16 +967,13 @@ sim::Task VReadDaemon::charge_net(hw::ThreadId tid, Transport transport, bool se
   }
   // User-space TCP: per-segment syscalls (one for a bare control message)
   // plus the payload copy, a real data copy on the vread-net path.
-  auto& tr = trace::tracer();
-  const char* copy = send ? "copy vread-net-tx" : "copy vread-net-rx";
-  const trace::SpanId sp =
-      bytes > 0 ? tr.begin(ctx, trace::SpanKind::kCopy, copy, static_cast<int>(tid)) : 0;
+  const trace::Scope copy = trace::Scope::open(
+      ctx, trace::SpanKind::kCopy, send ? "copy vread-net-tx" : "copy vread-net-rx", tid, bytes);
   co_await host_.cpu().consume(
       tid,
       cm.vreadnet_per_segment * std::max<std::uint64_t>(1, cm.segments(bytes)) +
           cm.copy_cost(bytes),
       CycleCategory::kVreadNet, ctx);
-  if (bytes > 0) tr.end(sp, bytes);
 }
 
 void VReadDaemon::charge_fill_split(const CoalesceMap::Fill& fill) {
@@ -1250,16 +1232,12 @@ struct RemoteChunk {
 // Wire hop for one chunk: the RoCE NIC DMAs the payload; arrival is
 // signalled through the receiving daemon's mailbox. `wire_name` labels the
 // transport span ("rdma-wire" / "vread-net-wire").
-sim::Task remote_wire_hop(sim::Simulation* sim, hw::Lan* lan, hw::HostId src,
-                          hw::HostId dst, std::uint64_t bytes,
-                          sim::Mailbox<RemoteChunk>* arrivals, RemoteChunk chunk,
-                          const char* wire_name, trace::Ctx ctx) {
-  auto& tr = trace::tracer();
-  const sim::SimTime t0 = sim->now();
+sim::Task remote_wire_hop(hw::Lan* lan, hw::HostId src, hw::HostId dst,
+                          std::uint64_t bytes, sim::Mailbox<RemoteChunk>* arrivals,
+                          RemoteChunk chunk, const char* wire_name, trace::Ctx ctx) {
+  const trace::Scope wire =
+      trace::Scope::after(ctx, trace::SpanKind::kTransport, wire_name, lan->wire_track(), bytes);
   co_await lan->transfer(src, dst, bytes);
-  if (tr.enabled())
-    tr.record(ctx, trace::SpanKind::kTransport, wire_name,
-              tr.track("lan-wire", "lan"), t0, sim->now(), bytes);
   arrivals->send(std::move(chunk));
 }
 }  // namespace
@@ -1361,9 +1339,8 @@ sim::Task VReadDaemon::stream_remote_read(virt::ShmChannel& channel, hw::ThreadI
         // The cancel marker rides the same serialized link as the data
         // chunks, so it lands strictly after every chunk already sent.
         sim->spawn(remote_wire_hop(
-            sim, &peer->host_.lan(), peer->host_.lan_id(), home, kCtrlBytes,
-            &arrivals, RemoteChunk{mem::Buffer(), kVReadErrCancelled, true},
-            wire_name, ctx));
+            &peer->host_.lan(), peer->host_.lan_id(), home, kCtrlBytes, &arrivals,
+            RemoteChunk{mem::Buffer(), kVReadErrCancelled, true}, wire_name, ctx));
         co_return;
       }
       const std::uint64_t n = std::min(kStreamChunk, end - off);
@@ -1378,8 +1355,8 @@ sim::Task VReadDaemon::stream_remote_read(virt::ShmChannel& channel, hw::ThreadI
           ok ? static_cast<std::int64_t>(c.data.size()) : c.status.to_wire();
       const bool last = !ok || off + n >= end;
       // NIC DMA rides asynchronously; the next disk read overlaps it.
-      sim->spawn(remote_wire_hop(sim, &peer->host_.lan(), peer->host_.lan_id(), home,
-                                 n, &arrivals, RemoteChunk{std::move(c.data), wire, last},
+      sim->spawn(remote_wire_hop(&peer->host_.lan(), peer->host_.lan_id(), home, n,
+                                 &arrivals, RemoteChunk{std::move(c.data), wire, last},
                                  wire_name, ctx));
       if (!ok) co_return;
       off += n;

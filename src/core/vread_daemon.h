@@ -491,10 +491,6 @@ class VReadDaemon {
   // cached nor advertised.
   void cache_if_current(const Descriptor& d, std::uint64_t off, const mem::Buffer& data,
                         sim::Name tenant, std::uint64_t epoch);
-  // One device read of `bytes`, recorded as a disk span. `batched` joins
-  // the coalescing submission window; direct-mode reads bypass it.
-  sim::Task disk_read(std::uint64_t bytes, bool batched, trace::Ctx ctx);
-
   // Daemon-to-daemon transport CPU on THIS daemon's host: the send or
   // receive side of one message carrying `bytes` of payload (0 for a
   // control message). TCP payload copies are recorded as copy spans.

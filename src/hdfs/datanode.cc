@@ -81,10 +81,9 @@ sim::Task DataNode::handle_read(TcpSocket conn, const std::string& block_name,
                                 std::uint64_t offset, std::uint64_t len,
                                 trace::Ctx ctx) {
   const hw::CostModel& cm = vm_.host().costs();
-  auto& tr = trace::tracer();
-  const trace::SpanId sp = tr.begin(ctx, trace::SpanKind::kStage, "datanode-serve",
-                                    static_cast<int>(vm_.vcpu_tid()));
-  if (sp != 0) ctx = ctx.under(sp);
+  trace::Scope span = trace::Scope::open(ctx, trace::SpanKind::kStage, "datanode-serve",
+                                          vm_.vcpu_tid());
+  ctx = span.ctx();
   auto ino = vm_.fs().lookup(block_path(block_name));
   // Injected transient store trouble: answer "block missing" as if the
   // block file vanished mid-serve. The client's replica failover / pread
@@ -94,7 +93,6 @@ sim::Task DataNode::handle_read(TcpSocket conn, const std::string& block_name,
   if (!ino) {
     w.i64(-1);
     co_await send_frame(conn, w.take(), CycleCategory::kDatanodeApp, ctx);
-    tr.end(sp);
     co_return;
   }
   const std::uint64_t file_size = vm_.fs().file_size(*ino);
@@ -123,7 +121,7 @@ sim::Task DataNode::handle_read(TcpSocket conn, const std::string& block_name,
   }
   ++blocks_served_;
   bytes_served_ += actual;
-  tr.end(sp, actual);
+  span.set_bytes(actual);
 }
 
 sim::Task DataNode::handle_write(TcpSocket conn, const std::string& block_name,

@@ -487,7 +487,8 @@ sim::Task DfsInputStream::read_block_range_impl(const BlockInfo& blk, std::uint6
   // Root span of this read's trace tree: read1 = sequential (Algorithm 1),
   // read2 = positional (Algorithm 2). Every downstream span — guest, shm
   // ring, daemon, datanode, wire — hangs off this context.
-  const trace::Ctx ctx = tr.begin_read(sequential ? "read1" : "read2", app_tid);
+  trace::Scope root = trace::Scope::read(sequential ? "read1" : "read2", app_tid);
+  const trace::Ctx ctx = root.ctx();
 
   // HDFS Short-Circuit Local Read: replica in this very VM -> read the
   // block file straight off the local filesystem. A replica registered
@@ -499,7 +500,7 @@ sim::Task DfsInputStream::read_block_range_impl(const BlockInfo& blk, std::uint6
                               /*copy_to_app=*/true, ctx);
       co_await c.lean_processing(out.size(), ctx);
       c.reads_short_circuit_.inc();
-      tr.end_read(ctx, out.size());
+      root.set_bytes(out.size());
       co_return;
     }
   }
@@ -547,7 +548,6 @@ sim::Task DfsInputStream::read_block_range_impl(const BlockInfo& blk, std::uint6
       // descriptor is perfectly healthy — keep it cached, start no
       // cooldown, skip the socket fallback; the winner served the bytes.
       *cancelled = true;
-      tr.end_read(ctx, 0);
       co_return;
     }
     c.note_overload(st, dn);
@@ -562,7 +562,7 @@ sim::Task DfsInputStream::read_block_range_impl(const BlockInfo& blk, std::uint6
       // Completion feedback: the serving daemon's load signal rides the
       // completion back to the selector (docs/TOPOLOGY.md §feedback).
       c.route_feedback(dn, out.size());
-      tr.end_read(ctx, out.size());
+      root.set_bytes(out.size());
       co_return;
     }
     // Stale descriptors (daemon restarted, snapshot moved) re-open on the
@@ -577,9 +577,8 @@ sim::Task DfsInputStream::read_block_range_impl(const BlockInfo& blk, std::uint6
 
   // Original HDFS method, with replica failover: try the preferred
   // (co-located) replica first, then the others.
-  const trace::SpanId sock_sp =
-      tr.begin(ctx, trace::SpanKind::kStage, "socket-read", app_tid);
-  const trace::Ctx sctx = sock_sp != 0 ? ctx.under(sock_sp) : ctx;
+  trace::Scope sock = trace::Scope::open(ctx, trace::SpanKind::kStage, "socket-read", app_tid);
+  const trace::Ctx sctx = sock.ctx();
   std::vector<sim::Name> candidates{dn};
   for (const sim::Name loc : blk.locations) {
     if (loc != dn) candidates.push_back(loc);
@@ -596,14 +595,13 @@ sim::Task DfsInputStream::read_block_range_impl(const BlockInfo& blk, std::uint6
         co_await c.fetch_block_range(blk, candidates[i], off, len, out, sctx);
       }
       c.reads_socket_.inc();
-      tr.end(sock_sp, out.size());
-      tr.end_read(ctx, out.size());
+      sock.set_bytes(out.size());
+      root.set_bytes(out.size());
       co_return;
     } catch (const HdfsError&) {
       drop_stream();
       if (i + 1 == candidates.size()) {
-        tr.end(sock_sp);
-        tr.end_read(ctx, out.size());
+        root.set_bytes(out.size());
         throw;
       }
       tr.instant(sctx, trace::SpanKind::kRetry, "replica-failover", app_tid);
@@ -717,23 +715,22 @@ sim::Task DfsInputStream::hedge_second_leg(std::uint64_t off, std::uint64_t len,
                                            ReadRequest opts, sim::Name dn,
                                            HedgeRacePtr race) {
   DfsClient& c = client_;
-  auto& tr = trace::tracer();
-  const trace::Ctx ctx = tr.begin_read("hedge-leg", static_cast<int>(c.vm().vcpu_tid()));
   opts.hedge = true;
   // Private descriptor, deliberately NOT the shared vfd hash: the hash is
   // keyed by block name alone and the primary's entry points at the other
   // replica. vRead-only — if this leg cannot open, the primary's full
   // socket failover is the safety net, so overall failure semantics stay
   // exactly the unhedged ones.
+  trace::Scope root = trace::Scope::read("hedge-leg", c.vm().vcpu_tid());
   std::uint64_t vfd = 0;
   Status st;
-  co_await c.reader_->open(race->blk.name, dn, vfd, st, ctx);
+  co_await c.reader_->open(race->blk.name, dn, vfd, st, root.ctx());
   if (st.ok()) {
-    co_await c.vread_leg(vfd, off, len, opts, ctx, race->buf[1], st);
+    co_await c.vread_leg(vfd, off, len, opts, root.ctx(), race->buf[1], st);
     race->ok[1] = st.ok();
     co_await c.reader_->close(vfd);
   }
-  tr.end_read(ctx, race->ok[1] ? race->buf[1].size() : 0);
+  if (race->ok[1]) root.set_bytes(race->buf[1].size());
   end_hedge_task(*race, 1);
 }
 

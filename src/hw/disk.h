@@ -23,15 +23,20 @@
 // stateful RNG, so a given seed reproduces the exact same tail spike on
 // every run. Disabled (the default) the device is bit-identical to the
 // pre-variability model.
+//
+// Tracing (DESIGN.md §8): every read records its own "disk-read" span on the
+// disk's track, from submission to completion, device queueing included.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/simulation.h"
 #include "sim/time.h"
+#include "trace/tracer.h"
 
 namespace vread::hw {
 
@@ -81,7 +86,9 @@ class Disk {
   // as a callback so hw/ stays free of a metrics dependency.
   using BatchObserver = std::function<void(std::size_t, std::uint64_t)>;
 
-  Disk(sim::Simulation& sim, Config config) : sim_(sim), config_(config) {}
+  // `track` names the trace track this disk's reads land on.
+  Disk(sim::Simulation& sim, Config config, trace::TrackName track = {"disk", "disk"})
+      : sim_(sim), config_(config), track_(std::move(track)) {}
   Disk(const Disk&) = delete;
   Disk& operator=(const Disk&) = delete;
 
@@ -89,6 +96,7 @@ class Disk {
     Disk& disk;
     std::uint64_t bytes;
     bool is_write;
+    trace::Scope span{};  // a read's disk-read span; closes after completion
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
       sim::SimTime completion = disk.schedule(bytes, is_write);
@@ -97,11 +105,12 @@ class Disk {
     void await_resume() const noexcept {}
   };
 
-  // Awaitable device-time read/write of `bytes`.
-  IoAwaiter read(std::uint64_t bytes) {
+  // Awaitable device-time read/write of `bytes`; `ctx` is the read the
+  // bytes are for.
+  IoAwaiter read(std::uint64_t bytes, trace::Ctx ctx) {
     bytes_read_ += bytes;
     ++reads_;
-    return IoAwaiter{*this, bytes, false};
+    return IoAwaiter{*this, bytes, false, read_span(ctx, bytes)};
   }
   IoAwaiter write(std::uint64_t bytes) {
     bytes_written_ += bytes;
@@ -121,6 +130,7 @@ class Disk {
   struct BatchAwaiter {
     Disk& disk;
     std::uint64_t bytes;
+    trace::Scope span;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
       disk.bytes_read_ += bytes;
@@ -136,7 +146,9 @@ class Disk {
 
   // Awaitable batched read: joins the open submission window (opening one
   // if none is pending). Identical to read() when batching is off.
-  BatchAwaiter read_batched(std::uint64_t bytes) { return BatchAwaiter{*this, bytes}; }
+  BatchAwaiter read_batched(std::uint64_t bytes, trace::Ctx ctx) {
+    return BatchAwaiter{*this, bytes, read_span(ctx, bytes)};
+  }
 
   // Enables (or replaces) the variability model. Safe to call between
   // requests; in-flight completions keep their already-computed times.
@@ -145,7 +157,6 @@ class Disk {
     var_ = v;
     chan_free_.assign(var_.enabled ? var_.channels : 1, next_free_);
   }
-  const Variability& variability() const { return var_; }
 
   std::uint64_t bytes_read() const { return bytes_read_; }
   std::uint64_t bytes_written() const { return bytes_written_; }
@@ -161,6 +172,10 @@ class Disk {
     std::uint64_t total = 0;
     std::vector<std::coroutine_handle<>> members;
   };
+
+  trace::Scope read_span(trace::Ctx ctx, std::uint64_t bytes) const {
+    return trace::Scope::after(ctx, trace::SpanKind::kDisk, "disk-read", track_, bytes);
+  }
 
   void join_batch(std::uint64_t bytes, std::coroutine_handle<> h) {
     if (!open_batch_) {
@@ -253,6 +268,7 @@ class Disk {
 
   sim::Simulation& sim_;
   Config config_;
+  trace::TrackName track_;
   sim::SimTime next_free_ = 0;
   // Variability state (all inert while var_.enabled is false).
   Variability var_{};

@@ -14,6 +14,7 @@
 
 #include "sim/simulation.h"
 #include "sim/time.h"
+#include "trace/tracer.h"
 
 namespace vread::hw {
 
@@ -28,22 +29,9 @@ class NetworkLink {
     sim::SimTime propagation = sim::us(30);  // switch + cable + NIC latency
   };
 
-  NetworkLink(sim::Simulation& sim, Config config) : sim_(sim), config_(config) {}
+  explicit NetworkLink(Config config) : config_(config) {}
   NetworkLink(const NetworkLink&) = delete;
   NetworkLink& operator=(const NetworkLink&) = delete;
-
-  struct TransferAwaiter {
-    NetworkLink& link;
-    std::uint64_t bytes;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      link.sim_.resume_at(link.schedule_at(link.sim_.now(), bytes), h);
-    }
-    void await_resume() const noexcept {}
-  };
-
-  // Awaitable: completes when the last byte arrives at the receiver.
-  TransferAwaiter transfer(std::uint64_t bytes) { return TransferAwaiter{*this, bytes}; }
 
   // Store-and-forward building block: schedules `bytes` onto the link no
   // earlier than `earliest` and returns the arrival time at the far end.
@@ -62,7 +50,6 @@ class NetworkLink {
   std::uint64_t bytes_sent() const { return bytes_sent_; }
 
  private:
-  sim::Simulation& sim_;
   Config config_;
   sim::SimTime next_free_ = 0;
   std::uint64_t bytes_sent_ = 0;
@@ -89,7 +76,7 @@ class Lan {
       : sim_(sim), link_config_(link_config) {}
 
   HostId add_host() {
-    links_.push_back(std::make_unique<NetworkLink>(sim_, link_config_));
+    links_.push_back(std::make_unique<NetworkLink>(link_config_));
     return static_cast<HostId>(links_.size() - 1);
   }
 
@@ -128,13 +115,9 @@ class Lan {
     return PathAwaiter{*this, src, dst, bytes};
   }
 
-  // Destination-blind form (legacy call sites / broadcasts): egress
-  // serialization only, identical to a same-rack transfer.
-  NetworkLink::TransferAwaiter transfer(HostId src, std::uint64_t bytes) {
-    return links_[src]->transfer(bytes);
-  }
+  // The trace track every wire hop on this LAN lands on.
+  const trace::TrackName& wire_track() const { return wire_track_; }
 
-  NetworkLink& egress(HostId host) { return *links_[host]; }
   std::size_t host_count() const { return links_.size(); }
   std::uint64_t cross_rack_bytes() const { return cross_rack_bytes_; }
 
@@ -150,7 +133,7 @@ class Lan {
   }
 
   NetworkLink& tor(std::vector<std::unique_ptr<NetworkLink>>& v, std::uint32_t rack) {
-    while (v.size() <= rack) v.push_back(std::make_unique<NetworkLink>(sim_, tor_link_cfg_));
+    while (v.size() <= rack) v.push_back(std::make_unique<NetworkLink>(tor_link_cfg_));
     return *v[rack];
   }
 
@@ -162,30 +145,7 @@ class Lan {
   std::vector<std::unique_ptr<NetworkLink>> rack_up_;    // rack -> spine
   std::vector<std::unique_ptr<NetworkLink>> rack_down_;  // spine -> rack
   std::uint64_t cross_rack_bytes_ = 0;
-};
-
-// RDMA-capable NIC view over the converged-Ethernet LAN: RoCE payloads ride
-// the same wire; the zero-copy property is expressed by the *callers*
-// charging only tiny per-WR CPU costs (cost_model.rdma_*) instead of
-// per-segment TCP stack work.
-class RdmaNic {
- public:
-  RdmaNic(Lan& lan, HostId host) : lan_(lan), host_(host) {}
-
-  // Awaitable one-sided write/send of `bytes` to a peer host: wire time
-  // only; the NIC DMAs payload without CPU involvement.
-  NetworkLink::TransferAwaiter post_write(std::uint64_t bytes) {
-    ++work_requests_;
-    return lan_.transfer(host_, bytes);
-  }
-
-  std::uint64_t work_requests() const { return work_requests_; }
-  HostId host() const { return host_; }
-
- private:
-  Lan& lan_;
-  HostId host_;
-  std::uint64_t work_requests_ = 0;
+  trace::TrackName wire_track_{"lan-wire", "lan"};
 };
 
 }  // namespace vread::hw

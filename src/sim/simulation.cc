@@ -61,6 +61,7 @@ void frame_free(void* frame, std::size_t bytes) noexcept {
 Simulation::~Simulation() { shutdown(); }
 
 void Simulation::shutdown() {
+  shutting_down_ = true;
   // Drop pending events first: they may hold handles into detached frames.
   clear_events();
   detached_.clear();

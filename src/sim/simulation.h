@@ -143,6 +143,9 @@ class Simulation {
   // its own destructor, while those members are still alive; the
   // Simulation destructor itself runs it again harmlessly.
   void shutdown();
+  // True from shutdown() on: a guard running now is tearing its frame down,
+  // not finishing its work.
+  bool shutting_down() const { return shutting_down_; }
 
  private:
   struct Event {
@@ -170,6 +173,7 @@ class Simulation {
   Probe* probe_ = nullptr;
   SimTime probe_deadline_ = Probe::kNever;
   bool digest_enabled_ = false;
+  bool shutting_down_ = false;
   std::uint64_t digest_ = 14695981039346656037ULL;  // FNV-1a offset basis
 
   std::vector<Event> heap_;  // 4-ary min-heap on (time, seq)

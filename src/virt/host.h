@@ -42,7 +42,7 @@ class Host {
         config_(config),
         cpu_(sim, acct,
              {.cores = config.cores, .freq_ghz = config.freq_ghz, .slice = config.slice}),
-        disk_(sim, config.disk),
+        disk_(sim, config.disk, {config.name + " disk", config.name}),
         page_cache_(config.page_cache_bytes),
         lan_(lan),
         lan_id_(lan.add_host()) {}

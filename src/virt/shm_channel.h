@@ -114,7 +114,6 @@ class ShmChannel {
   // allocates a fresh id per attempt).
   sim::Task call(ShmRequest req, ShmResponse& out) {
     const trace::Ctx ctx = req.ctx;
-    auto& tr = trace::tracer();
     co_await outstanding_.acquire();
     inflight_g_.set(static_cast<std::int64_t>(max_outstanding_ - outstanding_.available()));
     // eventfd doorbell write, translated by the guest vRead driver.
@@ -150,13 +149,10 @@ class ShmChannel {
                                  hw::CycleCategory::kInterrupt, ctx);
         // Copy: shared-memory ring -> application buffer (the second of
         // vRead's two standing copies).
-        const sim::SimTime c0 = guest_.host().sim().now();
+        const trace::Scope copy =
+            trace::Scope::copy(ctx, "copy ring->app", guest_.vcpu_tid(), c.data.size());
         co_await guest_.run_vcpu(cm_.copy_cost(c.data.size()),
                                  hw::CycleCategory::kVreadBufferCopy, ctx);
-        if (tr.enabled())
-          tr.record(ctx, trace::SpanKind::kCopy, "copy ring->app",
-                    static_cast<int>(guest_.vcpu_tid()), c0, guest_.host().sim().now(),
-                    c.data.size());
         out.data.append(c.data);
         slots_.release(used);
         ring_depth_g_.set(
@@ -196,7 +192,6 @@ class ShmChannel {
                          std::int64_t status, std::uint64_t vfd, mem::Buffer data,
                          bool last, bool charge_copy = true, trace::Ctx ctx = {}) {
     hw::CpuScheduler& cpu = guest_.host().cpu();
-    auto& tr = trace::tracer();
     if (data.empty()) {
       co_await cpu.consume(daemon_tid, cm_.doorbell_host, hw::CycleCategory::kInterrupt,
                            ctx);
@@ -211,15 +206,15 @@ class ShmChannel {
       const std::uint64_t n = std::min<std::uint64_t>(max_chunk, data.size() - offset);
       const std::uint64_t used = slots_for(n);
       const sim::SimTime w0 = guest_.host().sim().now();
-      co_await slots_.acquire(used);
+      {
+        // Ring-full backpressure: the guest has not drained earlier chunks.
+        const trace::Scope wait = trace::Scope::wait(ctx, "shm-ring-full", daemon_tid);
+        co_await slots_.acquire(used);
+      }
       const sim::SimTime waited = guest_.host().sim().now() - w0;
       if (waited > 0) {
-        // Ring-full backpressure: the guest has not drained earlier chunks.
         slot_waits_.inc();
         ring_wait_ns_.observe(static_cast<std::uint64_t>(waited));
-        if (tr.enabled())
-          tr.record(ctx, trace::SpanKind::kSyncWait, "shm-ring-full",
-                    static_cast<int>(daemon_tid), w0, guest_.host().sim().now());
       }
       ring_depth_g_.set(
           static_cast<std::int64_t>(cm_.shm_slot_count - slots_.available()));
@@ -228,12 +223,9 @@ class ShmChannel {
       if (charge_copy) {
         // Copy: daemon buffer -> shared-memory ring (the first of vRead's
         // two standing copies; RDMA DMAs into the ring and skips it).
-        const sim::SimTime c0 = guest_.host().sim().now();
+        const trace::Scope copy = trace::Scope::copy(ctx, "copy daemon->ring", daemon_tid, n);
         co_await cpu.consume(daemon_tid, cm_.copy_cost(n),
                              hw::CycleCategory::kVreadBufferCopy, ctx);
-        if (tr.enabled())
-          tr.record(ctx, trace::SpanKind::kCopy, "copy daemon->ring",
-                    static_cast<int>(daemon_tid), c0, guest_.host().sim().now(), n);
       }
       co_await cpu.consume(daemon_tid, cm_.doorbell_host,
                            hw::CycleCategory::kInterrupt, ctx);
@@ -251,10 +243,7 @@ class ShmChannel {
   }
 
   std::uint64_t free_slots() const { return slots_.available(); }
-  std::uint64_t timeouts() const { return timeouts_.value(); }
-  std::uint64_t slot_waits() const { return slot_waits_.value(); }
   // In-flight request accounting (the vread_shm_inflight series).
-  std::size_t max_outstanding() const { return max_outstanding_; }
   std::uint64_t inflight() const { return max_outstanding_ - outstanding_.available(); }
   std::int64_t inflight_high() const { return inflight_g_.high(); }
 

@@ -22,18 +22,17 @@ Vm::Vm(Host& host, std::string name)
       vcpu_mutex_(host.sim(), 1),
       image_(std::make_shared<fs::DiskImage>(kDiskBytes)),
       fs_(std::make_unique<fs::SimFs>(fs::SimFs::format(image_))),
-      guest_cache_(kGuestCacheBytes) {}
+      guest_cache_(kGuestCacheBytes),
+      runq_track_{name_ + " vcpu-runq", name_},
+      virtio_track_{name_ + " virtio-blk", name_} {}
 
 sim::Task Vm::run_vcpu(sim::Cycles cycles, CycleCategory cat, trace::Ctx ctx) {
-  auto& tr = trace::tracer();
-  const sim::SimTime t0 = host_.sim().now();
-  co_await vcpu_mutex_.acquire();
-  if (tr.enabled() && host_.sim().now() > t0) {
+  {
     // Waiting for the single vCPU (another guest thread holds it) is VM
     // synchronization delay; it goes on a per-VM track because waits can
     // straddle the holder's bursts on the vCPU thread itself.
-    tr.record(ctx, trace::SpanKind::kSyncWait, "vcpu-mutex",
-              tr.track(name_ + " vcpu-runq", name_), t0, host_.sim().now());
+    const trace::Scope wait = trace::Scope::wait(ctx, "vcpu-mutex", runq_track_);
+    co_await vcpu_mutex_.acquire();
   }
   co_await host_.cpu().consume(vcpu_, cycles, cat, ctx);
   vcpu_mutex_.release();
@@ -44,24 +43,14 @@ sim::Task Vm::guest_readahead_task(std::shared_ptr<RaState> ra, std::uint32_t in
   // Async readahead issued by the guest block layer: device time plus the
   // per-command virtio-blk round trips. Spans attribute to the read that
   // kicked the window, even if a later read consumes the bytes.
-  auto& tr = trace::tracer();
   const std::uint64_t missing = guest_cache_.miss_bytes(inode, begin, end - begin);
   if (missing > 0) {
     const hw::CostModel& cm = host_.costs();
-    const sim::SimTime d0 = host_.sim().now();
-    co_await host_.disk().read(missing);
-    if (tr.enabled())
-      tr.record(ctx, trace::SpanKind::kDisk, "disk-read",
-                tr.track(host_.name() + " disk", host_.name()), d0, host_.sim().now(),
-                missing);
+    co_await host_.disk().read(missing, ctx);
     const std::uint64_t cmds =
         (missing + cm.virtio_blk_cmd_bytes - 1) / cm.virtio_blk_cmd_bytes;
-    const sim::SimTime c0 = host_.sim().now();
+    const trace::Scope copy = trace::Scope::copy(ctx, "copy virtio-blk", virtio_track_, missing);
     co_await host_.sim().delay(cm.virtio_blk_cmd_latency * static_cast<sim::SimTime>(cmds));
-    if (tr.enabled())
-      tr.record(ctx, trace::SpanKind::kCopy, "copy virtio-blk",
-                tr.track(name_ + " virtio-blk", name_), c0, host_.sim().now(),
-                missing);
   }
   guest_cache_.fill(inode, begin, end - begin);
   ra->done = std::max(ra->done, end);
@@ -96,28 +85,20 @@ sim::Task Vm::ensure_guest_resident(std::uint32_t inode, std::uint64_t offset,
                       CycleCategory::kVirtioCopy, ctx);
     sim::Event done(host_.sim());
     io_thread_->submit([this, missing, &cm, &done, ctx]() -> sim::Task {
-      auto& tr = trace::tracer();
       co_await host_.cpu().consume(
           io_thread_->tid(), cm.blk_per_request + cm.blk_per_page * cm.pages(missing),
           CycleCategory::kDiskRead, ctx);
-      const sim::SimTime d0 = host_.sim().now();
-      co_await host_.disk().read(missing);
-      if (tr.enabled())
-        tr.record(ctx, trace::SpanKind::kDisk, "disk-read",
-                  tr.track(host_.name() + " disk", host_.name()), d0, host_.sim().now(),
-                  missing);
+      co_await host_.disk().read(missing, ctx);
       // Per-command virtio-blk round-trip latency (QD1, cache=none).
       const std::uint64_t cmds =
           (missing + cm.virtio_blk_cmd_bytes - 1) / cm.virtio_blk_cmd_bytes;
       co_await host_.sim().delay(cm.virtio_blk_cmd_latency * static_cast<sim::SimTime>(cmds));
-      const sim::SimTime c0 = host_.sim().now();
-      co_await host_.cpu().consume(io_thread_->tid(), cm.copy_cost(missing),
-                                   CycleCategory::kVirtioCopy, ctx);
       // First of the vanilla path's five per-byte copies (Fig. 2): DMA'd
       // disk data lands in guest memory through the virtio-blk vqueue.
-      if (tr.enabled())
-        tr.record(ctx, trace::SpanKind::kCopy, "copy virtio-blk",
-                  static_cast<int>(io_thread_->tid()), c0, host_.sim().now(), missing);
+      const trace::Scope copy =
+          trace::Scope::copy(ctx, "copy virtio-blk", io_thread_->tid(), missing);
+      co_await host_.cpu().consume(io_thread_->tid(), cm.copy_cost(missing),
+                                   CycleCategory::kVirtioCopy, ctx);
       done.set();
     });
     co_await done.wait();
@@ -151,12 +132,8 @@ sim::Task Vm::fs_read(std::uint32_t inode, std::uint64_t offset, std::uint64_t l
 
   if (copy_to_app) {
     // Kernel buffer -> application buffer copy, charged to the app.
-    auto& tr = trace::tracer();
-    const sim::SimTime c0 = host_.sim().now();
+    const trace::Scope copy = trace::Scope::copy(ctx, "copy kernel->app", vcpu_, out.size());
     co_await run_vcpu(cm.copy_cost(out.size()), app_cat, ctx);
-    if (tr.enabled())
-      tr.record(ctx, trace::SpanKind::kCopy, "copy kernel->app", static_cast<int>(vcpu_),
-                c0, host_.sim().now(), out.size());
   }
 }
 

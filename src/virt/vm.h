@@ -99,6 +99,10 @@ class Vm {
   std::unique_ptr<fs::SimFs> fs_;
   mem::PageCache guest_cache_;
   std::unordered_map<std::uint32_t, std::shared_ptr<RaState>> ra_;
+  // Trace tracks: waits for the single vCPU, and readahead's virtio-blk
+  // round trips (neither runs on one thread).
+  trace::TrackName runq_track_;
+  trace::TrackName virtio_track_;
 };
 
 }  // namespace vread::virt

@@ -14,7 +14,6 @@ TcpConn::TcpConn(VirtualNetwork& net, Vm& initiator, Vm& acceptor,
 sim::Task TcpConn::send(int side, mem::Buffer data, CycleCategory copy_cat,
                         bool from_app_buffer, trace::Ctx ctx) {
   const hw::CostModel& cm = net_.costs_;
-  auto& tr = trace::tracer();
   Vm& self = vm_of(side);
   const int from = side;
   const int to = 1 - from;
@@ -28,19 +27,13 @@ sim::Task TcpConn::send(int side, mem::Buffer data, CycleCategory copy_cat,
     co_await self.run_vcpu(cm.tcp_tx_per_segment, CycleCategory::kGuestNetTx, ctx);
     if (from_app_buffer) {
       // Copy: app buffer -> kernel socket buffer (skipped by sendfile).
-      const sim::SimTime c0 = net_.sim_.now();
+      const trace::Scope copy = trace::Scope::copy(ctx, "copy app->skb", self.vcpu_tid(), n);
       co_await self.run_vcpu(cm.copy_cost(n), copy_cat, ctx);
-      if (tr.enabled())
-        tr.record(ctx, trace::SpanKind::kCopy, "copy app->skb",
-                  static_cast<int>(self.vcpu_tid()), c0, net_.sim_.now(), n);
     }
     // Copy: socket buffer -> virtio TX ring, plus vqueue descriptor work.
-    const sim::SimTime c1 = net_.sim_.now();
+    const trace::Scope copy = trace::Scope::copy(ctx, "copy skb->tx-ring", self.vcpu_tid(), n);
     co_await self.run_vcpu(cm.virtio_per_segment + cm.copy_cost(n),
                            CycleCategory::kVirtioCopy, ctx);
-    if (tr.enabled())
-      tr.record(ctx, trace::SpanKind::kCopy, "copy skb->tx-ring",
-                static_cast<int>(self.vcpu_tid()), c1, net_.sim_.now(), n);
 
     Segment seg;
     seg.data = data.slice(offset, n);
@@ -54,13 +47,9 @@ sim::Task TcpConn::send(int side, mem::Buffer data, CycleCategory copy_cat,
 
 sim::Task TcpConn::wire_hop(hw::HostId src, std::uint64_t bytes, Vm* receiver,
                             std::shared_ptr<Segment> seg, int to_side) {
-  auto& tr = trace::tracer();
-  const trace::Ctx ctx = seg->ctx;
-  const sim::SimTime t0 = net_.sim_.now();
+  const trace::Scope wire = trace::Scope::after(seg->ctx, trace::SpanKind::kTransport,
+                                                "lan-wire", net_.lan_.wire_track(), bytes);
   co_await net_.lan_.transfer(src, receiver->host().lan_id(), bytes);
-  if (tr.enabled())
-    tr.record(ctx, trace::SpanKind::kTransport, "lan-wire", tr.track("lan-wire", "lan"),
-              t0, net_.sim_.now(), bytes);
   deliver_via_receiver_vhost(*receiver, std::move(seg), to_side, /*from_wire=*/true);
 }
 
@@ -77,15 +66,14 @@ void TcpConn::transmit(int from_side, Segment seg) {
   auto seg_ptr = std::make_shared<Segment>(std::move(seg));
   sender->io_thread().submit(
       [this, sender, receiver, seg_ptr, n, &cm, same_host, to_side]() -> sim::Task {
-        auto& tr = trace::tracer();
         const trace::Ctx ctx = seg_ptr->ctx;
-        const sim::SimTime c0 = net_.sim_.now();
-        co_await sender->host().cpu().consume(sender->io_thread().tid(),
-                                              cm.vhost_per_segment + cm.copy_cost(n),
-                                              CycleCategory::kVhostNet, ctx);
-        if (tr.enabled() && n > 0)
-          tr.record(ctx, trace::SpanKind::kCopy, "copy vhost-pull",
-                    static_cast<int>(sender->io_thread().tid()), c0, net_.sim_.now(), n);
+        {
+          const trace::Scope copy = trace::Scope::copy(
+              ctx, "copy vhost-pull", sender->io_thread().tid(), n);
+          co_await sender->host().cpu().consume(sender->io_thread().tid(),
+                                                cm.vhost_per_segment + cm.copy_cost(n),
+                                                CycleCategory::kVhostNet, ctx);
+        }
         if (same_host) {
           // Bridge delivery straight to the receiver VM's vhost thread.
           deliver_via_receiver_vhost(*receiver, seg_ptr, to_side, /*from_wire=*/false);
@@ -108,7 +96,6 @@ void TcpConn::deliver_via_receiver_vhost(Vm& receiver, std::shared_ptr<Segment> 
   const bool shm_path = net_.intervm_shm_ && !from_wire;
   recv->io_thread().submit(
       [this, recv, seg, to_side, n, &cm, from_wire, shm_path]() -> sim::Task {
-        auto& tr = trace::tracer();
         const trace::Ctx ctx = seg->ctx;
         if (from_wire) {
           // Host kernel RX processing for traffic arriving off the NIC.
@@ -123,12 +110,10 @@ void TcpConn::deliver_via_receiver_vhost(Vm& receiver, std::shared_ptr<Segment> 
                                             cm.vhost_per_segment,
                                             CycleCategory::kVhostNet, ctx);
         if (!shm_path) {
-          const sim::SimTime c0 = net_.sim_.now();
+          const trace::Scope copy = trace::Scope::copy(
+              ctx, "copy vhost->rx-ring", recv->io_thread().tid(), n);
           co_await recv->host().cpu().consume(recv->io_thread().tid(), cm.copy_cost(n),
                                               CycleCategory::kVirtioCopy, ctx);
-          if (tr.enabled() && n > 0)
-            tr.record(ctx, trace::SpanKind::kCopy, "copy vhost->rx-ring",
-                      static_cast<int>(recv->io_thread().tid()), c0, net_.sim_.now(), n);
         }
         enqueue_rx(to_side, std::move(*seg));
       });
@@ -147,7 +132,6 @@ void TcpConn::enqueue_rx(int to_side, Segment seg) {
 sim::Task TcpConn::recv_loop(int my_side, std::uint64_t want, bool exact,
                              mem::Buffer& out, CycleCategory copy_cat, trace::Ctx ctx) {
   const hw::CostModel& cm = net_.costs_;
-  auto& tr = trace::tracer();
   Vm& self = vm_of(my_side);
   Side& side = *sides_[static_cast<std::size_t>(my_side)];
   out = mem::Buffer();
@@ -173,11 +157,8 @@ sim::Task TcpConn::recv_loop(int my_side, std::uint64_t want, bool exact,
     const std::uint64_t avail = seg.data.size() - seg.consumed;
     const std::uint64_t take = std::min(avail, want - out.size());
     // Copy: kernel socket buffer -> application buffer.
-    const sim::SimTime c0 = net_.sim_.now();
+    const trace::Scope copy = trace::Scope::copy(ctx, "copy skb->app", self.vcpu_tid(), take);
     co_await self.run_vcpu(cm.copy_cost(take), copy_cat, ctx);
-    if (tr.enabled())
-      tr.record(ctx, trace::SpanKind::kCopy, "copy skb->app",
-                static_cast<int>(self.vcpu_tid()), c0, net_.sim_.now(), take);
     out.append(seg.data.slice(seg.consumed, take));
     seg.consumed += take;
     side.window_sem.release(take);

@@ -85,24 +85,15 @@ sim::Task timed_transfer(sim::Simulation& sim, hw::Lan& lan, hw::HostId src,
   *done = sim.now();
 }
 
-sim::Task timed_egress(sim::Simulation& sim, hw::Lan& lan, hw::HostId src,
-                       std::uint64_t bytes, sim::SimTime* done) {
-  co_await lan.transfer(src, bytes);
-  *done = sim.now();
-}
-
 TEST(RackLan, FlatThreeArgTransferMatchesLegacyEgressTiming) {
-  // Without racks the destination-aware path is exactly the old
-  // single-NIC egress hop — same bytes, same arrival time.
+  // Without racks the destination-aware path is exactly the single-NIC
+  // egress hop: same bytes, same arrival time as one link scheduled alone.
   sim::Simulation sim;
-  hw::Lan legacy(sim);
   hw::Lan flat(sim);
-  for (int i = 0; i < 2; ++i) {
-    legacy.add_host();
-    flat.add_host();
-  }
-  sim::SimTime t_legacy = 0, t_flat = 0;
-  sim.spawn(timed_egress(sim, legacy, 0, 8 << 20, &t_legacy));
+  for (int i = 0; i < 2; ++i) flat.add_host();
+  hw::NetworkLink legacy(hw::NetworkLink::Config{});
+  const sim::SimTime t_legacy = legacy.schedule_at(0, 8 << 20);
+  sim::SimTime t_flat = 0;
   sim.spawn(timed_transfer(sim, flat, 0, 1, 8 << 20, &t_flat));
   sim.run();
   ASSERT_GT(t_legacy, 0);

@@ -143,13 +143,13 @@ TEST(WorkerThread, JobsRunSeriallyInSubmitOrder) {
 
 sim::Task disk_read_proc(Disk& disk, std::uint64_t bytes, sim::Simulation& sim,
                          SimTime& done) {
-  co_await disk.read(bytes);
+  co_await disk.read(bytes, {});
   done = sim.now();
 }
 
 TEST(Disk, ReadTimeIsLatencyPlusTransfer) {
   sim::Simulation s;
-  Disk disk(s, {.read_bw_mbps = 400.0, .read_latency = us(80)});
+  Disk disk(s, Disk::Config{.read_bw_mbps = 400.0, .read_latency = us(80)});
   SimTime done = -1;
   // 4 MB at 400 MB/s = 10 ms, plus 80 us latency.
   s.spawn(disk_read_proc(disk, 4'000'000, s, done));
@@ -159,7 +159,7 @@ TEST(Disk, ReadTimeIsLatencyPlusTransfer) {
 
 TEST(Disk, RequestsSerializeFifo) {
   sim::Simulation s;
-  Disk disk(s, {.read_bw_mbps = 100.0, .read_latency = us(100)});
+  Disk disk(s, Disk::Config{.read_bw_mbps = 100.0, .read_latency = us(100)});
   SimTime d1 = -1, d2 = -1;
   s.spawn(disk_read_proc(disk, 1'000'000, s, d1));  // 10 ms + 0.1
   s.spawn(disk_read_proc(disk, 1'000'000, s, d2));  // queued behind
@@ -172,7 +172,7 @@ TEST(Disk, RequestsSerializeFifo) {
 
 TEST(Disk, WriteUsesWriteBandwidth) {
   sim::Simulation s;
-  Disk disk(s, {.write_bw_mbps = 200.0, .write_latency = us(50)});
+  Disk disk(s, Disk::Config{.write_bw_mbps = 200.0, .write_latency = us(50)});
   SimTime done = -1;
   auto proc = [](Disk& d, sim::Simulation& sm, SimTime& out) -> sim::Task {
     co_await d.write(2'000'000);
@@ -184,31 +184,20 @@ TEST(Disk, WriteUsesWriteBandwidth) {
   EXPECT_EQ(disk.bytes_written(), 2'000'000u);
 }
 
-sim::Task link_xfer(NetworkLink& link, std::uint64_t bytes, sim::Simulation& sim,
-                    SimTime& done) {
-  co_await link.transfer(bytes);
-  done = sim.now();
-}
-
 TEST(NetworkLink, TransferTimeMatchesBandwidthPlusPropagation) {
-  sim::Simulation s;
-  NetworkLink link(s, {.bw_gbps = 10.0, .propagation = us(30)});
-  SimTime done = -1;
+  NetworkLink link({.bw_gbps = 10.0, .propagation = us(30)});
   // 1.25 MB at 10 Gbps (1.25 GB/s) = 1 ms.
-  s.spawn(link_xfer(link, 1'250'000, s, done));
-  s.run();
-  EXPECT_EQ(done, ms(1) + us(30));
+  EXPECT_EQ(link.schedule_at(0, 1'250'000), ms(1) + us(30));
+  EXPECT_EQ(link.bytes_sent(), 1'250'000u);
 }
 
 TEST(NetworkLink, SenderSerializesButPropagationOverlaps) {
-  sim::Simulation s;
-  NetworkLink link(s, {.bw_gbps = 10.0, .propagation = us(30)});
-  SimTime d1 = -1, d2 = -1;
-  s.spawn(link_xfer(link, 1'250'000, s, d1));
-  s.spawn(link_xfer(link, 1'250'000, s, d2));
-  s.run();
-  EXPECT_EQ(d1, ms(1) + us(30));
-  EXPECT_EQ(d2, ms(2) + us(30));  // serialized on the wire, not the latency
+  NetworkLink link({.bw_gbps = 10.0, .propagation = us(30)});
+  EXPECT_EQ(link.schedule_at(0, 1'250'000), ms(1) + us(30));
+  // Serialized on the wire, not the latency.
+  EXPECT_EQ(link.schedule_at(0, 1'250'000), ms(2) + us(30));
+  // A hop that may not start before its predecessor landed starts then.
+  EXPECT_EQ(link.schedule_at(ms(5), 1'250'000), ms(6) + us(30));
 }
 
 TEST(Lan, HostsGetIndependentEgressLinks) {
@@ -217,33 +206,17 @@ TEST(Lan, HostsGetIndependentEgressLinks) {
   HostId h1 = lan.add_host();
   HostId h2 = lan.add_host();
   SimTime d1 = -1, d2 = -1;
-  auto xfer = [](Lan& l, HostId src, sim::Simulation& sm, SimTime& out) -> sim::Task {
-    co_await l.transfer(src, 1'250'000);
+  auto xfer = [](Lan& l, HostId src, HostId dst, sim::Simulation& sm,
+                 SimTime& out) -> sim::Task {
+    co_await l.transfer(src, dst, 1'250'000);
     out = sm.now();
   };
-  s.spawn(xfer(lan, h1, s, d1));
-  s.spawn(xfer(lan, h2, s, d2));
+  s.spawn(xfer(lan, h1, h2, s, d1));
+  s.spawn(xfer(lan, h2, h1, s, d2));
   s.run();
   // Different NICs: both complete in parallel.
   EXPECT_EQ(d1, ms(1) + us(30));
   EXPECT_EQ(d2, ms(1) + us(30));
-}
-
-TEST(RdmaNic, PayloadRidesTheWire) {
-  sim::Simulation s;
-  Lan lan(s, {.bw_gbps = 10.0, .propagation = us(30)});
-  HostId h1 = lan.add_host();
-  lan.add_host();
-  RdmaNic nic(lan, h1);
-  SimTime done = -1;
-  auto xfer = [](RdmaNic& n, sim::Simulation& sm, SimTime& out) -> sim::Task {
-    co_await n.post_write(1'250'000);
-    out = sm.now();
-  };
-  s.spawn(xfer(nic, s, done));
-  s.run();
-  EXPECT_EQ(done, ms(1) + us(30));
-  EXPECT_EQ(nic.work_requests(), 1u);
 }
 
 TEST(CostModel, Helpers) {

@@ -47,7 +47,7 @@ using testutil::RegistryGuard;
 sim::Task issue_reads(sim::Simulation* sim, hw::Disk* d, int n, std::uint64_t bytes,
                       std::vector<sim::SimTime>* completions) {
   for (int i = 0; i < n; ++i) {
-    co_await d->read(bytes);
+    co_await d->read(bytes, {});
     completions->push_back(sim->now());
   }
 }
@@ -55,13 +55,13 @@ sim::Task issue_reads(sim::Simulation* sim, hw::Disk* d, int n, std::uint64_t by
 // One concurrent read; records its completion into a fixed slot.
 sim::Task one_read(sim::Simulation* sim, hw::Disk* d, std::uint64_t bytes,
                    std::vector<sim::SimTime>* out, std::size_t slot) {
-  co_await d->read(bytes);
+  co_await d->read(bytes, {});
   (*out)[slot] = sim->now();
 }
 
 sim::Task write_then_read(hw::Disk* d) {
   co_await d->write(4096);
-  co_await d->read(64 * 1024);
+  co_await d->read(64 * 1024, {});
 }
 
 TEST(DiskVariability, DisabledModelIsBitIdenticalToBaseline) {

@@ -21,6 +21,9 @@ Checks, over every tracked *.md file:
      (a designated initializer, a member assignment or a container insert
      in src/, bench/, tools/, tests/, examples/ or benchmark/), so an
      option that only ever keeps its default becomes a constant instead.
+     A setter counts only for the struct its receiver's type resolves to.
+
+`--self-test` runs check 5 on a synthetic tree instead.
 
 Exit code 0 = clean; 1 = problems (all printed).
 """
@@ -190,10 +193,10 @@ CONFIG_STRUCTS = [
     ("src/core/qos.h", "QosConfig"),
     ("src/core/peer_cache.h", "PeerCacheConfig"),
     ("src/apps/cluster.h", "ClusterConfig"),
-    ("src/hw/network.h", "Config"),      # NetworkLink::Config
-    ("src/hw/network.h", "RackConfig"),  # Lan::RackConfig
-    ("src/hw/disk.h", "Config"),         # Disk::Config
-    ("src/hw/disk.h", "Variability"),    # Disk::Variability
+    ("src/hw/network.h", "NetworkLink::Config"),
+    ("src/hw/network.h", "Lan::RackConfig"),
+    ("src/hw/disk.h", "Disk::Config"),
+    ("src/hw/disk.h", "Disk::Variability"),
     ("src/hdfs/dfs_client.h", "HedgeConfig"),
     ("src/cluster/topology.h", "TopologyConfig"),
     ("src/cluster/route.h", "RouteConfig"),
@@ -261,7 +264,7 @@ def check_config_docs(problems):
         if not path.exists():
             problems.append(f"{rel}: missing (config-knob check for {struct})")
             continue
-        body = struct_body(strip_comments(path.read_text()), struct)
+        body = struct_body(strip_comments(path.read_text()), struct.split("::")[-1])
         if body is None:
             problems.append(f"{rel}: struct {struct} not found (config-knob check)")
             continue
@@ -276,6 +279,13 @@ def check_config_docs(problems):
 # (`.field = v`, `.field{v}`), assigns it (`x.field = v`, `p->field += v`)
 # or inserts into it (`x.field[k] = v`, `x.field.emplace(...)`) — directly
 # or through one of its own members (`cfg.topo.racks = 4` sets `topo`).
+# A setter counts for a struct only when the object it names resolves to
+# that struct's type: the receiver's declaration (nearest one before the
+# use, else a member declared in the file or its header), a member chain
+# through config-struct fields, or the braced initializer's spelled type.
+# A setter whose type cannot be resolved (an `auto` receiver, a braced
+# function argument) counts for no struct, so a same-named field of
+# another struct can never hide a field that nothing sets.
 SETTER_DIRS = ("src", "bench", "tools", "tests", "examples", "benchmark")
 SETTER_RE = (
     r"(?:\.|->)\s*{f}(?:\s*\.\s*\w+)*\s*(?:"
@@ -284,6 +294,133 @@ SETTER_RE = (
     r"|\[[^\]\n]*\]\s*=(?!=)"
     r"|\.\s*(?:insert|insert_or_assign|emplace|try_emplace|push_back|emplace_back)\s*\()"
 )
+NOT_A_TYPE = {"return", "co_return", "co_await", "co_yield", "throw", "new", "delete",
+              "else", "case", "const", "typename", "struct", "class", "using", "auto"}
+RECEIVER_RE = re.compile(r"([A-Za-z_]\w*(?:\s*(?:\.|->)\s*[A-Za-z_]\w*)*)\s*$")
+
+
+def type_matches(spelled, key):
+    """`hw::Disk::Config` names the struct listed as `Disk::Config`."""
+    return spelled == key or spelled.endswith("::" + key)
+
+
+def field_types(body):
+    """{field: spelled type} for a struct body's own data members."""
+    types = {}
+    for field in struct_fields(body):
+        m = re.search(r"([A-Za-z_][\w:]*)(?:\s*<[^;]*>)?[\s*&]+" + re.escape(field)
+                      + r"\s*(?:[;={]|$)", body, re.M)
+        if m:
+            types[field] = m.group(1)
+    return types
+
+
+def declared_type(name, texts, before):
+    """Spelled type of variable `name`: its nearest declaration before
+    offset `before` in texts[0], else any declaration in texts."""
+    decl = re.compile(r"(?<![\w.>])((?:[A-Za-z_]\w*::)*[A-Za-z_]\w*)(?:\s*<[^;{}()]*?>)?"
+                      r"(?:\s+|\s*[&*]+\s*)" + re.escape(name) + r"\b(?=\s*[;,={)\[])")
+    found = [m for m in decl.finditer(texts[0][:before])]
+    for text in texts:
+        if found:
+            break
+        found = list(decl.finditer(text))
+    for m in reversed(found):
+        if m.group(1).split("::")[-1] not in NOT_A_TYPE:
+            return m.group(1)
+        if m.group(1) == "auto":
+            return None
+    return None
+
+
+class SetterResolver:
+    """Resolves the struct type a setter site writes into."""
+
+    def __init__(self, structs):
+        # structs: [(key, body)] of the config structs
+        self.fields = {key: field_types(body) for key, body in structs}
+
+    def struct_of(self, spelled):
+        for key in self.fields:
+            if spelled is not None and type_matches(spelled, key):
+                return key
+        return None
+
+    def chain_type(self, chain, texts, pos):
+        parts = re.split(r"\s*(?:\.|->)\s*", chain)
+        spelled = declared_type(parts[0], texts, pos)
+        for member in parts[1:]:
+            key = self.struct_of(spelled)
+            spelled = self.fields[key].get(member) if key else None
+        return spelled
+
+    def brace_type(self, text, brace, texts):
+        """Spelled type of the braced list opening at offset `brace`."""
+        head = text[:brace].rstrip()
+        m = re.search(r"(?:\.|->)\s*(\w+)\s*=?\s*$", head)
+        if m and not re.search(r"[\w)\]]\s*(?:\.|->)\s*\w+\s*=?\s*$", head[:m.end()]):
+            # nested designated initializer: `.field = {` / `.field{`
+            key = self.struct_of(self.enclosing_type(text, m.start(), texts))
+            return self.fields[key].get(m.group(1)) if key else None
+        m = re.search(r"([A-Za-z_][\w.>-]*)\s*=\s*$", head)
+        if m:
+            return self.chain_type(m.group(1).replace("->", "."), texts, m.start())
+        m = re.search(r"((?:[A-Za-z_]\w*::)*[A-Za-z_]\w*)(?:\s*<[^;{}()]*>)?"
+                      r"(?:\s+[A-Za-z_]\w*)?\s*$", head)
+        if m and m.group(1).split("::")[-1] not in NOT_A_TYPE:
+            return m.group(1)
+        return None
+
+    def enclosing_type(self, text, pos, texts):
+        depth = 0
+        for i in range(pos - 1, -1, -1):
+            ch = text[i]
+            if ch in ")]}":
+                depth += 1
+            elif ch in "([{":
+                if depth == 0:
+                    return self.brace_type(text, i, texts) if ch == "{" else None
+                depth -= 1
+        return None
+
+    def target(self, text, m, texts):
+        """Config struct written by the setter match `m`, or None."""
+        head = text[:m.start()].rstrip()
+        if text[m.start()] == "." and head.endswith(("{", ",")):
+            return self.struct_of(self.enclosing_type(text, m.start(), texts))
+        r = RECEIVER_RE.search(head)
+        if not r:
+            return None
+        return self.struct_of(self.chain_type(r.group(1), texts, r.start()))
+
+
+def unset_fields(structs, sources):
+    """[(header, key, field)] for every field of `structs` (header, key,
+    text) that no code in `sources` ([(path, text)]) outside its header
+    sets."""
+    bodies = [(key, struct_body(strip_comments(text), key.split("::")[-1]))
+              for _, key, text in structs]
+    resolver = SetterResolver([(k, b) for k, b in bodies if b is not None])
+    texts = {p: t for p, t in sources}
+    unset = []
+    for (header, key, _), (_, body) in zip(structs, bodies):
+        if body is None:
+            continue
+        for field in struct_fields(body):
+            setter = re.compile(SETTER_RE.format(f=re.escape(field)))
+            hit = False
+            for p, text in sources:
+                if p == header:
+                    continue
+                pair = texts.get(p.with_suffix(".h")) if p.suffix != ".h" else None
+                scope = [text] + ([pair] if pair else [])
+                if any(resolver.target(text, m, scope) == key
+                       for m in setter.finditer(text)):
+                    hit = True
+                    break
+            if not hit:
+                unset.append((header, key, field))
+    return unset
 
 
 def check_config_setters(problems):
@@ -292,23 +429,59 @@ def check_config_setters(problems):
         for p in sorted((ROOT / sub).rglob("*")):
             if p.suffix in (".h", ".cc", ".cpp"):
                 sources.append((p, strip_comments(p.read_text())))
-    for rel, struct in CONFIG_STRUCTS:
-        path = ROOT / rel
-        if not path.exists():
-            continue  # reported by check_config_docs
-        body = struct_body(strip_comments(path.read_text()), struct)
-        if body is None:
-            continue
-        for field in struct_fields(body):
-            setter = re.compile(SETTER_RE.format(f=re.escape(field)))
-            if not any(p != path and setter.search(text) for p, text in sources):
-                problems.append(
-                    f"{rel}: {struct}::{field} is set by no code outside its header "
-                    f"(make it a constant)"
-                )
+    structs = [(ROOT / rel, key, (ROOT / rel).read_text())
+               for rel, key in CONFIG_STRUCTS if (ROOT / rel).exists()]
+    for header, key, field in unset_fields(structs, sources):
+        problems.append(
+            f"{header.relative_to(ROOT)}: {key}::{field} is set by no code outside its "
+            f"header (make it a constant)"
+        )
+
+
+def self_test():
+    """Check 5 on a synthetic tree: each case names the fields it must
+    report as never set."""
+    header = pathlib.Path("cfg.h")
+    text = """
+        struct AConfig { int seed = 1; int rate = 2; };
+        struct BConfig { int seed = 3; };
+        struct CConfig { AConfig a{}; int depth = 4; };
+    """
+    structs = [(header, key, text) for key in ("AConfig", "BConfig", "CConfig")]
+    cases = [
+        # A same-named field of another struct no longer hides A::seed.
+        ("BConfig b; b.seed = 5; AConfig a; a.rate = 6; CConfig c; c.a = {}; c.depth = 1;",
+         {"AConfig::seed"}),
+        # The nearest declaration before the use decides the receiver's type.
+        ("void f() { AConfig cfg; cfg.rate = 1; }\n"
+         "void g() { BConfig cfg; cfg.seed = 2; }\n"
+         "void h(CConfig& c) { c.a.seed = 3; c.depth = 4; }",
+         set()),
+        # Braced lists count when their type is spelled, nested ones too.
+        ("auto c = CConfig{.a = {.seed = 1, .rate = 2}, .depth = 3}; BConfig b{.seed = 4};",
+         set()),
+        # An untyped braced argument or an auto receiver sets nothing.
+        ("run({.seed = 1}); auto& a = pick(); a.rate = 2; BConfig b; b.seed = 3;"
+         " CConfig c; c.a = {}; c.depth = 1;",
+         {"AConfig::seed", "AConfig::rate"}),
+        # Its own header never counts.
+        ("", {"AConfig::seed", "AConfig::rate", "BConfig::seed", "CConfig::a",
+              "CConfig::depth"}),
+    ]
+    failures = 0
+    for source, want in cases:
+        sources = [(pathlib.Path("use.cc"), source), (header, text)]
+        got = {f"{key}::{field}" for _, key, field in unset_fields(structs, sources)}
+        if got != want:
+            failures += 1
+            print(f"self-test FAIL: {source!r}: reported {sorted(got)}, want {sorted(want)}")
+    print(f"check_docs self-test: {'FAIL' if failures else 'ok'} ({len(cases)} cases)")
+    return 1 if failures else 0
 
 
 def main():
+    if sys.argv[1:] == ["--self-test"]:
+        return self_test()
     problems = []
     targets = cmake_targets()
     if not targets:
