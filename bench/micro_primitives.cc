@@ -221,6 +221,19 @@ void BM_BufferChecksum(benchmark::State& state) {
 }
 BENCHMARK(BM_BufferChecksum);
 
+// The verify-side page digest of a view (every byte hashed, whole pages
+// through the batched kernel), at a block-cache window and a block size.
+void BM_PageDigest(benchmark::State& state) {
+  const auto size = static_cast<std::size_t>(state.range(0));
+  const mem::Buffer b = mem::Buffer::deterministic(10, 0, size);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(b.page_digest());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(size));
+}
+BENCHMARK(BM_PageDigest)->Arg(256 << 10)->Arg(16 << 20);
+
 // A block-cache insert of one 256 KiB window of a 4 MiB image run, in a
 // cache with room for one window: every insert evicts the other key's
 // entry and re-inserts the same view.

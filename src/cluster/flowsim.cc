@@ -4,6 +4,8 @@
 #include <list>
 #include <map>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace vread::cluster {
 namespace {
@@ -34,7 +36,9 @@ class FlowSim {
     const std::uint32_t hosts = topo_.host_count();
     host_names_.reserve(hosts);
     for (std::uint32_t h = 0; h < hosts; ++h) {
-      host_names_.push_back("h" + std::to_string(h));
+      std::string name = "h";
+      name += std::to_string(h);
+      host_names_.push_back(std::move(name));
     }
     shortcut_n_.assign(hosts, 0);
     serve_n_.assign(hosts, 0);
@@ -108,7 +112,11 @@ class FlowSim {
   void attach_obs() {
     using Series = obs::TimeSeriesRecorder::Series;
     obs::TimeSeriesRecorder* o = cfg_.obs;
-    o->set_key_namer([](std::uint64_t k) { return "b" + std::to_string(k); });
+    o->set_key_namer([](std::uint64_t k) {
+      std::string name = "b";
+      name += std::to_string(k);
+      return name;
+    });
     // Series handles are resolved once: the source runs every scrape tick
     // for every rack, and the obs ablation's <3 % wall budget counts
     // every string key it would otherwise rebuild.

@@ -155,7 +155,6 @@ class PeerCacheDirectory {
   bool same_rack(VReadDaemon* a, VReadDaemon* b) const;
 
   // Counters (also exported as vread_peercache_* registry series).
-  std::uint64_t publishes() const { return publishes_.value(); }
   std::uint64_t invalidations() const { return invalidations_.value(); }
   std::uint64_t invalidations_lost() const { return invalidations_lost_.value(); }
   std::uint64_t stale_publish_refusals() const { return stale_publish_.value(); }

@@ -131,7 +131,6 @@ class DfsClient {
 
   // Installs the vRead shortcut (nullptr reverts to vanilla HDFS).
   void set_block_reader(BlockReader* reader) { reader_ = reader; }
-  BlockReader* block_reader() { return reader_; }
 
   // Degradation policy: after a vRead open failure or a read failure that
   // exhausted the library's retries, the client stops probing the shortcut
@@ -422,11 +421,6 @@ class DfsInputStream {
   }
 
   void seek(std::uint64_t pos);
-  sim::Task skip(std::uint64_t n) {
-    seek(pos_ + n);
-    co_return;
-  }
-  std::uint64_t tell() const { return pos_; }
   std::uint64_t size() const { return size_; }
 
   // Closes any open block stream and vRead descriptors.

@@ -95,7 +95,6 @@ class CpuScheduler {
     return static_cast<sim::Cycles>(static_cast<double>(t) * config_.freq_ghz);
   }
 
-  std::size_t runnable() const { return run_queue_.size(); }
   metrics::CycleAccounting& accounting() { return acct_; }
 
  private:

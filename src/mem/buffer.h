@@ -20,16 +20,19 @@
 //  - The block cache digests a view by pages (DESIGN.md §17): its page
 //    digest is the XXH64 of the little-endian XXH64 of each kPage piece,
 //    counted from the view's start (the last piece may be short). It
-//    depends only on the bytes. page_digest() always hashes every byte: it
-//    is the one to *verify* with. remembered_page_digest() may take whole
-//    pages from the slab's memo, one digest per kPage page of the slab,
-//    filled on demand: use it only to *establish* a reference digest. A
-//    shared slab is never written, so its memo is exact; every in-place
-//    write (non-const data(), operator[], append's in-place growth) drops
-//    the memo first. The memo lives in the slab's header, so it dies with
-//    the slab and keeps no slab alive. It is not thread-safe, and needs no
-//    lock: no slab is shared across threads. Copying a Buffer is still
-//    safe across threads (the reference count is atomic).
+//    depends only on the bytes. Whole pages are hashed kPageBatch at a
+//    time by hash_pages() (hasher.h), which gives each page exactly its
+//    Hasher::hash(); only the speed differs from a page-at-a-time loop.
+//    page_digest() always hashes every byte: it is the one to *verify*
+//    with. remembered_page_digest() may take whole pages from the slab's
+//    memo, one digest per kPage page of the slab, filled on demand: use it
+//    only to *establish* a reference digest. A shared slab is never
+//    written, so its memo is exact; every in-place write (non-const
+//    data(), operator[], append's in-place growth) drops the memo first.
+//    The memo lives in the slab's header, so it dies with the slab and
+//    keeps no slab alive. It is not thread-safe, and needs no lock: no
+//    slab is shared across threads. Copying a Buffer is still safe across
+//    threads (the reference count is atomic).
 #pragma once
 
 #include <algorithm>
@@ -221,7 +224,7 @@ class Buffer {
   std::uint64_t checksum() const { return Hasher::hash(data(), len_); }
 
   // The piece size of a page digest.
-  static constexpr std::size_t kPage = 4096;
+  static constexpr std::size_t kPage = kHashPage;
 
   // The page digest of the view, hashing every byte: the digest to verify
   // against.
@@ -278,28 +281,44 @@ class Buffer {
 
   // Hashes each kPage piece of the view, or takes a whole page's digest
   // from `memo` (filling it on a miss) when `memo` is non-null; the view
-  // must then start page-aligned in its slab.
+  // must then start page-aligned in its slab. Whole pages it must hash go
+  // to hash_pages() kPageBatch at a time; the digests fold in page order.
   std::uint64_t digest_pages(detail::DigestMemo* memo) const {
     const std::uint8_t* p = data();
+    const std::size_t whole = len_ / kPage;
+    const std::size_t base = off_ / kPage;  // the first page's memo index
     Hasher outer;
     std::uint64_t hashed = 0;
-    for (std::size_t at = 0; at < len_; at += kPage) {
-      const std::size_t n = std::min(kPage, len_ - at);
-      std::uint64_t d = 0;
-      if (memo != nullptr && n == kPage) {
-        const std::size_t page = (off_ + at) / kPage;
-        if (!memo->known(page)) {
-          memo->remember(page, Hasher::hash(p + at, n));
-          ++hashed;
+    for (std::size_t first = 0; first < whole; first += kPageBatch) {
+      const std::size_t n = std::min(kPageBatch, whole - first);
+      std::uint64_t d[kPageBatch] = {};
+      const std::uint8_t* todo[kPageBatch] = {};
+      std::size_t slot[kPageBatch] = {};
+      std::size_t m = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (memo != nullptr && memo->known(base + first + i)) {
+          d[i] = memo->digest(base + first + i);
+        } else {
+          todo[m] = p + (first + i) * kPage;
+          slot[m++] = i;
         }
-        d = memo->digest(page);
-      } else {
-        d = Hasher::hash(p + at, n);
-        ++hashed;
       }
-      std::uint8_t le[8];
-      store_le64(le, d);
+      std::uint64_t fresh[kPageBatch] = {};
+      hash_pages(todo, m, fresh);
+      for (std::size_t j = 0; j < m; ++j) {
+        d[slot[j]] = fresh[j];
+        if (memo != nullptr) memo->remember(base + first + slot[j], fresh[j]);
+      }
+      hashed += m;
+      std::uint8_t le[8 * kPageBatch] = {};
+      for (std::size_t i = 0; i < n; ++i) store_le64(le + 8 * i, d[i]);
+      outer.update(le, 8 * n);
+    }
+    if (len_ % kPage != 0) {
+      std::uint8_t le[8] = {};
+      store_le64(le, Hasher::hash(p + whole * kPage, len_ % kPage));
       outer.update(le, sizeof le);
+      ++hashed;
     }
     pages_digested_.fetch_add(hashed, std::memory_order_relaxed);
     return outer.digest();

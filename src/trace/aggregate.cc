@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <ostream>
+#include <string>
+#include <utility>
 
 #include "metrics/table.h"
 
@@ -107,7 +109,9 @@ void print_copy_sites(std::ostream& os, const RunSummary& s) {
     double x = s.total.bytes == 0
                    ? 0.0
                    : static_cast<double>(bytes) / static_cast<double>(s.total.bytes);
-    return metrics::num("x" + metrics::fmt(x, 2));
+    std::string cell = "x";
+    cell += metrics::fmt(x, 2);
+    return metrics::num(std::move(cell));
   };
   for (const auto& [site, bytes] : s.total.copy_by_site) {
     t.add_row({site, bytes, per_byte(bytes)});

@@ -78,7 +78,9 @@ TEST(Hasher, DigestIgnoresHowInputIsSplit) {
   Hasher bytewise;
   for (std::size_t i = 0; i < src.size(); ++i) {
     bytewise.update(src.data() + i, 1);
-    if (i == 17) EXPECT_EQ(bytewise.digest(), src.slice(0, 18).checksum());
+    if (i == 17) {
+      EXPECT_EQ(bytewise.digest(), src.slice(0, 18).checksum());
+    }
   }
   EXPECT_EQ(bytewise.digest(), whole);
 }
@@ -91,6 +93,31 @@ TEST(Hasher, UnalignedStartsMatchAlignedCopies) {
       const Buffer copy(view.data(), view.size());  // fresh, aligned slab
       EXPECT_EQ(view.checksum(), copy.checksum()) << start << "+" << len;
     }
+  }
+}
+
+// The batched page kernel gives each page exactly its Hasher::hash, for
+// every batch length, from pages scattered over several slabs at
+// page-aligned and unaligned starts.
+TEST(Hasher, HashPagesEqualsTheHashOfEachPage) {
+  constexpr std::size_t kPerSlab = 20;
+  std::vector<Buffer> slabs;
+  std::vector<const std::uint8_t*> pool;
+  for (std::uint64_t s = 0; s < 3; ++s) {
+    slabs.push_back(Buffer::deterministic(40 + s, 0, (kPerSlab + 1) * kHashPage));
+    for (std::size_t i = 0; i < kPerSlab; ++i) {
+      pool.push_back(slabs.back().data() + i * kHashPage + (i % 4) * 13);
+    }
+  }
+  sim::Rng rng(40);
+  for (std::size_t n = 0; n <= 40; ++n) {
+    for (std::size_t i = pool.size() - 1; i > 0; --i) std::swap(pool[i], pool[rng.uniform(0, i)]);
+    std::vector<std::uint64_t> out(n + 1, 0x5a5a);
+    hash_pages(pool.data(), n, out.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(out[i], Hasher::hash(pool[i], kHashPage)) << "page " << i << " of " << n;
+    }
+    EXPECT_EQ(out[n], 0x5a5au) << n;  // nothing written past the batch
   }
 }
 
@@ -420,6 +447,45 @@ TEST(BufferMemo, AShiftedChopHashesNoWholePageAgain) {
   const std::uint64_t before = Buffer::pages_digested();
   block.slice(1, 2 * Buffer::kPage + 10).remembered_page_digest();  // three pieces
   EXPECT_EQ(Buffer::pages_digested() - before, 3u);
+}
+
+// Random views of 0-70 whole pages plus a short tail, at page-aligned and
+// unaligned starts, over a slab whose memo is partly known: both page
+// digests equal the piece-by-piece reference, and every piece not taken
+// from the memo is counted as hashed.
+TEST(BufferMemo, BatchedPageDigestsMatchThePerPageHash) {
+  constexpr std::size_t kSlabPages = 72;
+  sim::Rng rng(30);
+  for (int trial = 0; trial < 60; ++trial) {
+    const Buffer slab = Buffer::deterministic(30 + trial, 0, kSlabPages * Buffer::kPage);
+    std::vector<bool> known(kSlabPages, false);
+    const std::uint64_t seeded = rng.uniform(0, 100);
+    for (std::size_t page = 0; page < kSlabPages; ++page) {
+      if (rng.uniform(0, 99) >= seeded) continue;
+      slab.slice(page * Buffer::kPage, Buffer::kPage).remembered_page_digest();
+      known[page] = true;
+    }
+    const std::size_t whole = rng.uniform(0, 70);
+    const std::size_t tail = rng.uniform(0, 2) == 0 ? 0 : rng.uniform(1, Buffer::kPage - 1);
+    const std::size_t len = whole * Buffer::kPage + tail;
+    std::size_t off = rng.uniform(0, slab.size() - len);
+    if (trial % 2 == 0) off -= off % Buffer::kPage;
+    const Buffer v = slab.slice(off, len);
+    const std::uint64_t want = reference_page_digest(v.data(), len);
+    const std::uint64_t pieces = whole + (tail > 0 ? 1 : 0);
+
+    std::uint64_t before = Buffer::pages_digested();
+    ASSERT_EQ(v.page_digest(), want) << trial;
+    EXPECT_EQ(Buffer::pages_digested() - before, pieces) << trial;
+
+    std::uint64_t from_memo = 0;
+    if (off % Buffer::kPage == 0 && len >= Buffer::kPage) {
+      for (std::size_t i = 0; i < whole; ++i) from_memo += known[off / Buffer::kPage + i] ? 1 : 0;
+    }
+    before = Buffer::pages_digested();
+    ASSERT_EQ(v.remembered_page_digest(), want) << trial;
+    EXPECT_EQ(Buffer::pages_digested() - before, pieces - from_memo) << trial;
+  }
 }
 
 TEST(PageCache, MissThenHit) {
