@@ -72,8 +72,10 @@ sim::Task spawn_streams(Cluster* c,
                         std::size_t rounds, bool* ok) {
   sim::Latch done(c->sim(), w.size());
   for (std::size_t i = 0; i < w.size(); ++i) {
-    c->sim().spawn(overlap_stream(c, "c" + std::to_string(i + 1), w[i].first,
-                                  w[i].second, rounds, ok, &done));
+    std::string vm = "c";
+    vm += std::to_string(i + 1);
+    c->sim().spawn(overlap_stream(c, std::move(vm), w[i].first, w[i].second, rounds, ok,
+                                  &done));
   }
   co_await done.wait();
 }
@@ -112,7 +114,8 @@ CoalesceOutcome run_streams(
   // own vCPU, so the shared stage left is the host1 daemon + the wire —
   // the cross-VM fan-out point the coalescing stage fronts.
   for (std::size_t i = 0; i < windows.size(); ++i) {
-    const std::string vm = "c" + std::to_string(i + 1);
+    std::string vm = "c";
+    vm += std::to_string(i + 1);
     c.add_vm("host1", vm);
     c.add_client(vm);
   }

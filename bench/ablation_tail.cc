@@ -227,7 +227,9 @@ FleetOutcome run_fleet(bool variability, bool hedge) {
   c->run_job(spawn_readers(c.get(), &lat, &bad));
   for (std::size_t i = 0; i < kReaders; ++i) {
     r.lat.insert(r.lat.end(), lat[i].begin(), lat[i].end());
-    const hdfs::DfsClient* cl = c->client("c" + std::to_string(i + 1));
+    std::string vm = "c";
+    vm += std::to_string(i + 1);
+    const hdfs::DfsClient* cl = c->client(vm);
     r.launched += cl->hedge_launched();
     r.wins += cl->hedge_wins();
     r.averted += cl->hedge_averted();

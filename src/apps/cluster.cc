@@ -176,7 +176,7 @@ void Cluster::enable_vread(core::DaemonConfig config) {
   // daemon, with rack awareness when the LAN is racked so lookups prefer
   // holders a ToR hop (not a spine hop) away.
   if (config.peer_cache.enabled) {
-    peer_dir_ = std::make_unique<core::PeerCacheDirectory>(sim_, config.peer_cache);
+    peer_dir_ = std::make_unique<core::PeerCacheDirectory>(sim_);
     peer_dir_->set_rack_of([this](const std::string& host_name) {
       if (!lan_.racked()) return -1;
       virt::Host* h = host(host_name);

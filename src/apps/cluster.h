@@ -155,7 +155,7 @@ class Cluster {
   // --- accessors ---
   sim::Simulation& sim() { return sim_; }
   metrics::CycleAccounting& acct() { return acct_; }
-  hw::CostModel& costs() { return costs_; }
+  const hw::CostModel& costs() const { return costs_; }
   virt::VirtualNetwork& net() { return *net_; }
   const ClusterConfig& config() const { return config_; }
   virt::Host* host(const std::string& name);
@@ -171,7 +171,7 @@ class Cluster {
   ClusterConfig config_;
   sim::Simulation sim_;
   metrics::CycleAccounting acct_;
-  hw::CostModel costs_;
+  const hw::CostModel costs_{};  // the paper calibration, fixed for the cluster's life
   hw::Lan lan_;
   std::vector<std::unique_ptr<virt::Host>> hosts_;
   std::unique_ptr<virt::VirtualNetwork> net_;

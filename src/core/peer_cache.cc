@@ -7,9 +7,8 @@
 
 namespace vread::core {
 
-PeerCacheDirectory::PeerCacheDirectory(sim::Simulation& sim, PeerCacheConfig cfg)
+PeerCacheDirectory::PeerCacheDirectory(sim::Simulation& sim)
     : sim_(sim),
-      cfg_(cfg),
       publishes_(metrics_.counter("vread_peercache_publishes_total", {},
                                   "Copyset publish operations accepted")),
       invalidations_(metrics_.counter("vread_peercache_invalidations_total", {},

@@ -63,13 +63,6 @@ struct PeerCacheConfig {
   // Master switch. Off by default: with the tier disabled no directory is
   // consulted and every existing run stays bit-identical.
   bool enabled = false;
-  // Holders tried per miss before falling back to disk / the owner
-  // stream. >= 1; each attempt pays a control hop.
-  std::size_t fetch_attempts = 2;
-  // Largest range fetched from a peer in one transfer. Ranges above this
-  // skip the tier (the stream chopper keeps daemon reads at 256 KiB, so
-  // the default never truncates).
-  std::uint64_t max_fetch_bytes = 256 * 1024;
 };
 
 // The shared owner directory. One instance per cluster, created by the
@@ -78,11 +71,9 @@ struct PeerCacheConfig {
 // ownership map.
 class PeerCacheDirectory {
  public:
-  explicit PeerCacheDirectory(sim::Simulation& sim, PeerCacheConfig cfg = {});
+  explicit PeerCacheDirectory(sim::Simulation& sim);
   PeerCacheDirectory(const PeerCacheDirectory&) = delete;
   PeerCacheDirectory& operator=(const PeerCacheDirectory&) = delete;
-
-  const PeerCacheConfig& config() const { return cfg_; }
 
   // host name -> rack id (or -1 when unracked); set by the cluster builder
   // so same-rack holders can be preferred without a topology dependency.
@@ -190,7 +181,6 @@ class PeerCacheDirectory {
   std::uint64_t base(const std::string& dn) const;
 
   sim::Simulation& sim_;
-  PeerCacheConfig cfg_;
   std::vector<VReadDaemon*> daemons_;  // attach order = shard map
   std::map<Key, BlockState> blocks_;
   // Per-datanode epoch base (absent = 1): datanode-wide invalidation

@@ -11,6 +11,9 @@ namespace {
 // reads count this much, so a tenant cannot starve others with a flood of
 // zero-byte operations.
 constexpr std::uint64_t kMinRequestCost = 4096;
+// DRR quantum: payload bytes added to a tenant's deficit each time the
+// dispatcher visits it, scaled by the tenant's weight.
+constexpr std::uint64_t kQuantumBytes = 256 * 1024;
 }  // namespace
 
 QosScheduler::QosScheduler(sim::Simulation& sim, QosConfig config, std::string host)
@@ -119,7 +122,7 @@ sim::Task QosScheduler::next(Item& out) {
       // makes progress), then move to the back of the ring.
       t->deficit += std::max<std::uint64_t>(
           1024, static_cast<std::uint64_t>(
-                    static_cast<double>(config_.quantum_bytes) * t->weight));
+                    static_cast<double>(kQuantumBytes) * t->weight));
       active_.pop_front();
       active_.push_back(t);
       continue;

@@ -38,6 +38,9 @@
 
 namespace vread::core {
 
+// Relative throughput share of a tenant with no entry in QosConfig::weights.
+inline constexpr double kDefaultWeight = 1.0;
+
 // QoS tuning, embedded in DaemonConfig. Defaults keep a single tenant
 // byte-identical in behavior to plain FIFO and never shed (the per-tenant
 // queue is naturally bounded by the channel's shm_max_outstanding, which
@@ -46,10 +49,6 @@ struct QosConfig {
   // Master switch: false restores the pre-QoS per-client serve loops
   // (used by the ablation bench as the "no isolation" arm).
   bool enabled = true;
-
-  // DRR quantum: payload bytes added to a tenant's deficit each time the
-  // dispatcher visits it, scaled by the tenant's weight.
-  std::uint64_t quantum_bytes = 256 * 1024;
 
   // Admission cap on requests queued per tenant (0 = unbounded). A request
   // arriving with the tenant's queue at the cap is shed with kOverloaded.
@@ -63,8 +62,7 @@ struct QosConfig {
   bool edf = false;
 
   // Relative throughput shares. Tenants absent from `weights` get
-  // `default_weight`; values are clamped to a small positive floor.
-  double default_weight = 1.0;
+  // kDefaultWeight; values are clamped to a small positive floor.
   std::map<std::string, double> weights;
 
   // Per-tenant overrides of DaemonConfig::shm_max_outstanding, applied to
@@ -77,7 +75,7 @@ struct QosConfig {
 
   double weight(const std::string& tenant) const {
     auto it = weights.find(tenant);
-    const double w = it == weights.end() ? default_weight : it->second;
+    const double w = it == weights.end() ? kDefaultWeight : it->second;
     return w < 1e-3 ? 1e-3 : w;
   }
 };

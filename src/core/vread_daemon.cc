@@ -19,6 +19,13 @@ std::uint64_t cache_key(const fs::DiskImage& image, std::uint32_t inode) {
 // RDMA payloads are written by the sender's NIC straight into the
 // receiver's registered ring memory: the daemon's ring copy is skipped.
 bool lands_in_ring(Transport t) { return t == Transport::kRdma; }
+// Peer-cache holders tried per miss before falling back to disk / the
+// owner stream; each attempt pays a control hop.
+constexpr std::size_t kPeerFetchAttempts = 2;
+// Largest range fetched from a peer in one transfer. Ranges above this
+// skip the tier (the stream chopper keeps daemon reads at 256 KiB, so it
+// never truncates).
+constexpr std::uint64_t kPeerMaxFetchBytes = 256 * 1024;
 }  // namespace
 
 Status DaemonConfig::Validate() const {
@@ -54,14 +61,6 @@ Status DaemonConfig::Validate() const {
                    "batch window would only ever seal on its timer");
   }
   if (qos.enabled) {
-    if (qos.quantum_bytes == 0) {
-      return bad("qos.quantum_bytes", "0",
-                 "must be > 0 (a zero quantum starves the DRR ring)");
-    }
-    if (qos.default_weight <= 0.0) {
-      return bad("qos.default_weight", std::to_string(qos.default_weight),
-                 "must be > 0");
-    }
     for (const auto& [tenant, w] : qos.weights) {
       if (w <= 0.0) {
         return bad("qos.weights[" + tenant + "]", std::to_string(w),
@@ -111,15 +110,6 @@ Status DaemonConfig::Validate() const {
       return bad("peer_cache.enabled", "true",
                  "conflicts with direct_read, whose contract is that every "
                  "byte comes off the device");
-    }
-    if (peer_cache.fetch_attempts == 0) {
-      return bad("peer_cache.fetch_attempts", "0",
-                 "must be >= 1 (a tier that never asks a holder is dead code)");
-    }
-    if (peer_cache.max_fetch_bytes < kShmSlotBytes) {
-      return bad("peer_cache.max_fetch_bytes", std::to_string(peer_cache.max_fetch_bytes),
-                 "smaller than one shm slot (" + std::to_string(kShmSlotBytes) +
-                     " bytes) can never cover a cacheable range");
     }
   }
   return Status::Ok();
@@ -1024,7 +1014,7 @@ sim::Task VReadDaemon::run_on_control(std::function<sim::Task(hw::ThreadId)> job
 sim::Task VReadDaemon::peer_fetch(hw::ThreadId tid, sim::Name dn, sim::Name block,
                                   std::uint64_t offset, std::uint64_t n, trace::Ctx ctx,
                                   mem::Buffer& out, std::uint64_t& epoch_out) {
-  if (!peer_dir_ || n == 0 || n > peer_dir_->config().max_fetch_bytes) co_return;
+  if (!peer_dir_ || n == 0 || n > kPeerMaxFetchBytes) co_return;
   peer_lookups_.inc();
   PeerCacheDirectory::LookupResult lr;
   co_await peer_dir_->lookup(this, dn, block, lr);
@@ -1033,8 +1023,7 @@ sim::Task VReadDaemon::peer_fetch(hw::ThreadId tid, sim::Name dn, sim::Name bloc
     co_return;
   }
   peer_dir_hits_.inc();
-  const std::size_t attempts =
-      std::min(peer_dir_->config().fetch_attempts, lr.holders.size());
+  const std::size_t attempts = std::min(kPeerFetchAttempts, lr.holders.size());
   for (std::size_t i = 0; i < attempts; ++i) {
     VReadDaemon* holder = lr.holders[i].daemon;
     const Transport transport = effective_transport(tid, ctx);

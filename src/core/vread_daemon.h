@@ -530,7 +530,7 @@ class VReadDaemon {
                         std::uint64_t& size_out, Status& status, trace::Ctx ctx = {});
 
   // Peer-cache fetch (§15): directory lookup, then up to
-  // peer_cache.fetch_attempts copyset holders are asked for exactly
+  // kPeerFetchAttempts copyset holders are asked for exactly
   // [offset, offset+n) of (dn, block) out of their BlockCaches. On success
   // `out` holds the bytes and `epoch_out` the directory epoch observed at
   // lookup time (the publish gate). Any failure — no holder, holder

@@ -545,9 +545,9 @@ TEST(DaemonConfigValidate, ErrorsNameTheFieldAndValue) {
             std::string::npos);
   dc = DaemonConfig{};
 
-  dc.qos.quantum_bytes = 0;
-  EXPECT_NE(detail_of(dc).find("DaemonConfig.qos.quantum_bytes = 0"),
-            std::string::npos);
+  dc.disk.enabled = true;
+  dc.disk.channels = 0;
+  EXPECT_NE(detail_of(dc).find("DaemonConfig.disk.channels = 0"), std::string::npos);
   dc = DaemonConfig{};
 
   dc.qos.weights["tenantX"] = 0.0;

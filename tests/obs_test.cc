@@ -325,7 +325,9 @@ TEST(TimeSeriesRecorder, TickDedupesCoincidingTimestamps) {
 TEST(FlightRecorder, RingOverwritesOldestAndFlagsTrouble) {
   FlightRecorder fr("unit", 3);
   for (int t = 1; t <= 5; ++t) {
-    fr.record(sim::ms(t), FlightEventKind::kNote, "n" + std::to_string(t));
+    std::string what = "n";
+    what += std::to_string(t);
+    fr.record(sim::ms(t), FlightEventKind::kNote, std::move(what));
   }
   EXPECT_EQ(fr.recorded(), 5u);
   EXPECT_EQ(fr.overwritten(), 2u);

@@ -66,22 +66,6 @@ TEST(PeerCacheValidate, ConflictsWithDirectRead) {
   EXPECT_EQ(dc.Validate().code(), StatusCode::kConfig);
 }
 
-TEST(PeerCacheValidate, RejectsZeroFetchAttempts) {
-  DaemonConfig dc;
-  dc.peer_cache.enabled = true;
-  dc.peer_cache.fetch_attempts = 0;
-  EXPECT_EQ(dc.Validate().code(), StatusCode::kConfig);
-}
-
-TEST(PeerCacheValidate, RejectsSubSlotMaxFetchBytes) {
-  DaemonConfig dc;
-  dc.peer_cache.enabled = true;
-  dc.peer_cache.max_fetch_bytes = 1024;  // smaller than one 4 KB shm slot
-  EXPECT_EQ(dc.Validate().code(), StatusCode::kConfig);
-  dc.peer_cache.enabled = false;  // knob is inert when the tier is off
-  EXPECT_TRUE(dc.Validate().ok());
-}
-
 TEST(PeerCacheValidate, RejectsSubSlotTenantCacheCapWithFieldAndValue) {
   DaemonConfig dc;
   dc.qos.cache_bytes["tenant-a"] = 512;

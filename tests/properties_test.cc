@@ -171,7 +171,9 @@ TEST_P(SchedulerSweep, WorkConservationAndFairness) {
   const sim::Cycles per_thread = 20'000'000;  // 10 ms at 2 GHz
   std::vector<hw::ThreadId> tids;
   for (int t = 0; t < threads; ++t) {
-    tids.push_back(cpu.add_thread("t" + std::to_string(t), "g"));
+    std::string name = "t";
+    name += std::to_string(t);
+    tids.push_back(cpu.add_thread(std::move(name), "g"));
     sim.spawn(burst_n(cpu, tids.back(), 10, per_thread / 10));
   }
   sim.run();

@@ -653,7 +653,9 @@ TEST(HedgeRead, TenantAccountingConservedOnHedgeLoss) {
     }
   }
   EXPECT_EQ(charged - uncharged, received + client->hedge_wasted_bytes());
-  if (cancelled > 0) EXPECT_GT(uncharged, 0u);
+  if (cancelled > 0) {
+    EXPECT_GT(uncharged, 0u);
+  }
   expect_no_inflight(*c, 3);
 }
 

@@ -8,6 +8,7 @@
 #include "hw/cost_model.h"
 #include "mem/buffer.h"
 #include "metrics/accounting.h"
+#include "metrics/registry.h"
 #include "sim/simulation.h"
 #include "virt/host.h"
 #include "virt/shm_channel.h"
@@ -373,8 +374,10 @@ TEST(ShmChannel, RequestResponseCarriesData) {
 }
 
 TEST(ShmChannel, RingBackpressureStillDeliversEverything) {
-  // Response far larger than the ring (4 MB): the daemon must block on
-  // slot availability and everything still arrives intact.
+  // Response four times the default ring (4 MB): it streams through the
+  // ring in many chunks and arrives intact. The guest drains each chunk
+  // before the daemon needs its slots, so nothing blocks here;
+  // TinyRingBlocksTheDaemonAndDrainsBack fills the ring.
   TestBed tb;
   Host& h = tb.add_host("host1");
   Vm& vm = tb.add_vm(h, "vm1");
@@ -388,6 +391,40 @@ TEST(ShmChannel, RingBackpressureStillDeliversEverything) {
   EXPECT_EQ(resp.data.size(), len);
   EXPECT_EQ(resp.data, Buffer::deterministic(100, 128, len));
   EXPECT_EQ(ch.free_slots(), tb.costs.shm_slot_count);
+}
+
+// Producer stalls on a full ring, read from the process-wide registry
+// (live and retired series of `vm` summed).
+std::uint64_t slot_waits(const std::string& vm) {
+  std::uint64_t total = 0;
+  for (const auto& row : metrics::registry().snapshot().rows) {
+    if (row.name != "vread_shm_slot_waits_total") continue;
+    for (const auto& [key, value] : row.labels) {
+      if (key == "vm" && value == vm) total += row.counter;
+    }
+  }
+  return total;
+}
+
+TEST(ShmChannel, TinyRingBlocksTheDaemonAndDrainsBack) {
+  // A 16-slot ring (64 KB) under a 1 MB response: every chunk takes the
+  // whole ring, so the daemon blocks until the guest drains the previous
+  // one. The bytes still arrive intact and every slot comes back.
+  TestBed tb;
+  tb.costs.shm_slot_count = 16;
+  Host& h = tb.add_host("host1");
+  Vm& vm = tb.add_vm(h, "tiny-ring-vm");
+  ShmChannel ch(vm, tb.costs);
+  hw::ThreadId daemon = h.cpu().add_thread("vread-daemon", "host1");
+  const std::uint64_t waits_before = slot_waits("tiny-ring-vm");
+  const std::uint64_t len = 1ULL << 20;
+  ShmResponse resp;
+  tb.sim.spawn(shm_daemon(ch, daemon, 101, len));
+  tb.sim.spawn(shm_client(ch, resp));
+  tb.sim.run();
+  EXPECT_GT(slot_waits("tiny-ring-vm"), waits_before);
+  EXPECT_EQ(resp.data, Buffer::deterministic(101, 128, len));
+  EXPECT_EQ(ch.free_slots(), 16u);
 }
 
 TEST(ShmChannel, ZeroCopyResponseSkipsProducerCopy) {

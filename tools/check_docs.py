@@ -21,9 +21,13 @@ Checks, over every tracked *.md file:
      (a designated initializer, a member assignment or a container insert
      in src/, bench/, tools/, tests/, examples/ or benchmark/), so an
      option that only ever keeps its default becomes a constant instead.
-     A setter counts only for the struct its receiver's type resolves to.
+     A setter counts only for the struct its receiver's type resolves to;
+  6. every executable in bench/CMakeLists.txt except the host-time
+     micro_primitives is run by the bench-telemetry job's loop in
+     .github/workflows/ci.yml and has a committed
+     bench/baseline/BENCH_<name>.json, so no bench's numbers go ungated.
 
-`--self-test` runs check 5 on a synthetic tree instead.
+`--self-test` runs checks 5 and 6 on synthetic inputs instead.
 
 Exit code 0 = clean; 1 = problems (all printed).
 """
@@ -438,9 +442,42 @@ def check_config_setters(problems):
         )
 
 
+# Benches whose output is host time, not modeled numbers: nothing to gate.
+UNGATED_BENCHES = {"micro_primitives"}
+BENCH_DECL_RE = re.compile(r"^\s*(?:vread_bench|add_executable)\(\s*([\w.-]+)", re.M)
+
+
+def telemetry_loop(ci_text):
+    """The bench names of the bench-telemetry job's `for b in ...; do` loop."""
+    job = re.search(r"^  bench-telemetry:\n(.*?)(?=^  \S|\Z)", ci_text, re.S | re.M)
+    loop = job and re.search(r"for b in (.*?); do", job.group(1), re.S)
+    return set(loop.group(1).replace("\\", " ").split()) if loop else set()
+
+
+def ungated_benches(cmake_text, ci_text, baselines):
+    loop = telemetry_loop(ci_text)
+    problems = []
+    for name in BENCH_DECL_RE.findall(cmake_text):
+        if name in UNGATED_BENCHES:
+            continue
+        if name not in loop:
+            problems.append(f"bench {name} is not run by ci.yml's bench-telemetry loop")
+        if f"BENCH_{name}.json" not in baselines:
+            problems.append(f"bench {name} has no bench/baseline/BENCH_{name}.json")
+    return problems
+
+
+def check_bench_gate(problems):
+    baselines = {p.name for p in (ROOT / "bench/baseline").glob("BENCH_*.json")}
+    problems.extend(ungated_benches((ROOT / "bench/CMakeLists.txt").read_text(),
+                                    (ROOT / ".github/workflows/ci.yml").read_text(),
+                                    baselines))
+
+
 def self_test():
-    """Check 5 on a synthetic tree: each case names the fields it must
-    report as never set."""
+    """Checks 5 and 6 on synthetic inputs: each check-5 case names the
+    fields it must report as never set, each check-6 case the benches it
+    must report."""
     header = pathlib.Path("cfg.h")
     text = """
         struct AConfig { int seed = 1; int rate = 2; };
@@ -475,7 +512,31 @@ def self_test():
         if got != want:
             failures += 1
             print(f"self-test FAIL: {source!r}: reported {sorted(got)}, want {sorted(want)}")
-    print(f"check_docs self-test: {'FAIL' if failures else 'ok'} ({len(cases)} cases)")
+
+    cmake = ("function(vread_bench name)\n  add_executable(${name} ${name}.cc)\n"
+             "endfunction()\nvread_bench(fig02)\nvread_bench(ablation_x)\n"
+             "add_executable(micro_primitives micro_primitives.cc)\n")
+    ci = ("jobs:\n  other:\n    steps:\n      - run: for b in ablation_x; do :; done\n"
+          "  bench-telemetry:\n    steps:\n      - run: |\n"
+          "          for b in fig02 \\\n              {extra}; do\n"
+          "            ./build/bench/$b\n          done\n")
+    gate_cases = [
+        # Gated: in the loop with a baseline; micro_primitives is exempt.
+        (ci.format(extra="ablation_x"), {"BENCH_fig02.json", "BENCH_ablation_x.json"},
+         set()),
+        # Missing from the bench-telemetry loop (another job's loop does not count).
+        (ci.format(extra="fig03"), {"BENCH_fig02.json", "BENCH_ablation_x.json"},
+         {"ablation_x"}),
+        # In the loop but no committed baseline.
+        (ci.format(extra="ablation_x"), {"BENCH_fig02.json"}, {"ablation_x"}),
+    ]
+    for ci_text, baselines, want in gate_cases:
+        got = {p.split()[1] for p in ungated_benches(cmake, ci_text, baselines)}
+        if got != want:
+            failures += 1
+            print(f"self-test FAIL: bench gate reported {sorted(got)}, want {sorted(want)}")
+    n = len(cases) + len(gate_cases)
+    print(f"check_docs self-test: {'FAIL' if failures else 'ok'} ({n} cases)")
     return 1 if failures else 0
 
 
@@ -490,6 +551,7 @@ def main():
     check_metric_docs(problems)
     check_config_docs(problems)
     check_config_setters(problems)
+    check_bench_gate(problems)
     for path in md_files():
         text = path.read_text()
         check_links(path, text, problems)
