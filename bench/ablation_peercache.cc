@@ -120,7 +120,8 @@ std::unique_ptr<Cluster> make_fleet(std::size_t readers, bool peer_on) {
   c->add_datanode("host1", "datanode1");
   for (std::size_t i = 0; i < readers; ++i) {
     const std::string host = "host" + std::to_string(i + 2);
-    const std::string vm = "c" + std::to_string(i + 1);
+    std::string vm = "c";
+    vm += std::to_string(i + 1);
     c->add_host(host);
     c->add_vm(host, vm);
     c->add_client(vm);

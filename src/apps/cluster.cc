@@ -59,7 +59,16 @@ hdfs::NameNode& Cluster::create_namenode(const std::string& vm_name) {
 
 hdfs::DataNode& Cluster::add_datanode(const std::string& host_name,
                                       const std::string& dn_id) {
-  virt::Vm& vm = add_vm(host_name, dn_id);
+  return start_datanode(add_vm(host_name, dn_id), dn_id);
+}
+
+hdfs::DataNode& Cluster::add_datanode_in_vm(const std::string& vm_name) {
+  virt::Vm* v = vm(vm_name);
+  if (v == nullptr) throw std::runtime_error("no such VM: " + vm_name);
+  return start_datanode(*v, vm_name);
+}
+
+hdfs::DataNode& Cluster::start_datanode(virt::Vm& vm, const std::string& dn_id) {
   datanodes_.push_back(std::make_unique<hdfs::DataNode>(vm, *namenode_, *net_, dn_id));
   datanodes_.back()->start();
   if (lan_.racked()) {
@@ -68,15 +77,10 @@ hdfs::DataNode& Cluster::add_datanode(const std::string& host_name,
   return *datanodes_.back();
 }
 
-hdfs::DataNode& Cluster::add_datanode_in_vm(const std::string& vm_name) {
-  virt::Vm* v = vm(vm_name);
-  if (v == nullptr) throw std::runtime_error("no such VM: " + vm_name);
-  datanodes_.push_back(std::make_unique<hdfs::DataNode>(*v, *namenode_, *net_, vm_name));
-  datanodes_.back()->start();
-  if (lan_.racked()) {
-    namenode_->register_datanode(vm_name, lan_.rack_of(v->host().lan_id()));
-  }
-  return *datanodes_.back();
+int Cluster::rack_of_host(const std::string& host_name) {
+  if (!lan_.racked()) return -1;
+  virt::Host* h = host(host_name);
+  return h == nullptr ? -1 : static_cast<int>(lan_.rack_of(h->lan_id()));
 }
 
 hdfs::DfsClient& Cluster::add_client(const std::string& vm_name) {
@@ -96,11 +100,8 @@ void Cluster::enable_routing(cluster::RouteConfig route) {
 obs::ObservabilityPlane& Cluster::enable_obs(obs::ObsConfig cfg, obs::SloConfig slo) {
   plane_ = std::make_unique<obs::ObservabilityPlane>(cfg, slo);
   // host -> rack for the per-rack rollup series (flat LAN = unracked).
-  plane_->recorder().set_rack_of([this](const std::string& host_name) {
-    if (!lan_.racked()) return -1;
-    virt::Host* h = host(host_name);
-    return h == nullptr ? -1 : static_cast<int>(lan_.rack_of(h->lan_id()));
-  });
+  plane_->recorder().set_rack_of(
+      [this](const std::string& host_name) { return rack_of_host(host_name); });
   plane_->install_fault_hook(sim_);
   for (auto& [hname, d] : daemons_) {
     d->set_observer(&plane_->recorder(), &plane_->flight(hname));
@@ -177,11 +178,8 @@ void Cluster::enable_vread(core::DaemonConfig config) {
   // holders a ToR hop (not a spine hop) away.
   if (config.peer_cache.enabled) {
     peer_dir_ = std::make_unique<core::PeerCacheDirectory>(sim_);
-    peer_dir_->set_rack_of([this](const std::string& host_name) {
-      if (!lan_.racked()) return -1;
-      virt::Host* h = host(host_name);
-      return h == nullptr ? -1 : static_cast<int>(lan_.rack_of(h->lan_id()));
-    });
+    peer_dir_->set_rack_of(
+        [this](const std::string& host_name) { return rack_of_host(host_name); });
     for (auto& [hname, d] : daemons_) {
       peer_dir_->attach(d.get());
       d->set_peer_directory(peer_dir_.get());
@@ -265,10 +263,6 @@ core::VReadDaemon* Cluster::daemon(const std::string& host_name) {
 core::LibVread* Cluster::libvread(const std::string& vm_name) {
   auto it = libvreads_.find(vm_name);
   return it == libvreads_.end() ? nullptr : it->second.get();
-}
-
-void Cluster::set_frequency_ghz(double ghz) {
-  for (auto& h : hosts_) h->set_frequency_ghz(ghz);
 }
 
 }  // namespace vread::apps

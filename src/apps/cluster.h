@@ -165,7 +165,6 @@ class Cluster {
   hdfs::DfsClient* client(const std::string& vm_name);
   core::VReadDaemon* daemon(const std::string& host_name);
   core::LibVread* libvread(const std::string& vm_name);
-  void set_frequency_ghz(double ghz);
 
  private:
   ClusterConfig config_;
@@ -187,6 +186,11 @@ class Cluster {
   std::unique_ptr<obs::ObservabilityPlane> plane_;
 
   void apply_routing(hdfs::DfsClient& client);
+  // Creates, starts and (on a racked LAN) rack-registers the datanode
+  // `dn_id` in `vm`.
+  hdfs::DataNode& start_datanode(virt::Vm& vm, const std::string& dn_id);
+  // The rack of a host, or -1 on a flat LAN or for an unknown host.
+  int rack_of_host(const std::string& host_name);
 };
 
 }  // namespace vread::apps

@@ -7,6 +7,8 @@
 #include <string>
 #include <utility>
 
+#include "hw/network.h"
+
 namespace vread::cluster {
 namespace {
 
@@ -28,6 +30,9 @@ constexpr double kHotProbability = 0.5;
 constexpr double kShortcutGbps = 20.0;
 constexpr double kServeGbps = 8.0;
 constexpr double kHostLinkGbps = hw::NetworkLink::Config{}.bw_gbps;
+// ToR<->spine bandwidth per direction, before TopologyConfig's
+// oversubscription divides it.
+constexpr double kUplinkGbps = 40.0;
 
 class FlowSim {
  public:
@@ -307,8 +312,7 @@ class FlowSim {
     double r = share(kServeGbps, serve_n_[f.src]);
     r = std::min(r, share(kHostLinkGbps, nic_n_[f.src]));
     if (f.tier == PathTier::kCrossRack) {
-      const double up_gbps =
-          cfg_.topo.uplink.bw_gbps / std::max(1.0, cfg_.topo.oversubscription);
+      const double up_gbps = kUplinkGbps / std::max(1.0, cfg_.topo.oversubscription);
       r = std::min(r, share(up_gbps, up_n_[topo_.rack_of(f.src)]));
       r = std::min(r, share(up_gbps, down_n_[topo_.rack_of(f.dst)]));
     }

@@ -33,7 +33,7 @@ void ReplicaSelector::load_of(sim::SimTime now, const std::string& dn,
   auto it = feedback_.find(dn);
   if (it == feedback_.end()) return;
   const Feedback& fb = it->second;
-  if (now - fb.at > cfg_.feedback_ttl) return;  // stale: treat as no signal
+  if (now - fb.at > kFeedbackTtl) return;  // stale: treat as no signal
   score = fb.load.queue_depth + fb.load.inflight_bytes / kBytesPerLoadUnit;
   overloaded = fb.load.overloaded || fb.load.queue_depth >= kOverloadQueue;
 }

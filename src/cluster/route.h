@@ -40,13 +40,15 @@ bool parse_route_policy(const std::string& s, RoutePolicy& out);
 
 struct RouteConfig {
   RoutePolicy policy = RoutePolicy::kStatic;
-  std::uint64_t seed = 1;  // tie-break rng stream
-
-  // Load feedback older than this is discarded (treated as "no signal"),
-  // so a daemon that stops being chosen — and therefore stops producing
-  // completions — sheds its stale overload verdict after one interval.
-  sim::SimTime feedback_ttl = sim::ms(50);
 };
+
+// Seed of the tie-break rng stream.
+inline constexpr std::uint64_t kRouteSeed = 1;
+
+// Load feedback older than this is discarded (treated as "no signal"), so
+// a daemon that stops being chosen — and therefore stops producing
+// completions — sheds its stale overload verdict after one interval.
+inline constexpr sim::SimTime kFeedbackTtl = sim::ms(50);
 
 // A fresh queue-depth report at or above this marks the daemon overloaded
 // for ranking purposes (client-observed kOverloaded statuses mark it
@@ -73,7 +75,7 @@ class ReplicaSelector {
     PathTier tier;
   };
 
-  explicit ReplicaSelector(RouteConfig cfg) : cfg_(cfg), rng_(cfg.seed) {}
+  explicit ReplicaSelector(RouteConfig cfg) : cfg_(cfg), rng_(kRouteSeed) {}
 
   const RouteConfig& config() const { return cfg_; }
 

@@ -1,18 +1,16 @@
 // Rack-scale cluster topology: racks -> hosts -> VMs (docs/TOPOLOGY.md).
 //
 // The topology is pure metadata — which host sits in which rack, and how
-// the ToR/spine links are provisioned. The timing consequences live in
-// hw::Lan (configure_racks() consumes the RackConfig produced here) and in
+// oversubscribed the ToR uplinks are. The timing consequences live in
 // cluster::FlowSim (which shares link capacity per epoch instead of per
-// packet). Host ids are dense and assigned in creation order, matching
-// hw::Lan's sequential HostId assignment, so rack membership is a pure
-// function: rack = host / hosts_per_rack.
+// packet); the detailed engine's racks are hw::Lan's own RackConfig. Host
+// ids are dense and assigned in creation order, matching hw::Lan's
+// sequential HostId assignment, so rack membership is a pure function:
+// rack = host / hosts_per_rack.
 #pragma once
 
 #include <cstdint>
 #include <string>
-
-#include "hw/network.h"
 
 namespace vread::cluster {
 
@@ -41,8 +39,6 @@ struct TopologyConfig {
   std::uint32_t racks = 1;
   std::uint32_t hosts_per_rack = 1;
   std::uint32_t vms_per_host = 1;
-  hw::NetworkLink::Config uplink{       // ToR<->spine, per direction
-      .bw_gbps = 40.0, .propagation = sim::us(5)};
   double oversubscription = 1.0;  // divides uplink bandwidth (4.0 = 4:1)
 };
 
@@ -63,14 +59,6 @@ class Topology {
     if (src_host == dst_host) return PathTier::kSameHost;
     if (rack_of(src_host) == rack_of(dst_host)) return PathTier::kSameRack;
     return PathTier::kCrossRack;
-  }
-
-  // The hw::Lan view of this topology (apps::Cluster feeds this straight
-  // into Lan::configure_racks).
-  hw::Lan::RackConfig rack_config() const {
-    return hw::Lan::RackConfig{.hosts_per_rack = cfg_.hosts_per_rack,
-                               .uplink = cfg_.uplink,
-                               .oversubscription = cfg_.oversubscription};
   }
 
  private:

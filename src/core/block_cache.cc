@@ -18,9 +18,6 @@ BlockCache::BlockCache(std::uint64_t capacity_bytes, const std::string& host)
       integrity_failures_(metrics_.counter("vread_daemon_cache_integrity_failures_total",
                                            {{"host", host}},
                                            "Hits failing checksum verification")),
-      tenant_evictions_(metrics_.counter("vread_daemon_cache_tenant_evictions_total",
-                                         {{"host", host}},
-                                         "Entries evicted by a per-tenant residency cap")),
       bytes_g_(metrics_.gauge("vread_daemon_cache_bytes", {{"host", host}},
                               "Payload bytes currently cached")) {}
 
@@ -62,7 +59,7 @@ mem::Buffer BlockCache::lookup(sim::Name dn, sim::Name block, std::uint64_t offs
 }
 
 bool BlockCache::insert(sim::Name dn, sim::Name block, std::uint64_t offset,
-                        const mem::Buffer& data, sim::Name tenant) {
+                        const mem::Buffer& data) {
   if (!enabled() || data.empty() || data.size() > capacity_) return false;
   const Key key{dn, block, offset};
   auto it = entries_.find(key);
@@ -72,56 +69,21 @@ bool BlockCache::insert(sim::Name dn, sim::Name block, std::uint64_t offset,
     lru_.splice(lru_.end(), lru_, it->second.lru);
     return true;
   }
-  auto cap_it = tenant.empty() ? tenant_caps_.end() : tenant_caps_.find(tenant);
-  if (cap_it != tenant_caps_.end() && data.size() > cap_it->second) {
-    return false;  // never fits this tenant
-  }
   // A longer payload at a cached offset replaces the shorter entry, which
   // could not serve the longer range. The block stays cached, so the
   // removal is not reported.
   if (it != entries_.end()) erase(it, /*notify=*/false);
-  if (cap_it != tenant_caps_.end()) evict_tenant_to_fit(tenant, data.size(), cap_it->second);
   evict_to_fit(data.size());
   Entry e;
   e.data = data;
   // Establishing the reference digest may reuse page digests the slab
   // remembers; lookup() always hashes the cached bytes again.
   e.checksum = e.data.remembered_page_digest();
-  e.tenant = tenant;
   e.lru = lru_.insert(lru_.end(), key);
   bytes_ += data.size();
-  if (!tenant.empty()) tenant_bytes_[tenant] += data.size();
   entries_.emplace(key, std::move(e));
   bytes_g_.set(static_cast<std::int64_t>(bytes_));
   return true;
-}
-
-void BlockCache::set_tenant_cap(sim::Name tenant, std::uint64_t cap_bytes) {
-  if (cap_bytes == 0) {
-    tenant_caps_.erase(tenant);
-    return;
-  }
-  tenant_caps_[tenant] = cap_bytes;
-  evict_tenant_to_fit(tenant, 0, cap_bytes);
-}
-
-std::uint64_t BlockCache::tenant_bytes(sim::Name tenant) const {
-  auto it = tenant_bytes_.find(tenant);
-  return it == tenant_bytes_.end() ? 0 : it->second;
-}
-
-void BlockCache::evict_tenant_to_fit(sim::Name tenant, std::uint64_t incoming,
-                                     std::uint64_t cap) {
-  // Walk from the LRU end evicting only this tenant's entries: the cap
-  // squeezes the offender's own working set, never its neighbors'.
-  auto lit = lru_.begin();
-  while (lit != lru_.end() && tenant_bytes(tenant) + incoming > cap) {
-    auto eit = entries_.find(*lit);
-    ++lit;  // advance before erase invalidates the current node
-    if (eit->second.tenant != tenant) continue;
-    tenant_evictions_.inc();
-    erase(eit);
-  }
 }
 
 void BlockCache::invalidate_datanode(sim::Name dn) {
@@ -153,15 +115,11 @@ void BlockCache::clear() {
   entries_.clear();
   lru_.clear();
   bytes_ = 0;
-  tenant_bytes_.clear();
   bytes_g_.set(0);
 }
 
 void BlockCache::erase(std::map<Key, Entry>::iterator it, bool notify) {
   bytes_ -= it->second.data.size();
-  if (!it->second.tenant.empty()) {
-    tenant_bytes_[it->second.tenant] -= it->second.data.size();
-  }
   lru_.erase(it->second.lru);
   const sim::Name dn = it->first.dn;
   const sim::Name block = it->first.block;

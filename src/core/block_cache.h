@@ -26,7 +26,7 @@
 // view assembled by a non-adjacent append pins at most twice its size
 // (DESIGN.md §17). `capacity_bytes` bounds the bytes the entries cover.
 //
-// Datanodes, blocks and tenants are interned sim::Names (DESIGN.md §13):
+// Datanodes and blocks are interned sim::Names (DESIGN.md §13):
 // keys copy pointers, and order by contents, so entries, evictions and
 // removal notifications come in the same order as with string keys.
 //
@@ -66,13 +66,11 @@ class BlockCache {
 
   // Caches [offset, offset+data.size()) of (dn, block), evicting LRU
   // entries to stay within capacity. Oversized payloads are not cached.
-  // `tenant` attributes the residency for per-tenant caps (§11); empty
-  // means unattributed (counts toward no cap). Returns true when the
-  // bytes are resident afterwards (fresh insert, same-chop refresh, or a
-  // longer payload replacing a shorter entry at the same offset) — the
-  // peer tier publishes a copyset entry only for resident bytes.
-  bool insert(sim::Name dn, sim::Name block, std::uint64_t offset, const mem::Buffer& data,
-              sim::Name tenant = {});
+  // Returns true when the bytes are resident afterwards (fresh insert,
+  // same-chop refresh, or a longer payload replacing a shorter entry at
+  // the same offset) — the peer tier publishes a copyset entry only for
+  // resident bytes.
+  bool insert(sim::Name dn, sim::Name block, std::uint64_t offset, const mem::Buffer& data);
 
   // For callers holding the block name as a plain string (tests, probes):
   // interns it on every call, so per-read code passes a sim::Name instead.
@@ -83,18 +81,9 @@ class BlockCache {
   }
   template <typename S>
     requires std::is_same_v<S, std::string>
-  bool insert(sim::Name dn, const S& block, std::uint64_t offset, const mem::Buffer& data,
-              sim::Name tenant = {}) {
-    return insert(dn, sim::Name(block), offset, data, tenant);
+  bool insert(sim::Name dn, const S& block, std::uint64_t offset, const mem::Buffer& data) {
+    return insert(dn, sim::Name(block), offset, data);
   }
-
-  // Caps how many cached bytes may be attributed to `tenant`; inserts that
-  // would exceed it evict the tenant's own LRU entries first, so one
-  // tenant's working set cannot flush everyone else's. 0 removes the cap.
-  void set_tenant_cap(sim::Name tenant, std::uint64_t cap_bytes);
-  // Bytes currently cached on behalf of `tenant`.
-  std::uint64_t tenant_bytes(sim::Name tenant) const;
-  std::uint64_t tenant_evictions() const { return tenant_evictions_.value(); }
 
   // Drops every entry belonging to `dn` (vRead_update / remount,
   // unregistration, migration).
@@ -136,21 +125,17 @@ class BlockCache {
   struct Entry {
     mem::Buffer data;
     std::uint64_t checksum = 0;
-    sim::Name tenant;  // who inserted it (cap accounting); may be empty
     std::list<Key>::iterator lru;
   };
 
   // `notify` false skips the removal observer, for an entry being replaced.
   void erase(std::map<Key, Entry>::iterator it, bool notify = true);
   void evict_to_fit(std::uint64_t incoming);
-  void evict_tenant_to_fit(sim::Name tenant, std::uint64_t incoming, std::uint64_t cap);
 
   std::uint64_t capacity_;
   std::uint64_t bytes_ = 0;
   std::map<Key, Entry> entries_;
   std::list<Key> lru_;  // front = LRU victim, back = MRU
-  std::map<sim::Name, std::uint64_t> tenant_caps_;
-  std::map<sim::Name, std::uint64_t> tenant_bytes_;
   std::function<void(sim::Name, sim::Name)> removal_observer_;
 
   metrics::MetricGroup metrics_;
@@ -159,7 +144,6 @@ class BlockCache {
   metrics::Counter& evictions_;
   metrics::Counter& invalidations_;
   metrics::Counter& integrity_failures_;
-  metrics::Counter& tenant_evictions_;
   metrics::Gauge& bytes_g_;
 };
 

@@ -69,10 +69,6 @@ struct QosConfig {
   // the tenant VM's channel at attach time.
   std::map<std::string, std::size_t> shm_outstanding;
 
-  // Per-tenant BlockCache residency caps in bytes (absent = share the
-  // whole cache). Over-cap inserts evict the tenant's own LRU entries.
-  std::map<std::string, std::uint64_t> cache_bytes;
-
   double weight(const std::string& tenant) const {
     auto it = weights.find(tenant);
     const double w = it == weights.end() ? kDefaultWeight : it->second;

@@ -67,15 +67,6 @@ Status DaemonConfig::Validate() const {
                    "must be > 0 (zero-weight tenants starve)");
       }
     }
-    for (const auto& [tenant, cap] : qos.cache_bytes) {
-      // Same floor as the cache itself: a per-tenant residency cap below
-      // one slot silently voids every insert the tenant makes.
-      if (cap > 0 && cap < kShmSlotBytes) {
-        return bad("qos.cache_bytes[" + tenant + "]", std::to_string(cap),
-                   "smaller than one shm slot (" + std::to_string(kShmSlotBytes) +
-                       " bytes) can never hold an entry; use 0 to remove the cap");
-      }
-    }
   }
   if (disk.enabled) {
     if (disk.gc_period <= 0) {
@@ -87,17 +78,12 @@ Status DaemonConfig::Validate() const {
                  "must lie in [0, gc_period): a GC window as long as its "
                  "period would block the device forever");
     }
-    if (disk.gc_jitter < 0.0 || disk.gc_jitter > 1.0) {
-      return bad("disk.gc_jitter", std::to_string(disk.gc_jitter),
-                 "is a fraction of the idle span; must lie in [0, 1]");
-    }
     if (disk.channels == 0) {
       return bad("disk.channels", "0",
                  "must be >= 1 (a device with no channels serves nothing)");
     }
-    if (disk.write_stall < 0 || disk.write_stall_window < 0) {
-      return bad("disk.write_stall", std::to_string(disk.write_stall),
-                 "stall and window must be >= 0");
+    if (disk.write_stall < 0) {
+      return bad("disk.write_stall", std::to_string(disk.write_stall), "must be >= 0");
     }
   }
   if (peer_cache.enabled) {
@@ -193,9 +179,6 @@ VReadDaemon::VReadDaemon(virt::Host& host, DaemonConfig config)
   }
   if (config_.qos.enabled) {
     qos_ = std::make_unique<QosScheduler>(host.sim(), config_.qos, host.name());
-    for (const auto& [tenant, cap] : config_.qos.cache_bytes) {
-      cache_.set_tenant_cap(sim::Name(tenant), cap);
-    }
   }
   if (config_.coalesce.enabled) {
     coalesce_ = std::make_unique<CoalesceMap>(host.sim(), host.name());
@@ -218,7 +201,10 @@ VReadDaemon::VReadDaemon(virt::Host& host, DaemonConfig config)
     // giving each host its own window schedule — the offset hedged reads
     // exploit.
     hw::Disk::Variability v = config_.disk;
-    std::uint64_t h = 1469598103934665603ULL;  // FNV-1a
+    // An FNV-1a-style fold: FNV's prime, but a start value that is not
+    // FNV's offset basis (14695981039346656037). The start value fixes
+    // every host's GC windows and so every pinned digest; it stays.
+    std::uint64_t h = 1469598103934665603ULL;
     for (const char c : host_.name()) {
       h ^= static_cast<unsigned char>(c);
       h *= 1099511628211ULL;
@@ -339,7 +325,7 @@ void VReadDaemon::set_peer_directory(PeerCacheDirectory* dir) {
     cache_.set_removal_observer(nullptr);
     return;
   }
-  // Every eviction path (LRU, tenant cap, invalidation, clear) drops us
+  // Every eviction path (LRU, invalidation, clear) drops us
   // from the block's copyset the moment its last entry leaves, so the
   // directory never routes a fetch at bytes we no longer hold.
   cache_.set_removal_observer([this](sim::Name dn, sim::Name block) {
@@ -783,7 +769,7 @@ sim::Task VReadDaemon::read_chunk(hw::ThreadId tid, Descriptor& d, std::uint64_t
       std::uint64_t epoch = 0;
       co_await peer_fetch(tid, d.dn_id, d.block_name, off, n, h.ctx, c.data, epoch);
       if (!c.data.empty()) {
-        cache_if_current(d, off, c.data, h.tenant, epoch);
+        cache_if_current(d, off, c.data, epoch);
         fill_bytes = n;
       }
     }
@@ -827,7 +813,7 @@ sim::Task VReadDaemon::image_chunk(hw::ThreadId tid, Descriptor& d, std::uint64_
   co_await host_.cpu().consume(tid, cm.loop_per_page * cm.pages(n) + cm.copy_cost(n),
                                CycleCategory::kLoopDevice, h.ctx);
   c.data = d.mount->read(d.inode, off, n);
-  if (cache_.insert(d.dn_id, d.block_name, off, c.data, h.tenant) && peer_dir_) {
+  if (cache_.insert(d.dn_id, d.block_name, off, c.data) && peer_dir_) {
     // Unconditional publish is safe HERE (unlike the peer/owner-fetch
     // paths): mount read, insert, and publish share one tick with no
     // suspension point, and a refresh's cache-invalidate + epoch bump
@@ -881,7 +867,7 @@ sim::Task VReadDaemon::owner_chunk(hw::ThreadId tid, Descriptor& d, std::uint64_
   co_await charge_recv(tid, transport, n, h.ctx);
   c.in_ring = lands_in_ring(transport);
   peer_bytes(*owner, transport).inc(c.data.size());
-  cache_if_current(d, off, c.data, h.tenant, epoch);
+  cache_if_current(d, off, c.data, epoch);
 }
 
 sim::Task VReadDaemon::probe_cache(hw::ThreadId tid, sim::Name dn, sim::Name block,
@@ -933,10 +919,9 @@ void VReadDaemon::finish_fill(hw::ThreadId tid, trace::Ctx ctx,
 }
 
 void VReadDaemon::cache_if_current(const Descriptor& d, std::uint64_t off,
-                                   const mem::Buffer& data, sim::Name tenant,
-                                   std::uint64_t epoch) {
+                                   const mem::Buffer& data, std::uint64_t epoch) {
   if (!peer_dir_->publish_if_current(this, d.dn_id, d.block_name, epoch)) return;
-  if (cache_.insert(d.dn_id, d.block_name, off, data, tenant)) {
+  if (cache_.insert(d.dn_id, d.block_name, off, data)) {
     peer_epochs_[std::make_pair(d.dn_id, d.block_name)] = epoch;
   } else {
     peer_dir_->unpublish(this, d.dn_id, d.block_name);
@@ -1291,8 +1276,8 @@ sim::Task VReadDaemon::stream_remote_read(virt::ShmChannel& channel, hw::ThreadI
   sim::Mailbox<RemoteChunk> arrivals(host_.sim());
   const std::uint64_t offset = req.offset;
   const std::uint64_t len = req.len;
-  // The peer-side cache insert is attributed to the requesting tenant (its
-  // identity crosses the wire in the control message).
+  // The peer-side fill is charged to the requesting tenant (its identity
+  // crosses the wire in the control message).
   const sim::Name tenant = req.tenant;
   // Per-request hints cross the wire in the control message: the peer's
   // local path honors the same coalesce/readahead intent as a local read.

@@ -411,7 +411,7 @@ class VReadDaemon {
   // (ReadRequest on the guest side), or from the control message of a
   // remote read on the owner side.
   struct ReadHints {
-    sim::Name tenant;       // QoS identity the cache insert is charged to
+    sim::Name tenant;       // QoS identity a led fill is charged to
     trace::Ctx ctx;
     bool coalesce = true;   // may join or lead a merged fill (§12)
     bool readahead = true;  // may use the mount's sequential readahead
@@ -490,7 +490,7 @@ class VReadDaemon {
   // reader (they were valid at `epoch` — read-time semantics) but neither
   // cached nor advertised.
   void cache_if_current(const Descriptor& d, std::uint64_t off, const mem::Buffer& data,
-                        sim::Name tenant, std::uint64_t epoch);
+                        std::uint64_t epoch);
   // Daemon-to-daemon transport CPU on THIS daemon's host: the send or
   // receive side of one message carrying `bytes` of payload (0 for a
   // control message). TCP payload copies are recorded as copy spans.

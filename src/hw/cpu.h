@@ -84,8 +84,6 @@ class CpuScheduler {
     return ConsumeAwaiter{*this, tid, cycles, cat, ctx};
   }
 
-  // cpufreq-set: takes effect at the next quantum boundary.
-  void set_frequency_ghz(double ghz) { config_.freq_ghz = ghz; }
   int cores() const { return config_.cores; }
 
   sim::SimTime cycles_to_time(sim::Cycles cycles) const {

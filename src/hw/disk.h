@@ -43,11 +43,17 @@ namespace vread::hw {
 class Disk {
  public:
   struct Config {
-    double read_bw_mbps = 190.0;   // effective sequential read (image file path)
-    double write_bw_mbps = 320.0;  // SSD-class sequential write
-    sim::SimTime read_latency = sim::us(150);
-    sim::SimTime write_latency = sim::us(60);
+    double read_bw_mbps = 190.0;  // effective sequential read (image file path)
   };
+
+  // SSD-class sequential write bandwidth and the per-request access
+  // latencies of a read and a write.
+  static constexpr double kWriteBwMbps = 320.0;
+  static constexpr sim::SimTime kReadLatency = sim::us(150);
+  static constexpr sim::SimTime kWriteLatency = sim::us(60);
+  // A read issued within this long of the last write's completion pays
+  // Variability::write_stall (the device's internal buffer flush).
+  static constexpr sim::SimTime kWriteStallWindow = sim::us(200);
 
   // Submission-window tuning for read_batched().
   struct BatchConfig {
@@ -63,17 +69,15 @@ class Disk {
     std::uint64_t seed = 1;        // GC phase / channel-hash seed
     // Background GC: once per `gc_period` the device blocks for
     // `gc_duration`; the window's offset inside its period is hashed from
-    // (seed, period index) across [0, gc_jitter * (period - duration)], so
-    // replicas seeded differently stall at different times — which is
-    // exactly the window hedged reads exploit.
+    // (seed, period index) across [0, period - duration), so replicas
+    // seeded differently stall at different times — which is exactly the
+    // window hedged reads exploit.
     sim::SimTime gc_period = sim::ms(50);
     sim::SimTime gc_duration = sim::ms(2);
-    double gc_jitter = 1.0;        // 0 = window pinned at each period start
-    // Write interference: a read issued within `write_stall_window` of the
+    // Write interference: a read issued within kWriteStallWindow of the
     // last write's completion pays `write_stall` extra access latency
     // (internal buffer flush ahead of the read).
     sim::SimTime write_stall = sim::us(400);
-    sim::SimTime write_stall_window = sim::us(200);
     // Internal parallelism: requests hash onto `channels` independent
     // queues (1 = the classic single FIFO). An unlucky run of same-channel
     // requests queues behind itself while other channels idle — the
@@ -204,8 +208,8 @@ class Disk {
   }
 
   sim::SimTime schedule(std::uint64_t bytes, bool is_write) {
-    const double bw = (is_write ? config_.write_bw_mbps : config_.read_bw_mbps) * 1e6;
-    sim::SimTime latency = is_write ? config_.write_latency : config_.read_latency;
+    const double bw = (is_write ? kWriteBwMbps : config_.read_bw_mbps) * 1e6;
+    sim::SimTime latency = is_write ? kWriteLatency : kReadLatency;
     const sim::SimTime xfer =
         static_cast<sim::SimTime>(static_cast<double>(bytes) / bw * 1e9);
     if (!var_.enabled) {
@@ -226,22 +230,20 @@ class Disk {
     // Write interference: reads dispatched on the heels of a write wait
     // out the device's internal flush.
     if (!is_write && var_.write_stall > 0 && last_write_end_ > 0 &&
-        start < last_write_end_ + var_.write_stall_window) {
+        start < last_write_end_ + kWriteStallWindow) {
       latency += var_.write_stall;
       ++write_stalls_;
     }
     // Background GC: a request starting inside the current period's
-    // (seeded) window is held until the window closes. The jittered offset
-    // never exceeds period - duration, so a window is contained in its
+    // (seeded) window is held until the window closes. The hashed offset
+    // stays below period - duration, so a window is contained in its
     // period and one containment check suffices.
     if (var_.gc_period > 0 && var_.gc_duration > 0 &&
         var_.gc_duration < var_.gc_period) {
       const std::uint64_t k =
           static_cast<std::uint64_t>(start) / static_cast<std::uint64_t>(var_.gc_period);
-      const auto span = static_cast<std::uint64_t>(
-          var_.gc_jitter * static_cast<double>(var_.gc_period - var_.gc_duration));
-      const sim::SimTime woff =
-          span > 0 ? static_cast<sim::SimTime>(mix(var_.seed, k) % span) : 0;
+      const auto span = static_cast<std::uint64_t>(var_.gc_period - var_.gc_duration);
+      const auto woff = static_cast<sim::SimTime>(mix(var_.seed, k) % span);
       const sim::SimTime ws = static_cast<sim::SimTime>(k) * var_.gc_period + woff;
       if (start >= ws && start < ws + var_.gc_duration) {
         start = ws + var_.gc_duration;

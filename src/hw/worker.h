@@ -33,15 +33,6 @@ class WorkerThread {
   // Enqueues a job; it runs after all previously submitted jobs complete.
   void submit(Job job) { jobs_.send(std::move(job)); }
 
-  // Convenience: a job that just burns `cycles` under `cat` then calls
-  // `after` (may be null) in worker context.
-  void submit_work(sim::Cycles cycles, CycleCategory cat, std::function<void()> after) {
-    submit([this, cycles, cat, after = std::move(after)]() -> sim::Task {
-      co_await cpu_.consume(tid_, cycles, cat);
-      if (after) after();
-    });
-  }
-
   ThreadId tid() const { return tid_; }
   CpuScheduler& cpu() { return cpu_; }
   std::size_t backlog() const { return jobs_.size(); }

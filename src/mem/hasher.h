@@ -20,6 +20,7 @@
 // keep their own FNV chains.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -81,18 +82,16 @@ class Hasher {
  public:
   void update(const std::uint8_t* p, std::size_t n) {
     total_ += n;
-    if (buffered_ + n < kStripe) {
-      if (n > 0) std::memcpy(buf_ + buffered_, p, n);
-      buffered_ += n;
-      return;
-    }
     if (buffered_ > 0) {
-      const std::size_t fill = kStripe - buffered_;
+      // Top up the partial stripe; a short input ends here. The copy is
+      // bounded by the room left, which GCC 12 can see (-Warray-bounds).
+      const std::size_t fill = std::min(n, kStripe - buffered_);
       std::memcpy(buf_ + buffered_, p, fill);
+      buffered_ += fill;
+      if (buffered_ < kStripe) return;
       stripe(buf_);
       p += fill;
       n -= fill;
-      buffered_ = 0;
     }
     for (; n >= kStripe; p += kStripe, n -= kStripe) stripe(p);
     if (n > 0) std::memcpy(buf_, p, n);

@@ -82,16 +82,6 @@ class PageCache {
     for (std::uint64_t p = first; p <= last; ++p) insert(object, p);
   }
 
-  // Drops every resident page of an object (e.g. "clear the disk memory
-  // buffer" in the paper's cold-read experiments).
-  void invalidate_object(std::uint64_t object) {
-    for (std::uint32_t s = lru_head_; s != kNil;) {
-      const std::uint32_t next = slots_[s].next;
-      if (slots_[s].object == object) remove(s);
-      s = next;
-    }
-  }
-
   void clear() {
     slots_.clear();
     std::fill(index_.begin(), index_.end(), kNil);

@@ -11,8 +11,6 @@ SloMonitor::SloMonitor(SloConfig cfg, TimeSeriesRecorder& recorder,
       metrics_(reg),
       latency_alerts_(metrics_.counter("vread_slo_alerts_total", {{"slo", "read_latency"}},
                                        "Burn-rate alerts fired for the read-latency SLO")),
-      bytes_alerts_(metrics_.counter("vread_slo_alerts_total", {{"slo", "cross_rack_bytes"}},
-                                     "Burn-rate alerts fired for the cross-rack byte SLO")),
       firing_g_(metrics_.gauge("vread_slo_firing", {},
                                "SLO scopes currently burning above threshold")) {
   recorder_.set_tick_hook([this](sim::SimTime now) { evaluate(now); });
@@ -44,25 +42,6 @@ SloMonitor::Burn SloMonitor::latency_burn(const TimeSeriesRecorder::Series& s,
   return b;
 }
 
-SloMonitor::Burn SloMonitor::bytes_burn(const TimeSeriesRecorder::Series& s,
-                                        sim::SimTime now) const {
-  double bytes_l = 0, bytes_s = 0;
-  const sim::SimTime lo_l = now - cfg_.long_window;
-  const sim::SimTime lo_s = now - cfg_.short_window;
-  s.points.for_each([&](const SeriesPoint& p) {
-    if (p.t <= lo_l || p.t > now) return;
-    bytes_l += p.value;
-    if (p.t > lo_s) bytes_s += p.value;
-  });
-  const double budget_per_sec = cfg_.cross_rack_budget_mbps * 1e6;
-  Burn b;
-  if (budget_per_sec > 0) {
-    b.burn_long = bytes_l / (budget_per_sec * sim::to_seconds(cfg_.long_window));
-    b.burn_short = bytes_s / (budget_per_sec * sim::to_seconds(cfg_.short_window));
-  }
-  return b;
-}
-
 void SloMonitor::gate(sim::SimTime now, const std::string& slo,
                       const std::string& scope, const Burn& b) {
   bool& firing = firing_[slo + "|" + scope];
@@ -76,7 +55,7 @@ void SloMonitor::gate(sim::SimTime now, const std::string& slo,
     a.burn_long = b.burn_long;
     a.burn_short = b.burn_short;
     alerts_.push_back(a);
-    (slo == "read_latency" ? latency_alerts_ : bytes_alerts_).inc();
+    latency_alerts_.inc();
     if (flight_) {
       flight_->record(now, FlightEventKind::kSloAlert, slo, scope,
                       static_cast<std::uint64_t>(b.burn_long * 1000),
@@ -91,9 +70,6 @@ void SloMonitor::evaluate(sim::SimTime now) {
   for (const auto& [key, s] : recorder_.series()) {
     if (s.kind == SeriesKind::kHistogram && s.name == kLatencySeries) {
       gate(now, "read_latency", key, latency_burn(s, now));
-    } else if (s.kind == SeriesKind::kCounter && s.name == kCrossRackSeries &&
-               cfg_.cross_rack_budget_mbps > 0) {
-      gate(now, "cross_rack_bytes", key, bytes_burn(s, now));
     }
   }
   std::int64_t hot = 0;

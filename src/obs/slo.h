@@ -1,15 +1,11 @@
 // Multi-window burn-rate SLO monitor (DESIGN.md §14).
 //
-// Two SLO families, both evaluated at every recorder tick from the
-// ring-buffered series — never from simulation state directly:
-//
-//   * read-latency: at most `kLatencyBudget` of reads in a window may
-//     exceed the recorder's latency target. The burn rate of a window is
-//     (violating fraction) / budget — burn 1.0 consumes the error budget
-//     exactly at the sustainable rate, burn 4.0 four times as fast.
-//   * cross-rack bytes: cross-rack traffic may average at most
-//     `cross_rack_budget_mbps`; the burn rate is the window's actual
-//     byte rate over that budget.
+// The read-latency SLO, evaluated at every recorder tick from the
+// ring-buffered series — never from simulation state directly: at most
+// `kLatencyBudget` of reads in a window may exceed the recorder's latency
+// target. The burn rate of a window is (violating fraction) / budget —
+// burn 1.0 consumes the error budget exactly at the sustainable rate, burn
+// 4.0 four times as fast.
 //
 // An alert FIRES when both the long and the short window burn above
 // `kBurnThreshold` (SRE-style multi-window gating: the long window proves
@@ -37,14 +33,10 @@ class FlightRecorder;
 inline constexpr char kLatencySeries[] = "vread_daemon_read_latency_ns";
 // Allowed fraction of window reads above the latency target.
 inline constexpr double kLatencyBudget = 0.01;
-// Counter series whose deltas are cross-rack bytes.
-inline constexpr char kCrossRackSeries[] = "vread_route_cross_rack_bytes_total";
 // Burn rate both windows must reach for an alert to fire.
 inline constexpr double kBurnThreshold = 4.0;
 
 struct SloConfig {
-  // Cross-rack byte budget in MB per simulated second; 0 disables.
-  double cross_rack_budget_mbps = 0;
   // Burn-rate windows.
   sim::SimTime long_window = sim::ms(1000);
   sim::SimTime short_window = sim::ms(100);
@@ -52,7 +44,7 @@ struct SloConfig {
 
 struct SloAlert {
   sim::SimTime t = 0;
-  std::string slo;    // "read_latency" or "cross_rack_bytes"
+  std::string slo;    // "read_latency"
   std::string scope;  // the series key the alert fired for
   double burn_long = 0;
   double burn_short = 0;
@@ -80,7 +72,6 @@ class SloMonitor {
     double burn_short = 0;
   };
   Burn latency_burn(const TimeSeriesRecorder::Series& s, sim::SimTime now) const;
-  Burn bytes_burn(const TimeSeriesRecorder::Series& s, sim::SimTime now) const;
   void gate(sim::SimTime now, const std::string& slo, const std::string& scope,
             const Burn& b);
 
@@ -88,7 +79,6 @@ class SloMonitor {
   TimeSeriesRecorder& recorder_;
   metrics::MetricGroup metrics_;
   metrics::Counter& latency_alerts_;
-  metrics::Counter& bytes_alerts_;
   metrics::Gauge& firing_g_;
   FlightRecorder* flight_ = nullptr;
   std::vector<SloAlert> alerts_;

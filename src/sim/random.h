@@ -30,9 +30,6 @@ class Rng {
     return static_cast<double>(next() >> 11) * (1.0 / 9007199254740992.0);
   }
 
-  // Forks an independent stream (for per-entity RNGs derived from one seed).
-  Rng fork() { return Rng(next() ^ 0xd1b54a32d192ed03ULL); }
-
  private:
   std::uint64_t state_;
 };

@@ -104,12 +104,6 @@ class Tracer {
     SpanId root = push(id, 0, SpanKind::kRead, name, tid, now(), now(), 0);
     return Ctx{id, root};
   }
-  void end_read(Ctx ctx, std::uint64_t bytes) {
-    if (!enabled_ || !ctx) return;
-    Span& s = spans_[ctx.parent - 1];
-    s.end = now();
-    s.bytes = bytes;
-  }
 
   // Records a completed span with explicit timestamps (the scheduler emits
   // wait/compute spans retroactively when a burst finishes).

@@ -71,9 +71,6 @@ class Host {
   hw::HostId lan_id() const { return lan_id_; }
   std::vector<std::unique_ptr<Vm>>& vms() { return vms_; }
 
-  // cpufreq-set for the whole package.
-  void set_frequency_ghz(double ghz) { cpu_.set_frequency_ghz(ghz); }
-
  private:
   sim::Simulation& sim_;
   const hw::CostModel& costs_;

@@ -208,7 +208,7 @@ sim::Task VirtualNetwork::connect(Vm& client, const std::string& server_name,
   // remote ones cross the wire twice.
   const bool same_host = &client.host() == &server->host();
   co_await sim_.delay(same_host ? sim::us(60) : sim::us(200));
-  conns_.push_back(std::make_unique<TcpConn>(*this, client, *server, default_window_));
+  conns_.push_back(std::make_unique<TcpConn>(*this, client, *server, kSocketWindow));
   out = TcpSocket{conns_.back().get(), /*side=*/0};
   it->second->pending.send(conns_.back().get());
 }

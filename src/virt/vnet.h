@@ -142,6 +142,9 @@ struct TcpSocket {
 
 class VirtualNetwork {
  public:
+  // Receive window of every connection (Hadoop-era socket buffers).
+  static constexpr std::uint64_t kSocketWindow = 512 * 1024;
+
   VirtualNetwork(sim::Simulation& sim, hw::Lan& lan, const hw::CostModel& costs)
       : sim_(sim), lan_(lan), costs_(costs) {}
   VirtualNetwork(const VirtualNetwork&) = delete;
@@ -179,8 +182,6 @@ class VirtualNetwork {
   hw::Lan& lan() { return lan_; }
   const hw::CostModel& costs() const { return costs_; }
 
-  void set_default_window(std::uint64_t bytes) { default_window_ = bytes; }
-
   // Inter-VM shared-memory networking (paper §2.2, XenSocket/ZIVM/Nahanni
   // style): same-host transfers hand pages between VMs instead of copying
   // through the bridge, eliminating exactly ONE of the five data copies.
@@ -207,7 +208,6 @@ class VirtualNetwork {
   std::unordered_map<sim::Name, Vm*, sim::Name::Hash> vm_index_;  // lookups only
   std::map<std::pair<std::string, std::uint16_t>, std::unique_ptr<Listener>> listeners_;
   std::vector<std::unique_ptr<TcpConn>> conns_;
-  std::uint64_t default_window_ = 512 * 1024;  // Hadoop-era socket buffers
   bool intervm_shm_ = false;
   std::uint64_t segments_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;

@@ -49,15 +49,6 @@ TEST(Topology, GeometryMapsHostsAndVmsToRacks) {
   EXPECT_EQ(t.tier(3, 4), PathTier::kCrossRack);
 }
 
-TEST(Topology, RackConfigCarriesUplinkAndOversubscription) {
-  TopologyConfig cfg{.racks = 2, .hosts_per_rack = 8, .oversubscription = 4.0};
-  cfg.uplink.bw_gbps = 40.0;
-  const hw::Lan::RackConfig rc = Topology(cfg).rack_config();
-  EXPECT_EQ(rc.hosts_per_rack, 8u);
-  EXPECT_DOUBLE_EQ(rc.uplink.bw_gbps, 40.0);
-  EXPECT_DOUBLE_EQ(rc.oversubscription, 4.0);
-}
-
 TEST(RoutePolicy, ParsesAllNamesAndRejectsJunk) {
   RoutePolicy p;
   ASSERT_TRUE(parse_route_policy("static", p));
@@ -174,7 +165,7 @@ TEST(ReplicaSelector, EqualCostTieBreakSplitsEvenly) {
   // Two equal-cost replicas (same tier, no load signal) must share the
   // work ~50/50 under the seeded tie-break — deterministic for the seed,
   // but unbiased across draws.
-  ReplicaSelector s(RouteConfig{.policy = RoutePolicy::kReplicaAware, .seed = 7});
+  ReplicaSelector s(RouteConfig{.policy = RoutePolicy::kReplicaAware});
   const std::vector<ReplicaSelector::Candidate> cands = {
       {&kDnA, PathTier::kSameRack}, {&kDnB, PathTier::kSameRack}};
   int first = 0;
@@ -185,7 +176,7 @@ TEST(ReplicaSelector, EqualCostTieBreakSplitsEvenly) {
   EXPECT_GT(first, kTrials * 2 / 5);
   EXPECT_LT(first, kTrials * 3 / 5);
   // Deterministic: the same seed reproduces the same split exactly.
-  ReplicaSelector s2(RouteConfig{.policy = RoutePolicy::kReplicaAware, .seed = 7});
+  ReplicaSelector s2(RouteConfig{.policy = RoutePolicy::kReplicaAware});
   int first2 = 0;
   for (int i = 0; i < kTrials; ++i) {
     if (s2.choose(0, cands) == 0) ++first2;
@@ -194,7 +185,7 @@ TEST(ReplicaSelector, EqualCostTieBreakSplitsEvenly) {
 }
 
 TEST(ReplicaSelector, RandomPolicySpreadsAcrossAllReplicas) {
-  ReplicaSelector s(RouteConfig{.policy = RoutePolicy::kRandom, .seed = 3});
+  ReplicaSelector s(RouteConfig{.policy = RoutePolicy::kRandom});
   const std::vector<ReplicaSelector::Candidate> cands = {
       {&kDnA, PathTier::kSameHost}, {&kDnB, PathTier::kCrossRack}};
   int first = 0;
@@ -221,8 +212,7 @@ TEST(ReplicaSelector, FreshLoadFeedbackSteersWithinATier) {
 TEST(ReplicaSelector, OverloadedReplicaShedsWithinOneFeedbackInterval) {
   // An overloaded same-host daemon loses to a healthy same-rack one —
   // immediately, on the very next choose() after the signal arrives.
-  RouteConfig cfg{.policy = RoutePolicy::kReplicaAware, .feedback_ttl = sim::ms(50)};
-  ReplicaSelector s(cfg);
+  ReplicaSelector s(RouteConfig{.policy = RoutePolicy::kReplicaAware});
   const std::vector<ReplicaSelector::Candidate> cands = {
       {&kDnA, PathTier::kSameHost}, {&kDnB, PathTier::kSameRack}};
   EXPECT_EQ(s.choose(sim::ms(1), cands), 0u);  // healthy: same-host wins
@@ -240,15 +230,15 @@ TEST(ReplicaSelector, OverloadedReplicaShedsWithinOneFeedbackInterval) {
 
 TEST(ReplicaSelector, OverloadVerdictExpiresAfterOneTtl) {
   // A daemon that stops being chosen stops producing completions, so its
-  // overload verdict must not stick forever: past feedback_ttl the signal
+  // overload verdict must not stick forever: past kFeedbackTtl the signal
   // is stale and the replica is eligible again.
-  RouteConfig cfg{.policy = RoutePolicy::kReplicaAware, .feedback_ttl = sim::ms(50)};
-  ReplicaSelector s(cfg);
+  ReplicaSelector s(RouteConfig{.policy = RoutePolicy::kReplicaAware});
   const std::vector<ReplicaSelector::Candidate> cands = {
       {&kDnA, PathTier::kSameHost}, {&kDnB, PathTier::kSameRack}};
   s.report_overload(sim::ms(10), kDnA);
   EXPECT_EQ(s.choose(sim::ms(11), cands), 1u);               // inside the ttl
-  EXPECT_EQ(s.choose(sim::ms(10) + cfg.feedback_ttl + 1, cands), 0u);  // expired
+  EXPECT_EQ(s.choose(sim::ms(10) + kFeedbackTtl, cands), 1u);      // still inside
+  EXPECT_EQ(s.choose(sim::ms(10) + kFeedbackTtl + 1, cands), 0u);  // expired
   EXPECT_FALSE(s.last_avoided_overload());
 }
 

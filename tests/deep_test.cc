@@ -83,23 +83,25 @@ TEST(SemaphoreCorners, TryAcquireRespectsWaiterQueue) {
 
 // --- scheduler corners ---
 
-TEST(SchedulerCorners, FrequencyChangeAppliesToSubsequentQuanta) {
-  sim::Simulation s;
-  metrics::CycleAccounting acct;
-  hw::CpuScheduler cpu(s, acct, {.cores = 1, .freq_ghz = 1.0, .slice = sim::ms(1)});
-  hw::ThreadId t = cpu.add_thread("t", "g");
-  sim::SimTime done = -1;
-  auto proc = [](hw::CpuScheduler& c, hw::ThreadId tid, sim::Simulation& sm,
-                 sim::SimTime* out) -> sim::Task {
-    co_await c.consume(tid, 4'000'000, hw::CycleCategory::kOther);  // 4 ms at 1 GHz
-    c.set_frequency_ghz(4.0);
-    co_await c.consume(tid, 4'000'000, hw::CycleCategory::kOther);  // 1 ms at 4 GHz
-    *out = sm.now();
+TEST(SchedulerCorners, ConsumeTimeScalesWithFrequency) {
+  // The same cycles take a quarter of the time on a 4 GHz package.
+  auto elapsed = [](double ghz) {
+    sim::Simulation s;
+    metrics::CycleAccounting acct;
+    hw::CpuScheduler cpu(s, acct, {.cores = 1, .freq_ghz = ghz, .slice = sim::ms(1)});
+    hw::ThreadId t = cpu.add_thread("t", "g");
+    sim::SimTime done = -1;
+    auto proc = [](hw::CpuScheduler& c, hw::ThreadId tid, sim::Simulation& sm,
+                   sim::SimTime* out) -> sim::Task {
+      co_await c.consume(tid, 4'000'000, hw::CycleCategory::kOther);
+      *out = sm.now();
+    };
+    s.spawn(proc(cpu, t, s, &done));
+    s.run();
+    return static_cast<double>(done);
   };
-  s.spawn(proc(cpu, t, s, &done));
-  s.run();
-  EXPECT_NEAR(static_cast<double>(done), static_cast<double>(sim::ms(5)),
-              static_cast<double>(sim::us(10)));
+  EXPECT_NEAR(elapsed(1.0), static_cast<double>(sim::ms(4)), static_cast<double>(sim::us(10)));
+  EXPECT_NEAR(elapsed(4.0), static_cast<double>(sim::ms(1)), static_cast<double>(sim::us(10)));
 }
 
 TEST(SchedulerCorners, WakeupPlacementPenaltyScalesWithLoad) {

@@ -132,7 +132,10 @@ TEST(WorkerThread, JobsRunSeriallyInSubmitOrder) {
   WorkerThread w(f.sim, f.cpu, "io", "host");
   std::vector<int> order;
   for (int i = 0; i < 3; ++i) {
-    w.submit_work(1'000'000, CycleCategory::kVhostNet, [&order, i] { order.push_back(i); });
+    w.submit([&w, &order, i]() -> sim::Task {
+      co_await w.cpu().consume(w.tid(), 1'000'000, CycleCategory::kVhostNet);
+      order.push_back(i);
+    });
   }
   f.sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
@@ -149,39 +152,41 @@ sim::Task disk_read_proc(Disk& disk, std::uint64_t bytes, sim::Simulation& sim,
 
 TEST(Disk, ReadTimeIsLatencyPlusTransfer) {
   sim::Simulation s;
-  Disk disk(s, Disk::Config{.read_bw_mbps = 400.0, .read_latency = us(80)});
+  Disk disk(s, Disk::Config{.read_bw_mbps = 400.0});
   SimTime done = -1;
-  // 4 MB at 400 MB/s = 10 ms, plus 80 us latency.
+  // 4 MB at 400 MB/s = 10 ms, plus the access latency.
   s.spawn(disk_read_proc(disk, 4'000'000, s, done));
   s.run();
-  EXPECT_EQ(done, ms(10) + us(80));
+  EXPECT_EQ(done, ms(10) + Disk::kReadLatency);
 }
 
 TEST(Disk, RequestsSerializeFifo) {
   sim::Simulation s;
-  Disk disk(s, Disk::Config{.read_bw_mbps = 100.0, .read_latency = us(100)});
+  Disk disk(s, Disk::Config{.read_bw_mbps = 100.0});
   SimTime d1 = -1, d2 = -1;
-  s.spawn(disk_read_proc(disk, 1'000'000, s, d1));  // 10 ms + 0.1
+  s.spawn(disk_read_proc(disk, 1'000'000, s, d1));  // 10 ms + latency
   s.spawn(disk_read_proc(disk, 1'000'000, s, d2));  // queued behind
   s.run();
-  EXPECT_EQ(d1, ms(10) + us(100));
-  EXPECT_EQ(d2, ms(20) + us(200));
+  EXPECT_EQ(d1, ms(10) + Disk::kReadLatency);
+  EXPECT_EQ(d2, ms(20) + 2 * Disk::kReadLatency);
   EXPECT_EQ(disk.bytes_read(), 2'000'000u);
   EXPECT_EQ(disk.read_count(), 2u);
 }
 
 TEST(Disk, WriteUsesWriteBandwidth) {
   sim::Simulation s;
-  Disk disk(s, Disk::Config{.write_bw_mbps = 200.0, .write_latency = us(50)});
+  Disk disk(s, Disk::Config{});
+  // 10 ms worth of bytes at the write bandwidth.
+  const auto bytes = static_cast<std::uint64_t>(Disk::kWriteBwMbps * 10'000);
   SimTime done = -1;
-  auto proc = [](Disk& d, sim::Simulation& sm, SimTime& out) -> sim::Task {
-    co_await d.write(2'000'000);
+  auto proc = [](Disk& d, std::uint64_t n, sim::Simulation& sm, SimTime& out) -> sim::Task {
+    co_await d.write(n);
     out = sm.now();
   };
-  s.spawn(proc(disk, s, done));
+  s.spawn(proc(disk, bytes, s, done));
   s.run();
-  EXPECT_EQ(done, ms(10) + us(50));
-  EXPECT_EQ(disk.bytes_written(), 2'000'000u);
+  EXPECT_EQ(done, ms(10) + Disk::kWriteLatency);
+  EXPECT_EQ(disk.bytes_written(), bytes);
 }
 
 TEST(NetworkLink, TransferTimeMatchesBandwidthPlusPropagation) {

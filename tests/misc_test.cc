@@ -105,7 +105,6 @@ TEST(TcpWindow, SenderBlocksUntilReceiverConsumes) {
   hw::CostModel costs;
   hw::Lan lan(sim, {});
   virt::VirtualNetwork net(sim, lan, costs);
-  net.set_default_window(64 * 1024);  // small window
   virt::Host host(sim, acct, costs, lan, {.name = "h"});
   virt::Vm& a = host.add_vm({.name = "a"});
   virt::Vm& b = host.add_vm({.name = "b"});
@@ -123,21 +122,22 @@ TEST(TcpWindow, SenderBlocksUntilReceiverConsumes) {
     co_await s->delay(sim::ms(50));
     *started = s->now();
     Buffer got;
-    co_await conn.recv_exact(512 * 1024, got, hw::CycleCategory::kDatanodeApp);
+    co_await conn.recv_exact(4 * virt::VirtualNetwork::kSocketWindow, got,
+                             hw::CycleCategory::kDatanodeApp);
   };
   auto client = [](virt::VirtualNetwork* n, virt::Vm* vm, sim::SimTime* done,
                    sim::Simulation* s) -> sim::Task {
     virt::TcpSocket conn;
     co_await n->connect(*vm, "b", 1, conn);
-    co_await conn.send(Buffer::deterministic(1, 0, 512 * 1024),
+    co_await conn.send(Buffer::deterministic(1, 0, 4 * virt::VirtualNetwork::kSocketWindow),
                         hw::CycleCategory::kClientApp);
     *done = s->now();
   };
   sim.spawn(server(&net, &b, &recv_started, &sim));
   sim.spawn(client(&net, &a, &send_done, &sim));
   sim.run();
-  // With a 64 KB window and a 512 KB payload, the sender cannot finish
-  // before the receiver starts draining at t=50ms.
+  // A payload of four windows: the sender cannot finish before the
+  // receiver starts draining at t=50ms.
   EXPECT_GT(send_done, recv_started);
   EXPECT_GE(recv_started, sim::ms(50));
 }
@@ -181,9 +181,13 @@ TEST(WorkerCompose, JobsMaySubmitFollowOnJobs) {
   hw::CpuScheduler cpu(sim, acct, {.cores = 2, .freq_ghz = 1.0});
   hw::WorkerThread w(sim, cpu, "w", "g");
   std::vector<int> order;
-  w.submit_work(1000, hw::CycleCategory::kOther, [&] {
+  w.submit([&]() -> sim::Task {
+    co_await w.cpu().consume(w.tid(), 1000, hw::CycleCategory::kOther);
     order.push_back(1);
-    w.submit_work(1000, hw::CycleCategory::kOther, [&] { order.push_back(3); });
+    w.submit([&]() -> sim::Task {
+      co_await w.cpu().consume(w.tid(), 1000, hw::CycleCategory::kOther);
+      order.push_back(3);
+    });
     order.push_back(2);
   });
   sim.run();

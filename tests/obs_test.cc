@@ -447,27 +447,6 @@ TEST(SloMonitor, ShortBlipWithoutLongWindowSupportDoesNotFire) {
   EXPECT_EQ(slo.firing(), 0u);
 }
 
-TEST(SloMonitor, CrossRackByteBudgetBurns) {
-  SloConfig cfg;
-  cfg.cross_rack_budget_mbps = 1.0;  // 1 MB per simulated second
-  SloBed bed(cfg);
-  SloMonitor slo(bed.cfg, bed.rec, bed.reg);
-  auto* xr = bed.rec.resolve(kCrossRackSeries, {}, SeriesKind::kCounter);
-  // 1 MB of budget per second -> the 1000ms window affords 1e6 bytes and
-  // the 100ms window 1e5. Push 100ms deltas of 5e5 bytes: short burn 5,
-  // long burn (after 10 points) 5e6/1e6 = 5 -> alert.
-  for (int i = 1; i <= 10; ++i) {
-    SeriesPoint p;
-    p.t = sim::ms(100 * i);
-    p.value = 5e5;
-    xr->points.push(p);
-    slo.evaluate(sim::ms(100 * i));
-  }
-  ASSERT_FALSE(slo.alerts().empty());
-  EXPECT_EQ(slo.alerts()[0].slo, "cross_rack_bytes");
-  EXPECT_GE(slo.alerts()[0].burn_short, 4.0);
-}
-
 TEST(SloMonitor, EvaluateRunsAsRecorderTickHook) {
   // The constructor wires itself as the recorder's tick hook: pushing hot
   // points and ticking the recorder must alert without an explicit

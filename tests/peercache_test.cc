@@ -66,18 +66,6 @@ TEST(PeerCacheValidate, ConflictsWithDirectRead) {
   EXPECT_EQ(dc.Validate().code(), StatusCode::kConfig);
 }
 
-TEST(PeerCacheValidate, RejectsSubSlotTenantCacheCapWithFieldAndValue) {
-  DaemonConfig dc;
-  dc.qos.cache_bytes["tenant-a"] = 512;
-  const Status st = dc.Validate();
-  EXPECT_EQ(st.code(), StatusCode::kConfig);
-  // The rejection names the offending field and the value it held.
-  EXPECT_NE(st.to_string().find("qos.cache_bytes[tenant-a]"), std::string::npos);
-  EXPECT_NE(st.to_string().find("512"), std::string::npos);
-  dc.qos.cache_bytes["tenant-a"] = 0;  // 0 removes the cap, stays legal
-  EXPECT_TRUE(dc.Validate().ok());
-}
-
 // ---- BlockCache removal observer (the unpublish hook) ----
 
 TEST(BlockCacheObserver, FiresOncePerBlockOnEveryRemovalPath) {
@@ -133,33 +121,23 @@ TEST(BlockCacheObserver, LongerPayloadAtACachedOffsetReplacesTheEntry) {
   BlockCache cache(16384, "longer-host");
   int removals = 0;
   cache.set_removal_observer([&](const std::string&, const std::string&) { ++removals; });
-  ASSERT_TRUE(cache.insert("dn", "blk", 0, Buffer::deterministic(3, 0, 4096), "t1"));
+  ASSERT_TRUE(cache.insert("dn", "blk", 0, Buffer::deterministic(3, 0, 4096)));
   ASSERT_TRUE(cache.insert("dn", "other", 0, Buffer::deterministic(4, 0, 8192)));
   // Resident means servable: the longer range must hit afterwards.
-  EXPECT_TRUE(cache.insert("dn", "blk", 0, Buffer::deterministic(3, 0, 8192), "t2"));
+  EXPECT_TRUE(cache.insert("dn", "blk", 0, Buffer::deterministic(3, 0, 8192)));
   EXPECT_EQ(cache.lookup("dn", "blk", 0, 8192), Buffer::deterministic(3, 0, 8192));
   EXPECT_EQ(cache.bytes(), 16384u);
-  EXPECT_EQ(cache.tenant_bytes("t1"), 0u);
-  EXPECT_EQ(cache.tenant_bytes("t2"), 8192u);
   EXPECT_EQ(cache.evictions(), 0u);
   EXPECT_EQ(removals, 0);  // the block never left the cache
   // A shorter re-insert keeps the longer entry.
   EXPECT_TRUE(cache.insert("dn", "blk", 0, Buffer::deterministic(3, 0, 2048)));
   EXPECT_EQ(cache.lookup("dn", "blk", 0, 8192), Buffer::deterministic(3, 0, 8192));
-  EXPECT_EQ(cache.tenant_bytes("t2"), 8192u);
   // Growing past the capacity left evicts the LRU victim, reported once.
   EXPECT_TRUE(cache.insert("dn", "blk", 0, Buffer::deterministic(3, 0, 12288)));
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(removals, 1);  // "other"
   EXPECT_EQ(cache.bytes(), 12288u);
-  EXPECT_EQ(cache.tenant_bytes("t2"), 0u);
   EXPECT_EQ(cache.lookup("dn", "blk", 0, 12288), Buffer::deterministic(3, 0, 12288));
-  // A longer payload its tenant's cap can never hold is refused, and the
-  // shorter entry stays.
-  cache.set_tenant_cap("capped", 12288);
-  EXPECT_FALSE(cache.insert("dn", "blk", 0, Buffer::deterministic(3, 0, 16384), "capped"));
-  EXPECT_EQ(cache.lookup("dn", "blk", 0, 12288), Buffer::deterministic(3, 0, 12288));
-  EXPECT_EQ(removals, 1);
 }
 
 // ---- owner directory epoch/copyset unit semantics ----

@@ -286,14 +286,8 @@ TEST_P(PageCacheFuzz, MissAccountingMatchesReferenceSet) {
       for (std::uint64_t pg = first; pg <= last; ++pg) resident[{obj, pg}] = true;
     }
     if (rng.uniform01() < 0.02) {
-      cache.invalidate_object(obj);
-      for (auto it = resident.begin(); it != resident.end();) {
-        if (it->first.first == obj) {
-          it = resident.erase(it);
-        } else {
-          ++it;
-        }
-      }
+      cache.clear();
+      resident.clear();
     }
   }
 }
@@ -343,16 +337,6 @@ class ReferenceLru {
     if (len == 0 || cap_ == 0) return;
     for (std::uint64_t p = off / 4096; p <= (off + len - 1) / 4096; ++p) insert(obj, p);
   }
-  void invalidate_object(std::uint64_t obj) {
-    for (auto it = lru_.begin(); it != lru_.end();) {
-      if (it->first == obj) {
-        map_.erase(*it);
-        it = lru_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
   void clear() {
     map_.clear();
     lru_.clear();
@@ -392,13 +376,10 @@ TEST_P(PageCacheEvictingModel, MatchesAReferenceLruAfterEveryOperation) {
     } else if (op < 0.75) {
       cache.fill(obj, off, len);
       ref.fill(obj, off, len);
-    } else if (op < 0.97) {
+    } else if (op < 0.995) {
       const std::uint64_t page = off / 4096;
       cache.insert(obj, page);
       ref.insert(obj, page);
-    } else if (op < 0.995) {
-      cache.invalidate_object(obj);
-      ref.invalidate_object(obj);
     } else {
       cache.clear();
       ref.clear();

@@ -1,9 +1,8 @@
 // Multi-tenant QoS properties (DESIGN.md §11): weighted-DRR dispatch at the
 // scheduler level, property-based fairness over randomized tenant mixes on
 // the full stack, overload shedding with typed retryable statuses (bounded
-// queues, observable counters), per-tenant BlockCache residency caps, and
-// the pread fan-out partial-failure regression (one shed/failed leg retries
-// alone, bytes never duplicate).
+// queues, observable counters), and the pread fan-out partial-failure
+// regression (one shed/failed leg retries alone, bytes never duplicate).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,7 +14,6 @@
 
 #include "apps/cluster.h"
 #include "apps/dfsio.h"
-#include "core/block_cache.h"
 #include "core/libvread.h"
 #include "core/qos.h"
 #include "core/vread_daemon.h"
@@ -116,26 +114,6 @@ TEST(QosScheduler, AdmissionCapShedsAndCounts) {
   sim.spawn(drain_n(&s, 4, &order));
   sim.run();
   EXPECT_TRUE(s.submit("t", {make_req(4096), nullptr}));
-}
-
-// ---- BlockCache per-tenant residency caps ----
-
-TEST(QosBlockCache, TenantCapEvictsOwnEntriesOnly) {
-  BlockCache cache(8ULL << 20, "qos-cache-cap");
-  cache.set_tenant_cap("noisy", 256 * 1024);
-  const Buffer chunk = Buffer::deterministic(5, 0, 160 * 1024);
-  cache.insert("dn1", "blk_1", 0, chunk, "noisy");
-  cache.insert("dn1", "blk_quiet", 0, chunk, "quiet");
-  const std::uint64_t quiet_before = cache.tenant_bytes("quiet");
-  // Second noisy insert would exceed the 256 KB cap: its own LRU entry
-  // (blk_1) goes, the quiet tenant's entry stays.
-  cache.insert("dn1", "blk_2", 0, chunk, "noisy");
-  EXPECT_GE(cache.tenant_evictions(), 1u);
-  EXPECT_LE(cache.tenant_bytes("noisy"), 256u * 1024);
-  EXPECT_EQ(cache.tenant_bytes("quiet"), quiet_before);
-  EXPECT_TRUE(cache.lookup("dn1", "blk_quiet", 0, 4096).size() == 4096);
-  EXPECT_TRUE(cache.lookup("dn1", "blk_1", 0, 4096).empty());
-  EXPECT_FALSE(cache.lookup("dn1", "blk_2", 0, 4096).empty());
 }
 
 // ---- full-stack fairness (property-based) ----

@@ -649,7 +649,6 @@ TEST(ReadPathDigest, ClientHedgeSecondLegWins) {
   dc.disk.seed = 21;
   dc.disk.gc_period = sim::ms(10);
   dc.disk.gc_duration = sim::ms(8);
-  dc.disk.gc_jitter = 1.0;
   auto c = hedge_bed({"datanode2", "datanode3"}, dc);
   c->client("client1")->set_hedge(eager_hedge());
   // A zero hedge delay: both legs run the whole read side by side.

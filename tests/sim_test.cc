@@ -369,7 +369,7 @@ std::vector<std::int64_t> run_det_workload(std::uint64_t seed) {
   Semaphore sem(sim, 2);
   Rng rng(seed);
   std::vector<Rng> rngs;
-  for (int i = 0; i < 4; ++i) rngs.push_back(rng.fork());
+  for (int i = 0; i < 4; ++i) rngs.emplace_back(rng.next());  // one stream per worker
   std::vector<std::int64_t> trace;
   sim.spawn(det_drain(mb, trace, 80));
   for (int i = 0; i < 4; ++i) {
@@ -607,7 +607,7 @@ std::pair<std::uint64_t, std::uint64_t> digest_of_det_workload(std::uint64_t see
   Semaphore sem(sim, 2);
   Rng rng(seed);
   std::vector<Rng> rngs;
-  for (int i = 0; i < 4; ++i) rngs.push_back(rng.fork());
+  for (int i = 0; i < 4; ++i) rngs.emplace_back(rng.next());  // one stream per worker
   std::vector<std::int64_t> trace;
   sim.spawn(det_drain(mb, trace, 80));
   for (int i = 0; i < 4; ++i) {

@@ -341,13 +341,16 @@ TEST(TraceExport, GoldenChromeTrace) {
   Tracer& tr = tracer();
   tr.enable(sim);
   const int wire = tr.track("lan-wire", "lan");
-  Ctx ctx = tr.begin_read("read1", static_cast<int>(app));
-  tr.record(ctx, SpanKind::kCopy, "copy ring->app", static_cast<int>(app), 1000, 3500,
-            4096);
-  tr.record({}, SpanKind::kSyncWait, "cpu-queue", static_cast<int>(io), 0, 250);
-  tr.record(ctx, SpanKind::kTransport, "rdma-wire", wire, 2000, 2600, 4096);
-  tr.instant(ctx, SpanKind::kRetry, "libvread-retry", static_cast<int>(app));
-  tr.end_read(ctx, 4096);
+  {
+    Scope read = Scope::read("read1", static_cast<int>(app));
+    read.set_bytes(4096);
+    const Ctx ctx = read.ctx();
+    tr.record(ctx, SpanKind::kCopy, "copy ring->app", static_cast<int>(app), 1000, 3500,
+              4096);
+    tr.record({}, SpanKind::kSyncWait, "cpu-queue", static_cast<int>(io), 0, 250);
+    tr.record(ctx, SpanKind::kTransport, "rdma-wire", wire, 2000, 2600, 4096);
+    tr.instant(ctx, SpanKind::kRetry, "libvread-retry", static_cast<int>(app));
+  }  // closing the root scope stamps its end and bytes
   tr.disable();
 
   std::ostringstream os;
@@ -633,7 +636,6 @@ TEST(TraceDigest, HedgeSecondLegWins) {
   dc.disk.seed = 21;
   dc.disk.gc_period = sim::ms(10);
   dc.disk.gc_duration = sim::ms(8);
-  dc.disk.gc_jitter = 1.0;
   auto c = testutil::racked_bed(3, 3, 0, 0);
   c->preload_file("/f", 3 * 4 * 1024 * 1024, kDigestSeed, {{"datanode2", "datanode3"}});
   c->enable_vread(testutil::validated(dc));

@@ -17,6 +17,10 @@ that stops reporting must not pass the gate.  A candidate given as one file
 is compared against that bench's baseline only.  Reports and metrics that
 only the candidate has are listed as new, never fatal.
 
+`--markdown` prints the same verdict as a Markdown table of every metric
+that moved, went or is new (metric, baseline, candidate, delta %), ready to
+paste into CHANGES.md; the exit status is the same as without it.
+
 `--self-test` runs the comparator against synthetic reports (a small move
 each way, a regression, an improvement, a missing report, a missing metric)
 and exits non-zero if the verdicts are wrong.
@@ -55,27 +59,40 @@ def metric_map(report):
     return {m["name"]: m for m in report.get("metrics", [])}
 
 
+def delta_pct(bv, cv):
+    if bv == 0.0:
+        return float("inf") if cv > 0.0 else float("-inf")
+    return (cv - bv) / abs(bv) * 100.0
+
+
 def compare(baseline, candidate):
-    """Returns (lines, failures): human-readable rows and fatal count."""
+    """Returns (lines, failures, diffs): human-readable rows, the fatal
+    count, and (metric, baseline value, candidate value) for every metric
+    that moved, went or is new, a missing side being None."""
     lines = []
     failures = 0
+    diffs = []
     for bench in sorted(set(baseline) | set(candidate)):
+        base_m = metric_map(baseline[bench]) if bench in baseline else {}
+        cand_m = metric_map(candidate[bench]) if bench in candidate else {}
         if bench not in candidate:
             lines.append(f"[GONE] {bench}: baseline report missing from candidate")
             failures += 1
+            diffs += [(f"{bench}.{n}", float(m["value"]), None) for n, m in sorted(base_m.items())]
             continue
         if bench not in baseline:
             lines.append(f"[new]  {bench}: present only in candidate")
+            diffs += [(f"{bench}.{n}", None, float(m["value"])) for n, m in sorted(cand_m.items())]
             continue
-        base_m = metric_map(baseline[bench])
-        cand_m = metric_map(candidate[bench])
         for name in sorted(set(base_m) | set(cand_m)):
             if name not in cand_m:
                 lines.append(f"[GONE] {bench}.{name}: baseline metric missing from candidate")
                 failures += 1
+                diffs.append((f"{bench}.{name}", float(base_m[name]["value"]), None))
                 continue
             if name not in base_m:
                 lines.append(f"[new]  {bench}.{name} = {cand_m[name]['value']}")
+                diffs.append((f"{bench}.{name}", None, float(cand_m[name]["value"])))
                 continue
             b, c = base_m[name], cand_m[name]
             bv, cv = float(b["value"]), float(c["value"])
@@ -85,16 +102,24 @@ def compare(baseline, candidate):
                 lines.append(f"[ok]   {bench}.{name}: {bv:g} {unit}")
                 continue
             failures += 1
-            if bv == 0.0:
-                delta_pct = float("inf") if cv > 0.0 else float("-inf")
-            else:
-                delta_pct = (cv - bv) / abs(bv) * 100.0
+            diffs.append((f"{bench}.{name}", bv, cv))
             improved = cv > bv if better == "higher" else cv < bv
             lines.append(
                 f"[MOVE] {bench}.{name}: {bv:g} -> {cv:g} {unit} "
-                f"({delta_pct:+.2f}%, {'better' if improved else 'worse'}, better={better})"
+                f"({delta_pct(bv, cv):+.2f}%, {'better' if improved else 'worse'}, better={better})"
             )
-    return lines, failures
+    return lines, failures, diffs
+
+
+def markdown_table(diffs):
+    """The diffs of compare() as Markdown table lines."""
+    out = ["| metric | baseline | candidate | Δ % |", "|---|---:|---:|---:|"]
+    for name, bv, cv in diffs:
+        delta = "—" if bv is None or cv is None else f"{delta_pct(bv, cv):+.2f}"
+        base = "—" if bv is None else f"{bv:g}"
+        cand = "—" if cv is None else f"{cv:g}"
+        out.append(f"| `{name}` | {base} | {cand} | {delta} |")
+    return out
 
 
 def self_test():
@@ -109,43 +134,56 @@ def self_test():
 
     # Identical sets: clean.
     base = {"b": report("b", 100.0, "higher")}
-    _, n = compare(base, {"b": report("b", 100.0, "higher")})
+    _, n, _ = compare(base, {"b": report("b", 100.0, "higher")})
     assert n == 0, "identical sets must pass"
     # Regression on a higher-is-better metric: fatal.
-    _, n = compare(base, {"b": report("b", 80.0, "higher")})
+    _, n, _ = compare(base, {"b": report("b", 80.0, "higher")})
     assert n == 1, "20% throughput drop must be flagged"
     # A small move either way: fatal (the gate is exact).
-    _, n = compare(base, {"b": report("b", 100.5, "higher")})
+    _, n, _ = compare(base, {"b": report("b", 100.5, "higher")})
     assert n == 1, "a +0.5% move must be flagged"
-    _, n = compare(base, {"b": report("b", 99.5, "higher")})
+    _, n, _ = compare(base, {"b": report("b", 99.5, "higher")})
     assert n == 1, "a -0.5% move must be flagged"
     # Improvement: fatal too, until the baseline is refreshed.
-    _, n = compare(base, {"b": report("b", 120.0, "higher")})
+    _, n, _ = compare(base, {"b": report("b", 120.0, "higher")})
     assert n == 1, "an improvement must be flagged"
     lat = {"b": report("b", 10.0, "lower")}
-    _, n = compare(lat, {"b": report("b", 9.0, "lower")})
+    _, n, _ = compare(lat, {"b": report("b", 9.0, "lower")})
     assert n == 1, "a latency improvement must be flagged"
     # Lower-is-better metric moving up: fatal.
-    _, n = compare(lat, {"b": report("b", 12.0, "lower")})
+    _, n, _ = compare(lat, {"b": report("b", 12.0, "lower")})
     assert n == 1, "20% latency increase must be flagged"
     # A zero baseline that moves: fatal.
     zero = {"b": report("b", 0.0, "lower")}
-    _, n = compare(zero, {"b": report("b", 1e-9, "lower")})
+    _, n, _ = compare(zero, {"b": report("b", 1e-9, "lower")})
     assert n == 1, "a zero baseline that moves must be flagged"
     # Baseline metric missing from the candidate report: fatal.
-    _, n = compare(base, {"b": {"schema": SCHEMA, "bench": "b", "metrics": []}})
+    _, n, _ = compare(base, {"b": {"schema": SCHEMA, "bench": "b", "metrics": []}})
     assert n == 1, "a metric that drops out of a report must be flagged"
     # Baseline report missing from the candidate set: fatal.
     two = {"a": report("a", 5.0, "lower"), "b": report("b", 100.0, "higher")}
-    _, n = compare(two, {"b": report("b", 100.0, "higher")})
+    _, n, _ = compare(two, {"b": report("b", 100.0, "higher")})
     assert n == 1, "a report missing from the candidate must be flagged"
-    _, n = compare(two, {})
+    _, n, _ = compare(two, {})
     assert n == 2, "an empty candidate set must fail for every baseline report"
     # New report or metric only in the candidate: informational.
     extra = report("b", 100.0, "higher")
     extra["metrics"].append({"name": "new", "value": 1.0, "better": "lower"})
-    _, n = compare(base, {"b": extra, "c": report("c", 1.0, "higher")})
+    _, n, _ = compare(base, {"b": extra, "c": report("c", 1.0, "higher")})
     assert n == 0, "new reports and metrics are informational"
+    # The Markdown table lists exactly the moved, gone and new metrics.
+    moved = {"b": report("b", 110.0, "higher"), "d": report("d", 3.0, "lower")}
+    moved["b"]["metrics"].append({"name": "new", "value": 2.0, "better": "lower"})
+    _, n, diffs = compare({"b": report("b", 100.0, "higher"), "a": report("a", 5.0, "lower"),
+                           "d": report("d", 3.0, "lower")}, moved)
+    assert n == 2, "the table does not change the verdict"
+    assert markdown_table(diffs) == [
+        "| metric | baseline | candidate | Δ % |",
+        "|---|---:|---:|---:|",
+        "| `a.throughput` | 5 | — | — |",
+        "| `b.new` | — | 2 | — |",
+        "| `b.throughput` | 100 | 110 | +10.00 |",
+    ], "the Markdown table must list each moved, gone and new metric once"
     print("bench_compare self-test: OK")
     return 0
 
@@ -154,6 +192,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("baseline", nargs="?", help="baseline dir or BENCH_*.json file")
     ap.add_argument("candidate", nargs="?", help="candidate dir or BENCH_*.json file")
+    ap.add_argument("--markdown", action="store_true",
+                    help="print the moved, gone and new metrics as a Markdown table")
     ap.add_argument("--self-test", action="store_true",
                     help="verify the comparator's own verdicts and exit")
     args = ap.parse_args()
@@ -169,8 +209,8 @@ def main():
         raise SystemExit(f"no BENCH_*.json reports under {args.baseline}")
     if os.path.isfile(args.candidate):
         baseline = {k: v for k, v in baseline.items() if k in candidate}
-    lines, failures = compare(baseline, candidate)
-    for line in lines:
+    lines, failures, diffs = compare(baseline, candidate)
+    for line in markdown_table(diffs) if args.markdown else lines:
         print(line)
     if failures:
         print(f"\n{failures} failure(s): a metric moved from its baseline value, "
