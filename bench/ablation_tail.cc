@@ -178,8 +178,10 @@ std::unique_ptr<Cluster> make_bed(bool variability, bool hedge) {
   c->add_datanode("host1", "datanode1");
   c->add_datanode("host2", "datanode2");
   for (std::size_t i = 0; i < kReaders; ++i) {
-    const std::string host = "host" + std::to_string(i + 3);
-    const std::string vm = "c" + std::to_string(i + 1);
+    std::string host = "host";
+    host += std::to_string(i + 3);
+    std::string vm = "c";
+    vm += std::to_string(i + 1);
     c->add_host(host);
     c->add_vm(host, vm);
     c->add_client(vm);

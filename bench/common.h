@@ -163,17 +163,7 @@ class BenchReport {
       }
       f << '}';
     }
-    // Full registry dump: the run's counters/gauges/histograms (live
-    // series plus everything retired by torn-down bench clusters).
-    f << "\n  ],\n  \"registry\": ";
-    {
-      std::ostringstream reg;
-      metrics::write_json(reg);
-      std::string doc = reg.str();
-      while (!doc.empty() && doc.back() == '\n') doc.pop_back();
-      f << doc;
-    }
-    f << "\n}\n";
+    f << "\n  ]\n}\n";
     return static_cast<bool>(f);
   }
 

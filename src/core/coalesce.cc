@@ -67,7 +67,11 @@ void CoalesceMap::complete(const FillPtr& fill, mem::Buffer data, Status status,
   fill->status = std::move(status);
   // The payload is retained only when someone will read it; the leader
   // already holds its own copy, so a solo fill stores nothing.
-  if (fill->status.ok() && fill->waiters > 0) fill->data = std::move(data);
+  if (fill->waiters == 0) {
+    fill->data = mem::Buffer();
+  } else if (fill->status.ok()) {
+    fill->data.append(data);
+  }
   fill->fill_bytes = fill_bytes;
   if (fill->status.ok()) {
     fill_bytes_.inc(fill_bytes);
@@ -75,6 +79,11 @@ void CoalesceMap::complete(const FillPtr& fill, mem::Buffer data, Status status,
     failed_fills_.inc();
   }
   waiters_h_.observe(fill->waiters);
+  fill->done.set();
+}
+
+void CoalesceMap::extend(const FillPtr& fill, const mem::Buffer& piece) {
+  fill->data.append(piece);
   fill->done.set();
 }
 

@@ -4,16 +4,18 @@
 // through a weak_ptr table; this generalizes that idea into a first-class
 // stage between QoS dispatch and the worker pool (DESIGN.md §12). Every
 // cache-missing read names a (datanode, block, [offset, offset+len))
-// window. The FIRST request for a window becomes the fill's *leader* and
-// does the actual work (page-cache fill + loop read locally, the whole
-// daemon-to-daemon pipeline remotely); any request arriving while that
-// fill is in flight and fully covered by its window *attaches* as a
-// waiter and simply sleeps on the fill's event. Completion fans the
-// payload (or the typed failure Status) out to every waiter at once — the
-// host pays for one disk/wire traversal instead of N.
+// window: what it asks the backing store for. The FIRST request for a
+// window becomes the fill's *leader* and does the actual work (page-cache
+// fill + loop read locally, the owner's push remotely); any request
+// arriving while that fill is in flight and fully covered by its window
+// *attaches* as a waiter — once, however many of its chunks the window
+// covers — and sleeps on the fill's event. A fill lands progressively: a
+// one-shot fill (a local chunk) all at completion, a pushed remote window
+// chunk by chunk as its arrivals land, and a waiter wakes as soon as its
+// own range is in. The host pays for one disk/wire traversal instead of N.
 //
-// Failure contract: a failed fill propagates its Status to every waiter;
-// nobody receives partial bytes. The fill is removed from the table at
+// Failure contract: a failed fill propagates its Status to every waiter
+// whose range had not landed. The fill is removed from the table at
 // completion either way, so the next request for the same window starts a
 // fresh single-flight attempt — failures are retried single-flight, never
 // thundering-herd.
@@ -51,9 +53,11 @@ class CoalesceMap {
     sim::Name block_name;
     std::uint64_t offset = 0;  // window this fill will deliver
     std::uint64_t len = 0;
-    sim::Event done;           // broadcast on completion (success or failure)
+    sim::Event done;           // broadcast when bytes land and on completion
     bool complete = false;
-    mem::Buffer data;          // the window's bytes; empty unless ok + waiters
+    // The bytes landed so far, from `offset`; dropped at completion when
+    // no waiter will read them.
+    mem::Buffer data;
     Status status;             // what every waiter sees
     std::uint64_t fill_bytes = 0;     // bytes the backing store actually served
     std::vector<sim::Name> tenants;   // leader first, then each waiter
@@ -68,9 +72,9 @@ class CoalesceMap {
   // Finds an in-flight fill whose window fully covers
   // [offset, offset+len) of (dn_id, block). On a match the request is
   // registered as a waiter (tenant recorded for the fill-byte split) and
-  // the fill is returned: co_await fill->done.wait(), then slice
-  // fill->data. Returns nullptr when no covering fill is in flight — the
-  // caller must lead one via begin().
+  // the fill is returned: wait on fill->done until the range has landed in
+  // fill->data, then slice it. Returns nullptr when no covering fill is in
+  // flight — the caller must lead one via begin().
   FillPtr attach(sim::Name dn_id, sim::Name block, std::uint64_t offset, std::uint64_t len,
                  sim::Name tenant);
 
@@ -78,18 +82,19 @@ class CoalesceMap {
   FillPtr begin(sim::Name dn_id, sim::Name block, std::uint64_t offset, std::uint64_t len,
                 sim::Name tenant);
 
-  // Completes a fill: on ok, `data` holds the window's bytes (stored only
-  // if someone is waiting — the leader already has its copy); on failure
-  // every waiter gets `status` and no bytes. `fill_bytes` is what the
-  // backing store served (disk bytes locally, wire payload remotely).
+  // Lands the next piece of the window (a pushed fill's non-final
+  // arrival) and wakes the waiters to check whether their range is in.
+  void extend(const FillPtr& fill, const mem::Buffer& piece);
+
+  // Completes a fill: on ok, `data` is the window's last piece (all of it
+  // for a one-shot fill), kept only if someone is waiting — the leader
+  // already has its copy; on failure a waiter whose range had not landed
+  // gets `status`. `fill_bytes` is what the backing store served (disk
+  // bytes locally, wire payload remotely).
   // The fill leaves the table before the broadcast, so a request racing
   // in *after* completion starts a fresh single-flight attempt.
   void complete(const FillPtr& fill, mem::Buffer data, Status status,
                 std::uint64_t fill_bytes);
-
-  // Drops every in-flight fill without completing it (daemon restart: the
-  // waiters' shm requests were already abandoned by the channel).
-  void clear() { inflight_.clear(); }
 
   // hw::Disk::BatchObserver target: records one sealed submission batch.
   void observe_batch(std::size_t requests, std::uint64_t bytes);

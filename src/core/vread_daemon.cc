@@ -19,6 +19,15 @@ std::uint64_t cache_key(const fs::DiskImage& image, std::uint32_t inode) {
 // RDMA payloads are written by the sender's NIC straight into the
 // receiver's registered ring memory: the daemon's ring copy is skipped.
 bool lands_in_ring(Transport t) { return t == Transport::kRdma; }
+// A reply's `bytes` crossing the LAN from `src` to `dst`, traced on the
+// wire track.
+sim::Task cross_wire(hw::Lan& lan, hw::HostId src, hw::HostId dst, std::uint64_t bytes,
+                     Transport transport, trace::Ctx ctx) {
+  const char* wire_name = lands_in_ring(transport) ? "rdma-wire" : "vread-net-wire";
+  const trace::Scope wire =
+      trace::Scope::after(ctx, trace::SpanKind::kTransport, wire_name, lan.wire_track(), bytes);
+  co_await lan.transfer(src, dst, bytes);
+}
 // Peer-cache holders tried per miss before falling back to disk / the
 // owner stream; each attempt pays a control hop.
 constexpr std::size_t kPeerFetchAttempts = 2;
@@ -65,6 +74,13 @@ Status DaemonConfig::Validate() const {
       if (w <= 0.0) {
         return bad("qos.weights[" + tenant + "]", std::to_string(w),
                    "must be > 0 (zero-weight tenants starve)");
+      }
+    }
+    for (const auto& [tenant, n] : qos.shm_outstanding) {
+      if (n == 0) {
+        return bad("qos.shm_outstanding[" + tenant + "]", "0",
+                   "must be >= 1 (a zero slot budget deadlocks every call of that "
+                   "tenant)");
       }
     }
   }
@@ -529,7 +545,7 @@ sim::Task VReadDaemon::handle(virt::ShmChannel& channel, hw::ThreadId tid,
                           d->block_name, "leg", req.len);
         }
       }
-      if (hedge_cancelled(req)) {
+      if (hedge_cancelled(req.cancel)) {
         // The winner finished while this leg sat in the dispatch queue:
         // nothing was charged, nothing to un-charge.
         co_await abort_cancelled(channel, tid, req, d->block_name, 0);
@@ -544,16 +560,7 @@ sim::Task VReadDaemon::handle(virt::ShmChannel& channel, hw::ThreadId tid,
         ~InflightGuard() { *v -= n; }
       } inflight_guard{&inflight_read_bytes_, req.len};
       inflight_read_bytes_ += req.len;
-      // The peer tier serves a remote block chunk by chunk, like a local
-      // one. Without it — or once an invalidation voided the descriptor's
-      // size snapshot, so its local range check could be wrong — the owner
-      // streams the whole window and checks the range itself (§15).
-      if (!d->remote ||
-          (peer_dir_ && cache_.enabled() && !config_.direct_read && !d->peer_size_stale)) {
-        co_await serve_chunks(channel, tid, req, *d);
-      } else {
-        co_await serve_remote_read(channel, tid, req, *d);
-      }
+      co_await serve_chunks(channel, tid, req, *d);
       read_latency_.observe(static_cast<std::uint64_t>(host_.sim().now() - t0));
       co_return;  // responses already streamed into the ring
     }
@@ -727,35 +734,61 @@ sim::Task VReadDaemon::ensure_resident(hw::ThreadId tid, Descriptor& d,
 }
 
 sim::Task VReadDaemon::read_chunk(hw::ThreadId tid, Descriptor& d, std::uint64_t off,
-                                  std::uint64_t len, const ReadHints& h, Chunk& c) {
-  if (off >= d.inode.size) {
-    // The snapshot inode is shorter than the reader expects (stale mount):
-    // force the client back to the vanilla path.
-    c.status = Status(StatusCode::kRange, d.block_name);
-    co_return;
+                                  std::uint64_t len, ReadState& st, Chunk& c) {
+  const ReadHints& h = st.hints;
+  std::uint64_t n = len;
+  if (!st.pushed) {
+    if (off >= d.inode.size) {
+      // The snapshot inode is shorter than the reader expects (stale
+      // mount): force the client back to the vanilla path.
+      c.status = Status(StatusCode::kRange, d.block_name);
+      co_return;
+    }
+    n = std::min(len, d.inode.size - off);
   }
-  const std::uint64_t n = std::min(len, d.inode.size - off);
   // Direct mode has no cache, so no coalescing and no peer tier either:
-  // its contract is every byte off the device. Each step below runs only
-  // while the earlier ones left `c.data` empty.
-  const bool cached = !config_.direct_read && cache_.enabled();
-
-  // Shared block cache (DESIGN.md §10). A hit skips the backing store and
-  // serves the ring copy straight from the cached buffer, so the only
-  // remaining copies are the two standing ring copies.
-  if (cached && !d.remote) {
-    co_await probe_cache(tid, d.dn_id, d.block_name, off, n, h.ctx, c.data);
+  // its contract is every byte off the device (a remote window still
+  // merges its wire traversal). A pushed window takes neither the cache
+  // nor the peer tier. Each step below runs only while the earlier ones
+  // left `c.data` empty.
+  const bool cached = !st.pushed && !config_.direct_read && cache_.enabled();
+  // A fill this request already registered with may cover this chunk too,
+  // and inside a push the owner's next arrival is this chunk; otherwise
+  // look for a source.
+  bool joined = st.joined && off >= st.joined->offset &&
+                off + n <= st.joined->offset + st.joined->len;
+  if (!st.push && !joined) {
+    // Shared block cache (DESIGN.md §10). A hit skips the backing store
+    // and serves the ring copy straight from the cached buffer, so the
+    // only remaining copies are the two standing ring copies.
+    if (cached && !d.remote) {
+      co_await probe_cache(tid, d.dn_id, d.block_name, off, n, h.ctx, c.data);
+    }
+    // Cross-VM coalescing (§12): a window already being filled for someone
+    // else is joined as a waiter instead of refilled. The window is what
+    // this read would ask the backing store for: one chunk, or the rest of
+    // a pushed request.
+    if (c.data.empty() && coalesce_ && h.coalesce && (d.remote || !config_.direct_read)) {
+      const std::uint64_t window = st.pushed ? st.end - off : n;
+      // A request registers with a fill once, whatever it takes from it.
+      st.joined = coalesce_->attach(d.dn_id, d.block_name, off, window, h.tenant);
+      joined = st.joined != nullptr;
+      if (!joined) {
+        st.led = coalesce_->begin(d.dn_id, d.block_name, off, window, h.tenant);
+      } else {
+        if (obs_fr_) {
+          const char* site = !d.remote ? "local-fill" : st.pushed ? "remote-leg" : "peer-tier";
+          obs_fr_->record(host_.sim().now(), obs::FlightEventKind::kCoalesceMerge,
+                          d.block_name, site, window);
+        }
+        trace::tracer().instant(h.ctx, trace::SpanKind::kCoalesce, "coalesce-attach",
+                                static_cast<int>(tid));
+      }
+    }
   }
-  // Cross-VM coalescing (§12): a window already being filled for someone
-  // else is joined as a waiter instead of refilled.
-  bool joined = false;
-  CoalesceMap::FillPtr fill;
-  if (c.data.empty() && coalesce_ && h.coalesce && !config_.direct_read) {
-    const char* site = d.remote ? "peer-tier" : "local-fill";
-    co_await join_fill(tid, d, off, n, h.tenant, h.ctx, site, joined, c);
-    if (!joined) fill = coalesce_->begin(d.dn_id, d.block_name, off, n, h.tenant);
-  }
-  if (c.data.empty() && !joined) {
+  if (joined) {
+    co_await take_fill(tid, d, off, n, st, c);
+  } else if (c.data.empty()) {
     // A remote block probes the cache after the join, so concurrent streams
     // merge at the same chop points the caches use (§15).
     if (cached && d.remote) {
@@ -774,14 +807,19 @@ sim::Task VReadDaemon::read_chunk(hw::ThreadId tid, Descriptor& d, std::uint64_t
       }
     }
     if (c.data.empty() && d.remote) {
-      co_await owner_chunk(tid, d, off, n, h, c);
-      fill_bytes = n;
+      co_await owner_chunk(tid, d, off, n, st, c);
+      // Every arrival since the led fill began came off the wire.
+      if (st.led) fill_bytes = off + c.data.size() - st.led->offset;
     } else if (c.data.empty()) {
       co_await image_chunk(tid, d, off, n, h, c, fill_bytes);
     }
     // Fan the window out to every waiter and split the backing-store cost
-    // across the tenants that shared the fill.
-    if (fill) finish_fill(tid, h.ctx, fill, c.data, c.status, fill_bytes);
+    // across the tenants that shared the fill; a push completes its fill
+    // with its last arrival.
+    if (st.led && !st.push) {
+      finish_fill(tid, h.ctx, st.led, c.data, c.status, fill_bytes);
+      st.led.reset();
+    }
   }
   if (c.status.ok() && !d.remote) {
     d.seq_pos = off + n;
@@ -825,49 +863,72 @@ sim::Task VReadDaemon::image_chunk(hw::ThreadId tid, Descriptor& d, std::uint64_
   }
 }
 
-sim::Task VReadDaemon::owner_chunk(hw::ThreadId tid, Descriptor& d, std::uint64_t off,
-                                   std::uint64_t n, const ReadHints& h, Chunk& c) {
-  // Snapshot the directory epoch BEFORE dispatching: the bytes cross
-  // several suspension points (owner control worker, LAN payload, RX CPU),
-  // and an invalidation interleaving anywhere in that span — e.g. the
-  // owner's local_refresh exposing a new snapshot — means they are
+sim::Task VReadDaemon::owner_chunk(hw::ThreadId tid, const Descriptor& d,
+                                   std::uint64_t off, std::uint64_t n, ReadState& st,
+                                   Chunk& c) {
+  const trace::Ctx ctx = st.hints.ctx;
+  // With the peer tier on, snapshot the directory epoch BEFORE dispatching
+  // (a one-chunk push opens and lands in this call): the bytes cross
+  // several suspension points (owner control worker, LAN payload, RX
+  // CPU), and an invalidation interleaving anywhere in that span — e.g.
+  // the owner's local_refresh exposing a new snapshot — means they are
   // authoritative at THIS epoch, not at whatever epoch holds when they
   // finally land here.
-  const std::uint64_t epoch = peer_dir_->epoch(d.dn_id, d.block_name);
-  VReadDaemon* owner = d.peer;
-  const Transport transport = effective_transport(tid, h.ctx);
-  co_await charge_send(tid, transport, 0, h.ctx);
-  co_await host_.lan().transfer(host_.lan_id(), owner->host_.lan_id(), kCtrlBytes);
-  if (fault::registry().should_fire(fault::points::kPeerDown)) {
-    c.status = Status(StatusCode::kPeerDown, d.dn_id);
-    co_return;
-  }
-  // Owner side, on its control worker: the chunk comes through the owner's
-  // own chain (minus the peer tier), then is pushed back.
-  const std::uint64_t owner_vfd = d.peer_vfd;
-  std::function<sim::Task(hw::ThreadId)> job = [owner, owner_vfd, off, n, transport, &h,
-                                                &c](hw::ThreadId otid) -> sim::Task {
-    co_await owner->charge_recv(otid, transport, 0, h.ctx);
-    auto it = owner->descriptors_.find(owner_vfd);
-    if (it == owner->descriptors_.end()) {
-      c.status = Status::from_wire(kVReadErrBadFd, "peer descriptor");
+  std::uint64_t epoch = 0;
+  if (!st.push) {
+    if (!st.pushed) epoch = peer_dir_->epoch(d.dn_id, d.block_name);
+    VReadDaemon* owner = d.peer;
+    const Transport transport = effective_transport(tid, ctx);
+    // Request out: one WR / one user-space TCP message.
+    co_await charge_send(tid, transport, 0, ctx);
+    co_await host_.lan().transfer(host_.lan_id(), owner->host_.lan_id(), kCtrlBytes);
+    if (fault::registry().should_fire(fault::points::kPeerDown)) {
+      // Owner unreachable: the guest library retries (bounded) and then
+      // degrades to the vanilla socket path. A led fill fails with it.
+      c.status = Status(StatusCode::kPeerDown, d.dn_id);
       co_return;
     }
-    DescriptorPtr od = it->second;
-    const ReadHints oh{h.tenant, h.ctx, h.coalesce, h.readahead, /*peer=*/false};
-    co_await owner->read_chunk(otid, *od, off, n, oh, c);
-    if (c.status.ok()) co_await owner->charge_send(otid, transport, n, h.ctx);
-  };
-  co_await owner->run_on_control(std::move(job));
-  if (!c.status.ok()) {
-    co_await host_.lan().transfer(owner->host_.lan_id(), host_.lan_id(), kCtrlBytes);
+    Push& p = st.push.emplace(host_.sim(), transport);
+    // The hints cross the wire in the control message, so the owner's
+    // chain honours the same tenant and coalesce/readahead intent. A leg
+    // that leads a fill is never cancelled mid-window: its bytes complete
+    // the fill its waiters sleep on.
+    ReadHints oh = st.hints;
+    oh.peer = false;
+    if (st.led) oh.cancel = nullptr;
+    const std::uint64_t window = st.pushed ? st.end - off : n;
+    owner->control_->submit([owner, vfd = d.peer_vfd, off, window, transport, oh,
+                             dst = host_.lan_id(), carried = !st.pushed,
+                             arrivals = &p.arrivals]() -> sim::Task {
+      co_await owner->push_window(owner->control_->tid(), vfd, off, window, transport, oh,
+                                  dst, carried, arrivals);
+    });
+    p.from_owner = &peer_bytes(*owner, transport);
+  }
+  Push& p = *st.push;
+  Chunk a = co_await p.arrivals.recv();
+  if (a.wire > 0) {
+    co_await cross_wire(host_.lan(), d.peer->host_.lan_id(), host_.lan_id(), a.wire,
+                        p.transport, ctx);
+  }
+  if (!a.status.ok()) {
+    c.status = std::move(a.status);
+    st.push.reset();
     co_return;
   }
-  co_await host_.lan().transfer(owner->host_.lan_id(), host_.lan_id(), c.data.size());
-  co_await charge_recv(tid, transport, n, h.ctx);
-  c.in_ring = lands_in_ring(transport);
-  peer_bytes(*owner, transport).inc(c.data.size());
-  cache_if_current(d, off, c.data, epoch);
+  p.from_owner->inc(a.data.size());
+  // One CQE (the payload already sits in the registered ring memory), or
+  // the receive-side copy out of the user-space TCP stream.
+  co_await charge_recv(tid, p.transport, a.data.size(), ctx);
+  c.in_ring = lands_in_ring(p.transport);
+  if (!st.pushed) cache_if_current(d, off, a.data, epoch);
+  c.last = st.pushed && a.last;
+  if (a.last) {
+    st.push.reset();
+  } else if (st.led) {
+    coalesce_->extend(st.led, a.data);
+  }
+  c.data = std::move(a.data);
 }
 
 sim::Task VReadDaemon::probe_cache(hw::ThreadId tid, sim::Name dn, sim::Name block,
@@ -880,31 +941,31 @@ sim::Task VReadDaemon::probe_cache(hw::ThreadId tid, sim::Name dn, sim::Name blo
   out = cache_.lookup(dn, block, off, n);
 }
 
-sim::Task VReadDaemon::join_fill(hw::ThreadId tid, const Descriptor& d, std::uint64_t off,
-                                 std::uint64_t n, sim::Name tenant, trace::Ctx ctx,
-                                 const char* site, bool& joined, Chunk& c) {
-  CoalesceMap::FillPtr f = coalesce_->attach(d.dn_id, d.block_name, off, n, tenant);
-  if (!f) co_return;
-  joined = true;
-  if (obs_fr_) {
-    obs_fr_->record(host_.sim().now(), obs::FlightEventKind::kCoalesceMerge, d.block_name,
-                    site, n);
+sim::Task VReadDaemon::take_fill(hw::ThreadId tid, const Descriptor& d, std::uint64_t off,
+                                 std::uint64_t n, ReadState& st, Chunk& c) {
+  const CoalesceMap::Fill& f = *st.joined;
+  {
+    const trace::Scope wait =
+        trace::Scope::open(st.hints.ctx, trace::SpanKind::kSyncWait, "coalesce-wait", tid, n);
+    // A pushed fill lands chunk by chunk: wake once this range is in.
+    while (!f.complete && f.offset + f.data.size() < off + n) {
+      st.joined->done.reset();
+      co_await st.joined->done.wait();
+    }
   }
-  trace::tracer().instant(ctx, trace::SpanKind::kCoalesce, "coalesce-attach",
-                          static_cast<int>(tid));
-  const trace::Scope wait =
-      trace::Scope::open(ctx, trace::SpanKind::kSyncWait, "coalesce-wait", tid, n);
-  co_await f->done.wait();
-  const std::uint64_t start = off - f->offset;
-  if (!f->status.ok()) {
-    c.status = f->status;
-  } else if (start >= f->data.size()) {
+  const std::uint64_t landed = f.offset + f.data.size();
+  if (landed >= off + n) {
+    c.data = f.data.slice(off - f.offset, n);
+  } else if (!f.status.ok()) {
+    c.status = f.status;
+  } else if (off >= landed) {
     // A remote leader's payload stops at the owner inode's end; a window
     // starting past that would have gotten RANGE from the owner too.
     c.status = Status(StatusCode::kRange, d.block_name);
   } else {
-    c.data = f->data.slice(start, std::min(n, f->data.size() - start));
+    c.data = f.data.slice(off - f.offset, landed - off);
   }
+  c.last = st.pushed && f.complete && landed <= off + n;
 }
 
 void VReadDaemon::finish_fill(hw::ThreadId tid, trace::Ctx ctx,
@@ -915,7 +976,15 @@ void VReadDaemon::finish_fill(hw::ThreadId tid, trace::Ctx ctx,
                             static_cast<int>(tid));
   }
   coalesce_->complete(fill, std::move(data), status, status.ok() ? fill_bytes : 0);
-  charge_fill_split(*fill);
+  if (!qos_ || fill->fill_bytes == 0 || !fill->status.ok()) return;
+  const auto& tenants = fill->tenants;
+  const std::uint64_t share = fill->fill_bytes / tenants.size();
+  // The integer remainder lands on the leader so per-tenant charges always
+  // sum exactly to the bytes the backing store served.
+  qos_->charge_fill(tenants.front(), fill->fill_bytes - share * (tenants.size() - 1));
+  for (std::size_t i = 1; i < tenants.size(); ++i) {
+    qos_->charge_fill(tenants[i], share);
+  }
 }
 
 void VReadDaemon::cache_if_current(const Descriptor& d, std::uint64_t off,
@@ -949,19 +1018,6 @@ sim::Task VReadDaemon::charge_net(hw::ThreadId tid, Transport transport, bool se
       cm.vreadnet_per_segment * std::max<std::uint64_t>(1, cm.segments(bytes)) +
           cm.copy_cost(bytes),
       CycleCategory::kVreadNet, ctx);
-}
-
-void VReadDaemon::charge_fill_split(const CoalesceMap::Fill& fill) {
-  if (!qos_ || fill.fill_bytes == 0 || !fill.status.ok()) return;
-  const auto& tenants = fill.tenants;
-  const std::uint64_t share = fill.fill_bytes / tenants.size();
-  // The integer remainder lands on the leader so per-tenant charges always
-  // sum exactly to the bytes the backing store served.
-  qos_->charge_fill(tenants.front(),
-                    fill.fill_bytes - share * (tenants.size() - 1));
-  for (std::size_t i = 1; i < tenants.size(); ++i) {
-    qos_->charge_fill(tenants[i], share);
-  }
 }
 
 sim::Task VReadDaemon::local_refresh(hw::ThreadId tid, const std::string& dn_id) {
@@ -1129,8 +1185,8 @@ sim::Task VReadDaemon::remote_open(hw::ThreadId tid, VReadDaemon* peer, sim::Nam
   }
 }
 
-bool VReadDaemon::hedge_cancelled(const virt::ShmRequest& req) {
-  if (!req.cancel || !*req.cancel) return false;
+bool VReadDaemon::hedge_cancelled(const std::shared_ptr<const bool>& cancel) {
+  if (!cancel || !*cancel) return false;
   // Injected cancel/completion race: the daemon "misses" the flag for this
   // check, as if the doorbell arrived after the leg completed.
   if (fault::registry().should_fire(fault::points::kHedgeCancelRace)) return false;
@@ -1155,7 +1211,14 @@ sim::Task VReadDaemon::abort_cancelled(virt::ShmChannel& channel, hw::ThreadId t
 sim::Task VReadDaemon::serve_chunks(virt::ShmChannel& channel, hw::ThreadId tid,
                                     const virt::ShmRequest& req, Descriptor& d) {
   const trace::Ctx ctx = req.ctx;
-  if (req.offset >= d.inode.size) {
+  ReadState st(ReadHints{req.tenant, ctx, req.coalesce, req.readahead, true, req.cancel});
+  // The peer tier serves a remote block chunk by chunk, like a local one.
+  // Without it — or once an invalidation voided the descriptor's size
+  // snapshot, so a local range check could be wrong — the owner pushes the
+  // whole window and checks the range itself (§15).
+  st.pushed = d.remote && !(peer_dir_ && cache_.enabled() && !config_.direct_read &&
+                            !d.peer_size_stale);
+  if (!st.pushed && req.offset >= d.inode.size) {
     // Snapshot shorter than the reader expects: fall back to vanilla. (A
     // remote descriptor's size came with the open reply, so the range check
     // the owner would make is answered here without a wire hop.)
@@ -1163,21 +1226,27 @@ sim::Task VReadDaemon::serve_chunks(virt::ShmChannel& channel, hw::ThreadId tid,
                                   /*last=*/true, /*charge_copy=*/true, ctx);
     co_return;
   }
-  const std::uint64_t end = std::min(req.offset + req.len, d.inode.size);
-  if (obs_ts_) obs_ts_->record_block_access(d.block_name, end - req.offset);
-  const ReadHints hints{req.tenant, ctx, req.coalesce, req.readahead};
+  st.end = st.pushed ? req.offset + req.len : std::min(req.offset + req.len, d.inode.size);
+  if (obs_ts_) obs_ts_->record_block_access(d.block_name, st.end - req.offset);
   std::uint64_t delivered = 0;
-  for (std::uint64_t off = req.offset; off < end;) {
-    if (off > req.offset && hedge_cancelled(req)) {
+  for (std::uint64_t off = req.offset; off < st.end;) {
+    if (off > req.offset && !st.pushed && hedge_cancelled(req.cancel)) {
       // Between chunks only: the checked flag can't claw back a chunk
       // already in the ring, it stops the NEXT one. Any fill this leg led
       // was completed in its own chunk, so aborting strands no waiter.
+      // Inside a pushed window the owner checks the flag instead.
       co_await abort_cancelled(channel, tid, req, d.block_name, delivered);
       co_return;
     }
-    const std::uint64_t n = std::min(kStreamChunk, end - off);
+    const std::uint64_t n = std::min(kStreamChunk, st.end - off);
     Chunk c;
-    co_await read_chunk(tid, d, off, n, hints, c);
+    co_await read_chunk(tid, d, off, n, st, c);
+    if (c.status.code() == StatusCode::kCancelled) {
+      // The owner's cancel marker: only a leg that leads no fill gets one,
+      // so there is no coalesce state to unwind — just the byte charge.
+      co_await abort_cancelled(channel, tid, req, d.block_name, delivered);
+      co_return;
+    }
     if (!c.status.ok()) {
       co_await channel.respond_part(tid, req.id, c.status.to_wire(), req.vfd, mem::Buffer(),
                                     /*last=*/true, /*charge_copy=*/true, ctx);
@@ -1188,205 +1257,80 @@ sim::Task VReadDaemon::serve_chunks(virt::ShmChannel& channel, hw::ThreadId tid,
       delivered += c.data.size();
     }
     off += n;
+    const bool last = c.last || off >= st.end;
     co_await channel.respond_part(tid, req.id, static_cast<std::int64_t>(c.data.size()),
-                                  req.vfd, std::move(c.data), /*last=*/off >= end,
+                                  req.vfd, std::move(c.data), last,
                                   /*charge_copy=*/!c.in_ring, ctx);
+    if (last) break;
   }
   if (d.remote) remote_reads_.inc();
 }
 
-namespace {
-// One in-flight payload piece of a daemon-to-daemon streamed read.
-struct RemoteChunk {
-  mem::Buffer data;
-  std::int64_t status = 0;
-  bool last = false;
-};
-
-// Wire hop for one chunk: the RoCE NIC DMAs the payload; arrival is
-// signalled through the receiving daemon's mailbox. `wire_name` labels the
-// transport span ("rdma-wire" / "vread-net-wire").
-sim::Task remote_wire_hop(hw::Lan* lan, hw::HostId src, hw::HostId dst,
-                          std::uint64_t bytes, sim::Mailbox<RemoteChunk>* arrivals,
-                          RemoteChunk chunk, const char* wire_name, trace::Ctx ctx) {
-  const trace::Scope wire =
-      trace::Scope::after(ctx, trace::SpanKind::kTransport, wire_name, lan->wire_track(), bytes);
-  co_await lan->transfer(src, dst, bytes);
-  arrivals->send(std::move(chunk));
-}
-}  // namespace
-
-sim::Task VReadDaemon::serve_remote_read(virt::ShmChannel& channel, hw::ThreadId tid,
-                                         const virt::ShmRequest& req, Descriptor& d) {
-  if (obs_ts_) obs_ts_->record_block_access(d.block_name, req.len);
-  CoalesceMap::FillPtr fill;
-  if (coalesce_ && req.coalesce) {
-    // Waiter path: a fill of this window is already crossing the wire;
-    // sleep on it and serve the slice from the fanned-out payload instead
-    // of paying a second daemon-to-daemon traversal.
-    bool joined = false;
-    Chunk c;
-    co_await join_fill(tid, d, req.offset, req.len, req.tenant, req.ctx, "remote-leg",
-                       joined, c);
-    if (joined) {
-      const bool ok = c.status.ok();
-      if (ok && qos_) qos_->account_bytes(req.tenant, c.data.size());
-      const std::int64_t wire =
-          ok ? static_cast<std::int64_t>(c.data.size()) : c.status.to_wire();
-      co_await channel.respond_part(tid, req.id, wire, req.vfd, std::move(c.data),
-                                    /*last=*/true, /*charge_copy=*/true, req.ctx);
-      if (ok) remote_reads_.inc();
-      co_return;
-    }
-    fill = coalesce_->begin(d.dn_id, d.block_name, req.offset, req.len, req.tenant);
-  }
-  co_await stream_remote_read(channel, tid, req, d, std::move(fill));
-}
-
-sim::Task VReadDaemon::stream_remote_read(virt::ShmChannel& channel, hw::ThreadId tid,
-                                          const virt::ShmRequest& req, Descriptor& d,
-                                          CoalesceMap::FillPtr fill) {
-  const trace::Ctx ctx = req.ctx;
-  VReadDaemon* peer = d.peer;
-  const std::uint64_t peer_vfd = d.peer_vfd;
-  const Transport transport = effective_transport(tid, ctx);
-  const bool in_ring = lands_in_ring(transport);
-  const char* wire_name = in_ring ? "rdma-wire" : "vread-net-wire";
-
-  // Request out: one WR / one user-space TCP message.
-  co_await charge_send(tid, transport, 0, ctx);
-  co_await host_.lan().transfer(host_.lan_id(), peer->host_.lan_id(), kCtrlBytes);
-
-  if (fault::registry().should_fire(fault::points::kPeerDown)) {
-    // Peer unreachable mid-stream: report it so the guest library can
-    // retry (bounded) and ultimately degrade to the vanilla socket path.
-    // The failure fans out to every coalesced waiter; nobody gets bytes,
-    // and the next arrival retries single-flight.
-    if (fill) {
-      finish_fill(tid, ctx, fill, mem::Buffer(), Status(StatusCode::kPeerDown, d.dn_id), 0);
-    }
-    co_await channel.respond_part(tid, req.id, kVReadErrPeerDown, req.vfd,
-                                  mem::Buffer(), /*last=*/true,
-                                  /*charge_copy=*/true, ctx);
-    co_return;
-  }
-
-  // The peer's daemon streams packet-sized chunks: it reads chunk i+1 from
-  // its disk while chunk i is on the wire (active-push pipeline).
-  sim::Mailbox<RemoteChunk> arrivals(host_.sim());
-  const std::uint64_t offset = req.offset;
-  const std::uint64_t len = req.len;
-  // The peer-side fill is charged to the requesting tenant (its identity
-  // crosses the wire in the control message).
-  const sim::Name tenant = req.tenant;
-  // Per-request hints cross the wire in the control message: the peer's
-  // local path honors the same coalesce/readahead intent as a local read.
-  const bool coalesce_hint = req.coalesce;
-  const bool readahead_hint = req.readahead;
-  sim::Simulation* sim = &host_.sim();
-  const hw::HostId home = host_.lan_id();  // chunks land on the requester's host
-  // A coalescing leader is never cancelled: its bytes complete the fill
-  // that attached waiters sleep on. Only a solo leg honors the doorbell.
-  const bool cancellable = fill == nullptr;
-  const std::shared_ptr<const bool> cancel = req.cancel;
-  std::function<sim::Task(hw::ThreadId)> stream_job =
-      [peer, peer_vfd, offset, len, transport, &arrivals, sim, wire_name, tenant,
-       coalesce_hint, readahead_hint, ctx, home, cancellable,
-       cancel](hw::ThreadId ptid) -> sim::Task {
-    auto it = peer->descriptors_.find(peer_vfd);
-    if (it == peer->descriptors_.end() || offset >= it->second->inode.size) {
-      arrivals.send(RemoteChunk{mem::Buffer(),
-                                it == peer->descriptors_.end() ? kVReadErrBadFd
-                                                               : kVReadErrRange,
-                                true});
-      co_return;
-    }
-    // Shared reference: a peer restart mid-stream must not invalidate the
-    // descriptor this coroutine is reading through.
-    DescriptorPtr pd = it->second;
-    const ReadHints hints{tenant, ctx, coalesce_hint, readahead_hint, /*peer=*/false};
-    const std::uint64_t end = std::min(offset + len, pd->inode.size);
-    std::uint64_t off = offset;
-    while (off < end) {
-      if (cancellable && off > offset && cancel && *cancel &&
-          !fault::registry().should_fire(fault::points::kHedgeCancelRace)) {
-        // The cancel marker rides the same serialized link as the data
-        // chunks, so it lands strictly after every chunk already sent.
-        sim->spawn(remote_wire_hop(
-            &peer->host_.lan(), peer->host_.lan_id(), home, kCtrlBytes, &arrivals,
-            RemoteChunk{mem::Buffer(), kVReadErrCancelled, true}, wire_name, ctx));
-        co_return;
-      }
-      const std::uint64_t n = std::min(kStreamChunk, end - off);
-      Chunk c;
-      co_await peer->read_chunk(ptid, *pd, off, n, hints, c);
-      // Active push: the datanode-side daemon posts the RDMA write (its verb
-      // cost is higher than the client side's, paper Fig. 7), or pays the
-      // user-space TCP send.
-      co_await peer->charge_send(ptid, transport, n, ctx);
-      const bool ok = c.status.ok();
-      const std::int64_t wire =
-          ok ? static_cast<std::int64_t>(c.data.size()) : c.status.to_wire();
-      const bool last = !ok || off + n >= end;
-      // NIC DMA rides asynchronously; the next disk read overlaps it.
-      sim->spawn(remote_wire_hop(&peer->host_.lan(), peer->host_.lan_id(), home, n,
-                                 &arrivals, RemoteChunk{std::move(c.data), wire, last},
-                                 wire_name, ctx));
-      if (!ok) co_return;
-      off += n;
+sim::Task VReadDaemon::push_window(hw::ThreadId tid, std::uint64_t vfd, std::uint64_t offset,
+                                   std::uint64_t len, Transport transport, ReadHints h,
+                                   hw::HostId dst, bool carried,
+                                   sim::Mailbox<Chunk>* arrivals) {
+  // A data chunk crosses the wire with its bytes; an error or the cancel
+  // marker crosses as a control message. Either rides the same serialized
+  // link as the chunks, so it lands strictly after every chunk already
+  // sent. A carried reply is handed to the waiting requester, which takes
+  // the hop itself; any other rides a hop task, so the next read overlaps
+  // the wire.
+  const auto send = [&](std::uint64_t bytes, Chunk c) {
+    if (carried) {
+      c.wire = bytes;
+      arrivals->send(std::move(c));
+    } else {
+      host_.sim().spawn(push_hop(dst, bytes, arrivals, std::move(c), transport, h.ctx));
     }
   };
-  // Launch the peer-side streamer without waiting for it: chunks are
-  // consumed below as they arrive.
-  peer->control_->submit([peer, stream_job = std::move(stream_job)]() -> sim::Task {
-    co_await stream_job(peer->control_->tid());
-  });
-
-  metrics::Counter& from_peer = peer_bytes(*peer, transport);
-  // Coalescing leader: retain the payload as it lands so completion can
-  // fan the whole window out to every attached waiter in one shot.
-  mem::Buffer collected;
-  std::uint64_t delivered = 0;
-  for (;;) {
-    RemoteChunk chunk = co_await arrivals.recv();
-    if (chunk.status < 0) {
-      if (chunk.status == kVReadErrCancelled) {
-        // Only a solo (fill == nullptr) leg ever gets here, so there is no
-        // coalesce state to unwind — just the tenant byte charge.
-        co_await abort_cancelled(channel, tid, req, d.block_name, delivered);
-        co_return;
-      }
-      if (fill) {
-        finish_fill(tid, ctx, fill, mem::Buffer(),
-                    Status::from_wire(chunk.status, d.block_name), 0);
-      }
-      co_await channel.respond_part(tid, req.id, chunk.status, req.vfd,
-                                    mem::Buffer(), /*last=*/true,
-                                    /*charge_copy=*/true, ctx);
+  const auto fail = [&](Status status) {
+    Chunk c;
+    c.status = std::move(status);
+    c.last = true;
+    send(kCtrlBytes, std::move(c));
+  };
+  auto it = descriptors_.find(vfd);
+  if (it == descriptors_.end()) {
+    fail(Status(StatusCode::kBadFd, "peer descriptor"));
+    co_return;
+  }
+  // Shared reference: a restart mid-push must not invalidate the
+  // descriptor this coroutine is reading through.
+  DescriptorPtr pd = it->second;
+  if (offset >= pd->inode.size) {
+    fail(Status(StatusCode::kRange, pd->block_name));
+    co_return;
+  }
+  ReadState st(h);
+  const std::uint64_t end = std::min(offset + len, pd->inode.size);
+  for (std::uint64_t off = offset; off < end;) {
+    if (off > offset && hedge_cancelled(h.cancel)) {
+      fail(Status(StatusCode::kCancelled, pd->block_name));
       co_return;
     }
-    const std::uint64_t n = chunk.data.size();
-    from_peer.inc(n);
-    if (fill) collected.append(chunk.data);
-    // One CQE (the payload already sits in the registered ring memory), or
-    // the receive-side copy out of the user-space TCP stream.
-    co_await charge_recv(tid, transport, n, ctx);
-    if (qos_) {
-      qos_->account_bytes(req.tenant, n);
-      delivered += n;
+    const std::uint64_t n = std::min(kStreamChunk, end - off);
+    Chunk c;
+    co_await read_chunk(tid, *pd, off, n, st, c);
+    if (!c.status.ok()) {
+      fail(std::move(c.status));
+      co_return;
     }
-    const bool last = chunk.last;
-    if (fill && last) {
-      // Complete before streaming the final chunk into our own ring:
-      // waiters wake on the fill, not on the leader's ring flow control.
-      const std::uint64_t wire_bytes = collected.size();
-      finish_fill(tid, ctx, fill, std::move(collected), Status::Ok(), wire_bytes);
-    }
-    co_await channel.respond_part(tid, req.id, chunk.status, req.vfd,
-                                  std::move(chunk.data), last, !in_ring, ctx);
-    if (last) break;
+    // Active push: the owner posts the RDMA write (its verb cost is higher
+    // than the client side's, paper Fig. 7), or pays the user-space TCP
+    // send. The NIC DMA rides asynchronously; the next read overlaps it.
+    co_await charge_send(tid, transport, n, h.ctx);
+    off += n;
+    c.last = off >= end;
+    send(n, std::move(c));
   }
-  remote_reads_.inc();
+}
+
+sim::Task VReadDaemon::push_hop(hw::HostId dst, std::uint64_t bytes,
+                                sim::Mailbox<Chunk>* arrivals, Chunk c, Transport transport,
+                                trace::Ctx ctx) {
+  co_await cross_wire(host_.lan(), host_.lan_id(), dst, bytes, transport, ctx);
+  arrivals->send(std::move(c));
 }
 
 }  // namespace vread::core

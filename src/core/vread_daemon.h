@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -360,9 +361,9 @@ class VReadDaemon {
     std::uint64_t peer_vfd = 0;
     // Remote only: inode.size is a one-time snapshot from the open reply,
     // good enough for the peer tier to answer range checks locally. A
-    // peer invalidation for this (dn, block) sets this flag and the
-    // descriptor falls back to the owner-checked stream path for the rest
-    // of its life — a refresh may have changed the size, and only a
+    // peer invalidation for this (dn, block) sets this flag, and the owner
+    // pushes the descriptor's windows whole and checks their range for the
+    // rest of its life — a refresh may have changed the size, and only a
     // reopen refreshes the snapshot (DESIGN.md §15).
     bool peer_size_stale = false;
     // Sequential-read detection + readahead (the host's mounted-fs
@@ -408,79 +409,112 @@ class VReadDaemon {
 
   // --- read serving (DESIGN.md §10 "Read serving") ---
   // Per-request hints carried down the chunk chain: from the ShmRequest
-  // (ReadRequest on the guest side), or from the control message of a
-  // remote read on the owner side.
+  // (ReadRequest on the guest side), or from the control message that
+  // opens an owner's push.
   struct ReadHints {
     sim::Name tenant;       // QoS identity a led fill is charged to
     trace::Ctx ctx;
     bool coalesce = true;   // may join or lead a merged fill (§12)
     bool readahead = true;  // may use the mount's sequential readahead
-    // False when the chunk is read on the owner's control worker for a
-    // remote requester: the requester already consulted the directory,
-    // and a control-worker-initiated fetch could wait on a peer's control
-    // worker that is waiting on ours.
+    // False when the owner's push reads the chunk for a remote requester:
+    // the requester already consulted the directory, and a fetch started
+    // on the owner's control worker could wait on a peer's control worker
+    // that is waiting on ours.
     bool peer = true;
+    // The leg's hedge-cancel flag (§16); null when nothing may cancel it.
+    std::shared_ptr<const bool> cancel;
   };
   // One chunk's outcome: its bytes, or the status it failed with. RDMA
   // payloads from the owner are written straight into the client's ring
-  // (`in_ring`), which skips the daemon's ring copy.
+  // (`in_ring`), which skips the daemon's ring copy. The owner's push sends
+  // chunks too: `last` ends the push (for a pushed window, the request:
+  // the owner clips the window to its inode), and `wire` is what a carried
+  // reply still has to cross.
   struct Chunk {
     mem::Buffer data;
     Status status;
     bool in_ring = false;
+    bool last = false;
+    std::uint64_t wire = 0;
+  };
+  // The requester's end of one owner push (paper Fig. 7 "active push"):
+  // the owner reads its window chunk by chunk and pushes each one the
+  // moment it is read, so chunk i+1 is read while chunk i is on the wire.
+  struct Push {
+    Push(sim::Simulation& sim, Transport t) : arrivals(sim), transport(t) {}
+    sim::Mailbox<Chunk> arrivals;
+    Transport transport;
+    metrics::Counter* from_owner = nullptr;
+  };
+  // One kRead's state across its chunks.
+  struct ReadState {
+    explicit ReadState(ReadHints h) : hints(std::move(h)) {}
+    ReadHints hints;
+    // Request end; not clipped when `pushed` (the owner clips).
+    std::uint64_t end = 0;
+    // A remote window the owner pushes whole: the peer tier is off, or an
+    // invalidation voided the descriptor's size snapshot (§15).
+    bool pushed = false;
+    // The fill this request registered with (once, however many of its
+    // chunks that fill covers), and the fill its push window leads.
+    CoalesceMap::FillPtr joined;
+    CoalesceMap::FillPtr led;
+    // The open push, until its last arrival.
+    std::optional<Push> push;
   };
 
-  // The chunk loop: serves a kRead on a local descriptor — or on a remote
-  // one when the peer tier is on — in kStreamChunk pieces from read_chunk,
-  // so the disk, the ring and the guest's copy-out pipeline. It clips the
-  // range to the descriptor's size, feeds hot-block accesses, checks the
-  // hedge-cancel flag between chunks, charges QoS bytes, stops at the
-  // first failed chunk and writes the ring responses.
+  // The chunk loop: serves every kRead in kStreamChunk pieces from
+  // read_chunk, so the disk, the wire, the ring and the guest's copy-out
+  // pipeline. It clips the range to the descriptor's size (the owner does
+  // that for a pushed window), feeds hot-block accesses, checks the
+  // hedge-cancel flag between chunks that are not inside one push,
+  // charges QoS bytes, stops at the first failed chunk and writes the ring
+  // responses.
   sim::Task serve_chunks(virt::ShmChannel& channel, hw::ThreadId tid,
                          const virt::ShmRequest& req, Descriptor& d);
   // One chunk [off, off+len) of `d` from the first source that has it:
   // this daemon's cache, an in-flight fill (joined) or a new one (led), a
   // copyset holder's cache, then the backing store — the image for a local
-  // descriptor, the owner daemon for a remote one. The local chain probes
-  // the cache before joining a fill; the remote chain joins first.
+  // descriptor, the owner's push for a remote one. The local chain probes
+  // the cache before joining a fill; the remote chain joins first. A
+  // pushed window skips the cache and the peer tier.
   sim::Task read_chunk(hw::ThreadId tid, Descriptor& d, std::uint64_t off,
-                       std::uint64_t len, const ReadHints& h, Chunk& c);
+                       std::uint64_t len, ReadState& st, Chunk& c);
   // Local backing store: the loop-mounted image through the host page
   // cache, or the raw image in direct mode. Adds the device bytes read
   // synchronously to `disk_bytes` (a led fill's charge).
   sim::Task image_chunk(hw::ThreadId tid, Descriptor& d, std::uint64_t off,
                         std::uint64_t n, const ReadHints& h, Chunk& c,
                         std::uint64_t& disk_bytes);
-  // Remote backing store (peer tier): one chunk fetched from the owner
-  // daemon, which reads it through its own chain on its control worker.
-  sim::Task owner_chunk(hw::ThreadId tid, Descriptor& d, std::uint64_t off,
-                        std::uint64_t n, const ReadHints& h, Chunk& c);
-
-  // Remote whole-window entry (peer tier off, or the descriptor's size
-  // snapshot was invalidated): attaches the request to an in-flight
-  // coalesced fill of the same window when possible (§12), else leads one
-  // through stream_remote_read.
-  sim::Task serve_remote_read(virt::ShmChannel& channel, hw::ThreadId tid,
-                              const virt::ShmRequest& req, Descriptor& d);
-  // The owner's active-push window stream. `fill`, when set, is the
-  // coalesced fill this stream leads: payload chunks are accumulated and
-  // fanned out to waiters on completion.
-  sim::Task stream_remote_read(virt::ShmChannel& channel, hw::ThreadId tid,
-                               const virt::ShmRequest& req, Descriptor& d,
-                               CoalesceMap::FillPtr fill);
+  // Remote backing store: the first owner step of a request opens a push
+  // (one chunk with the peer tier on, the rest of the request otherwise);
+  // every step takes the push's next arrival.
+  sim::Task owner_chunk(hw::ThreadId tid, const Descriptor& d, std::uint64_t off,
+                        std::uint64_t n, ReadState& st, Chunk& c);
+  // The owner's side of a push, on its control worker: reads
+  // [offset, offset+len) of descriptor `vfd` through its own chain (minus
+  // the peer tier), clipped to its inode, and pushes each chunk to `dst`.
+  // It checks `h.cancel` between chunks and then sends the cancel marker.
+  // `carried` (the tier's one-chunk push) hands each reply to the waiting
+  // requester, which takes the wire hop itself (DESIGN.md §10 says why).
+  sim::Task push_window(hw::ThreadId tid, std::uint64_t vfd, std::uint64_t offset,
+                        std::uint64_t len, Transport transport, ReadHints h, hw::HostId dst,
+                        bool carried, sim::Mailbox<Chunk>* arrivals);
+  // One wire hop of a push, from this daemon's host to `dst`: the RoCE NIC
+  // DMAs the payload, then the arrival is posted to the requester.
+  sim::Task push_hop(hw::HostId dst, std::uint64_t bytes, sim::Mailbox<Chunk>* arrivals,
+                     Chunk c, Transport transport, trace::Ctx ctx);
 
   // Cache step: the lookup charge (paid hit or miss), then the lookup;
   // `out` stays empty on a miss.
   sim::Task probe_cache(hw::ThreadId tid, sim::Name dn, sim::Name block,
                         std::uint64_t off, std::uint64_t n, trace::Ctx ctx,
                         mem::Buffer& out);
-  // Coalesce step (§12): when an in-flight fill covers [off, off+n), sets
-  // `joined`, waits for the fill and slices this window out of its payload
-  // into `c` (or takes its failure). Returns at once otherwise, and the
-  // caller leads a fill itself. `site` labels the flight-recorder merge.
-  sim::Task join_fill(hw::ThreadId tid, const Descriptor& d, std::uint64_t off,
-                      std::uint64_t n, sim::Name tenant, trace::Ctx ctx, const char* site,
-                      bool& joined, Chunk& c);
+  // Coalesce step (§12), for a request registered with `st.joined`:
+  // waits until [off, off+n) of `st.joined` has landed, or the fill is
+  // done, and slices it into `c` (or takes the fill's failure).
+  sim::Task take_fill(hw::ThreadId tid, const Descriptor& d, std::uint64_t off,
+                      std::uint64_t n, ReadState& st, Chunk& c);
   // Completes a led fill with the chunk's outcome: marks the fan-out,
   // wakes every waiter and splits the backing-store bytes across tenants.
   void finish_fill(hw::ThreadId tid, trace::Ctx ctx, const CoalesceMap::FillPtr& fill,
@@ -505,10 +539,10 @@ class VReadDaemon {
   sim::Task charge_net(hw::ThreadId tid, Transport t, bool send, std::uint64_t bytes,
                        trace::Ctx ctx);
 
-  // True when the request's hedge-cancel flag is set AND the injected
+  // True when the leg's hedge-cancel flag is set AND the injected
   // cancel/completion race (core.daemon.hedge_cancel_race) does not fire.
-  // Consulted between chunks only — a chunk already in the ring stays.
-  bool hedge_cancelled(const virt::ShmRequest& req);
+  // Consulted between chunks only — a chunk already sent stays.
+  bool hedge_cancelled(const std::shared_ptr<const bool>& cancel);
   // Aborts a cancelled losing leg: un-charges the bytes it had already
   // delivered, counts + records the cancellation, and answers the guest
   // with kVReadErrCancelled so the leg coroutine unwinds quietly.
@@ -596,9 +630,6 @@ class VReadDaemon {
   // Single-flight fill merging (§12); created at construction when
   // config_.coalesce.enabled.
   std::unique_ptr<CoalesceMap> coalesce_;
-  // Splits a completed fill's backing-store bytes across the tenants that
-  // shared it (remainder to the leader) so charges sum exactly.
-  void charge_fill_split(const CoalesceMap::Fill& fill);
   // Control worker: mount refreshes + serving reads for remote peers.
   std::unique_ptr<hw::WorkerThread> control_;
   std::map<std::uint64_t, DescriptorPtr> descriptors_;

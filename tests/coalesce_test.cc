@@ -16,6 +16,7 @@
 #include "apps/cluster.h"
 #include "apps/dfsio.h"
 #include "core/coalesce.h"
+#include "core/libvread.h"
 #include "core/vread_daemon.h"
 #include "fault/fault.h"
 #include "fault/status.h"
@@ -82,6 +83,22 @@ TEST(DaemonConfigValidate, RejectsDegenerateQos) {
   EXPECT_EQ(dc.Validate().code(), StatusCode::kConfig);
 
   // QoS off: the same knobs are inert.
+  dc.qos.enabled = false;
+  EXPECT_TRUE(dc.Validate().ok());
+}
+
+TEST(DaemonConfigValidate, RejectsZeroTenantShmOutstanding) {
+  DaemonConfig dc;
+  dc.qos.shm_outstanding["t"] = 0;
+  const Status st = dc.Validate();
+  EXPECT_EQ(st.code(), StatusCode::kConfig);
+  EXPECT_NE(st.to_string().find("qos.shm_outstanding[t] = 0"), std::string::npos)
+      << st.to_string();
+
+  dc.qos.shm_outstanding["t"] = 1;
+  EXPECT_TRUE(dc.Validate().ok());
+  // QoS off: the per-tenant budget is never applied.
+  dc.qos.shm_outstanding["t"] = 0;
   dc.qos.enabled = false;
   EXPECT_TRUE(dc.Validate().ok());
 }
@@ -484,6 +501,151 @@ TEST(ReadRequestApi, StructAndPositionalSurfacesAreEquivalent) {
   bool ok = false;
   c->run_job(api_equivalence_job(c->client("client"), &ok));
   EXPECT_TRUE(ok);
+}
+
+// ---- progressive remote fills (one owner push per window) ----
+
+constexpr std::uint64_t kPushChunk = 256 * 1024;  // the daemon's stream chunk
+constexpr std::uint64_t kPushWindow = 2 * 1024 * 1024;
+// One chunk's serialization on the bed's 10 Gb/s link.
+constexpr sim::SimTime kChunkWire = kPushChunk * 8 / 10;
+
+struct TimedRead {
+  sim::SimTime done = 0;
+  Status status;
+  std::uint64_t bytes = 0;
+  std::uint64_t checksum = 0;
+};
+
+// One libvread read, issued `delay` after the call, timed to its last byte.
+sim::Task timed_read(Cluster* c, hdfs::ReadRequest rr, sim::SimTime delay, TimedRead* out,
+                     sim::Latch* done) {
+  if (delay > 0) co_await c->sim().delay(delay);
+  hdfs::ReadResult res;
+  co_await c->libvread("client")->read(rr, res);
+  out->done = c->sim().now();
+  out->status = res.status;
+  out->bytes = res.data.size();
+  out->checksum = res.data.checksum();
+  done->count_down();
+}
+
+// Opens the first block of "/f" (on datanode2) once per request, then
+// reads `lead` at once and `follow` 50us later, so `follow` finds the
+// fill `lead` began in flight.
+sim::Task lead_and_follow(Cluster* c, hdfs::ReadRequest lead, hdfs::ReadRequest follow,
+                          TimedRead* a, TimedRead* b) {
+  LibVread* lib = c->libvread("client");
+  const sim::Name block(c->namenode().all_blocks("/f").front().name);
+  Status st;
+  co_await lib->open(block, sim::Name("datanode2"), lead.vfd, st);
+  co_await lib->open(block, sim::Name("datanode2"), follow.vfd, st);
+  sim::Latch done(c->sim(), 2);
+  c->sim().spawn(timed_read(c, lead, 0, a, &done));
+  c->sim().spawn(timed_read(c, follow, sim::us(50), b, &done));
+  co_await done.wait();
+  co_await lib->close(lead.vfd);
+  co_await lib->close(follow.vfd);
+}
+
+hdfs::ReadRequest window(std::uint64_t offset, std::uint64_t len, std::string tenant = "") {
+  hdfs::ReadRequest rr;
+  rr.offset = offset;
+  rr.len = len;
+  rr.tenant = sim::Name(tenant);
+  return rr;
+}
+
+void expect_bytes(const TimedRead& r, std::uint64_t offset, std::uint64_t len) {
+  EXPECT_TRUE(r.status.ok()) << r.status.to_string();
+  EXPECT_EQ(r.bytes, len);
+  EXPECT_EQ(r.checksum, Buffer::deterministic(kSeed, offset, len).checksum());
+}
+
+TEST(ProgressiveRemoteFill, FollowerTakesChunkZeroBeforeTheWindowLands) {
+  RegistryGuard guard;
+  auto c = testutil::remote_bed(kFileBytes, kSeed);
+  c->enable_vread(testutil::validated(merged_stack()));
+  c->drop_all_caches();
+  TimedRead a, b;
+  c->run_job(lead_and_follow(c.get(), window(0, kPushWindow), window(0, kPushChunk), &a, &b));
+  expect_bytes(a, 0, kPushWindow);
+  expect_bytes(b, 0, kPushChunk);
+  EXPECT_EQ(c->daemon("host1")->stats_snapshot().coalesce_hits, 1u);
+  // The follower's chunk is served as it lands, not when the leader's
+  // eighth chunk does: the leader still had six chunks on the wire.
+  EXPECT_LT(b.done + 6 * kChunkWire, a.done) << "follower " << b.done << " leader " << a.done;
+}
+
+TEST(ProgressiveRemoteFill, MultiChunkFollowerCountsOnceInTheTenantSplit) {
+  RegistryGuard guard;
+  auto c = testutil::remote_bed(kFileBytes, kSeed);
+  c->enable_vread(testutil::validated(merged_stack()));
+  c->drop_all_caches();
+  TimedRead a, b;
+  c->run_job(lead_and_follow(c.get(), window(0, kPushWindow, "lead"),
+                             window(0, kPushWindow / 2, "follow"), &a, &b));
+  expect_bytes(a, 0, kPushWindow);
+  expect_bytes(b, 0, kPushWindow / 2);
+  const DaemonStats s = c->daemon("host1")->stats_snapshot();
+  EXPECT_EQ(s.coalesce_hits, 1u);
+  EXPECT_EQ(s.coalesce_fill_bytes, kPushWindow);
+  // Four chunks taken from one fill, one registration: two tenants split
+  // the window evenly, and the shares sum to the bytes the owner pushed.
+  std::uint64_t lead = 0, follow = 0;
+  for (const QosTenantStats& t : s.tenants) {
+    if (t.tenant == "lead") lead = t.fill_bytes;
+    if (t.tenant == "follow") follow = t.fill_bytes;
+  }
+  EXPECT_EQ(lead, kPushWindow / 2);
+  EXPECT_EQ(follow, kPushWindow / 2);
+}
+
+sim::Task raise_flag(Cluster* c, sim::SimTime at, std::shared_ptr<bool> flag) {
+  co_await c->sim().delay(at);
+  *flag = true;
+}
+
+// Reads the whole first block as a hedge leg whose cancel flag rises 2 ms
+// into the read, mid-window.
+sim::Task hedge_leg(Cluster* c, bool coalesce, TimedRead* out) {
+  LibVread* lib = c->libvread("client");
+  hdfs::ReadRequest rr = window(0, 4 * 1024 * 1024);
+  Status st;
+  co_await lib->open(sim::Name(c->namenode().all_blocks("/f").front().name),
+                     sim::Name("datanode2"), rr.vfd, st);
+  auto flag = std::make_shared<bool>(false);
+  rr.cancel = flag;
+  rr.hedge = true;
+  rr.coalesce = coalesce;
+  c->sim().spawn(raise_flag(c, sim::ms(2), flag));
+  sim::Latch done(c->sim(), 1);
+  c->sim().spawn(timed_read(c, rr, 0, out, &done));
+  co_await done.wait();
+  co_await lib->close(rr.vfd);
+}
+
+TEST(ProgressiveRemoteFill, FillLeadingHedgeLegIsNeverCancelledMidWindow) {
+  for (const bool coalesce : {true, false}) {
+    SCOPED_TRACE(coalesce ? "leads a fill" : "coalescing off");
+    RegistryGuard guard;
+    auto c = testutil::remote_bed(kFileBytes, kSeed);
+    c->enable_vread(testutil::validated(merged_stack()));
+    c->drop_all_caches();
+    TimedRead r;
+    c->run_job(hedge_leg(c.get(), coalesce, &r));
+    const DaemonStats s = c->daemon("host1")->stats_snapshot();
+    EXPECT_EQ(s.hedged_reads, 1u);
+    if (coalesce) {
+      // Its bytes complete the fill a waiter could be sleeping on.
+      expect_bytes(r, 0, 4 * 1024 * 1024);
+      EXPECT_EQ(s.hedge_cancelled, 0u);
+    } else {
+      // The owner checks the flag inside its push and sends the marker.
+      EXPECT_EQ(r.status.code(), StatusCode::kCancelled) << r.status.to_string();
+      EXPECT_EQ(s.hedge_cancelled, 1u);
+    }
+  }
 }
 
 // ---- batched disk submission ----

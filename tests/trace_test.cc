@@ -622,7 +622,7 @@ TEST(TraceDigest, PeerCacheFetchOverTcp) {
   EXPECT_EQ(traced_pread(*c, "client2", 0, kChunk), want);
   EXPECT_EQ(traced_pread(*c, "client3", 0, kChunk), want);
   EXPECT_EQ(c->daemon("host3")->stats_snapshot().peer_fetches, 1u);
-  expect_trace(TracePin{8827026553400109365u, 79u, 1u});
+  expect_trace(TracePin{6572227447096593028u, 79u, 2u});
 }
 
 // Both legs of every hedged read run side by side against replicas whose

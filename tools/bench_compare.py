@@ -21,6 +21,13 @@ only the candidate has are listed as new, never fatal.
 that moved, went or is new (metric, baseline, candidate, delta %), ready to
 paste into CHANGES.md; the exit status is the same as without it.
 
+`--paper REPORTS` is the paper scorecard, report only: for every metric
+that carries `paper_expected`, it prints the model's value, the paper's
+value and whether their directions agree.  A value's direction is its sign
+against the neutral point of its unit (1 for an `x` ratio, 0 otherwise), so
+a 0% reduction where the paper reports 50% disagrees.  The exit status is
+zero whatever the agreement.
+
 `--self-test` runs the comparator against synthetic reports (a small move
 each way, a regression, an improvement, a missing report, a missing metric)
 and exits non-zero if the verdicts are wrong.
@@ -122,6 +129,31 @@ def markdown_table(diffs):
     return out
 
 
+def direction(value, unit):
+    """-1, 0 or +1: the sign of `value` against its unit's neutral point."""
+    neutral = 1.0 if unit == "x" else 0.0
+    return (value > neutral) - (value < neutral)
+
+
+def paper_scorecard(reports):
+    """Returns (lines, agreeing, total) for every metric of `reports` that
+    carries a paper_expected value."""
+    lines = []
+    agree = total = 0
+    for bench in sorted(reports):
+        for m in reports[bench].get("metrics", []):
+            if "paper_expected" not in m:
+                continue
+            value, paper = float(m["value"]), float(m["paper_expected"])
+            unit = m.get("unit", "")
+            same = direction(value, unit) == direction(paper, unit)
+            total += 1
+            agree += same
+            lines.append(f"[{'agree' if same else 'DIFF '}] {bench}.{m['name']}: "
+                         f"{value:g} {unit} (paper {paper:g} {unit})")
+    return lines, agree, total
+
+
 def self_test():
     def report(bench, value, better):
         return {
@@ -184,6 +216,19 @@ def self_test():
         "| `b.new` | — | 2 | — |",
         "| `b.throughput` | 100 | 110 | +10.00 |",
     ], "the Markdown table must list each moved, gone and new metric once"
+    # The paper scorecard: a direction is a sign against the unit's
+    # neutral point, and metrics without a paper value are skipped.
+    card = report("b", 0.0, "higher")
+    card["metrics"] = [
+        {"name": "gain", "value": 12.0, "unit": "%", "better": "higher", "paper_expected": 40},
+        {"name": "flat", "value": 0.0, "unit": "%", "better": "higher", "paper_expected": 50},
+        {"name": "speedup", "value": 0.9, "unit": "x", "better": "higher", "paper_expected": 2},
+        {"name": "plain", "value": 3.0, "unit": "ms", "better": "lower"},
+    ]
+    lines, agree, total = paper_scorecard({"b": card})
+    assert (agree, total) == (1, 3), "one of three paper metrics agrees in direction"
+    assert lines[0] == "[agree] b.gain: 12 % (paper 40 %)", lines[0]
+    assert lines[2] == "[DIFF ] b.speedup: 0.9 x (paper 2 x)", lines[2]
     print("bench_compare self-test: OK")
     return 0
 
@@ -194,12 +239,22 @@ def main():
     ap.add_argument("candidate", nargs="?", help="candidate dir or BENCH_*.json file")
     ap.add_argument("--markdown", action="store_true",
                     help="print the moved, gone and new metrics as a Markdown table")
+    ap.add_argument("--paper", action="store_true",
+                    help="print the paper scorecard of the reports in BASELINE and exit 0")
     ap.add_argument("--self-test", action="store_true",
                     help="verify the comparator's own verdicts and exit")
     args = ap.parse_args()
 
     if args.self_test:
         return self_test()
+    if args.paper:
+        if not args.baseline or args.candidate:
+            ap.error("--paper takes one reports dir or BENCH_*.json file")
+        lines, agree, total = paper_scorecard(load_reports(args.baseline))
+        for line in lines:
+            print(line)
+        print(f"\n{agree} of {total} paper metrics agree in direction")
+        return 0
     if not args.baseline or not args.candidate:
         ap.error("baseline and candidate are required (or use --self-test)")
 
